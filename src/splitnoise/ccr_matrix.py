@@ -28,6 +28,30 @@ whose norm converges to (3 + 1.2561)/2 = 2.1280, the "approximately
 (that is what feeds the obstruction arithmetic, epsilon = 3 - 2.128),
 while `sign_sum_extremes` and `lemma23_value` expose the raw sign-sum
 spectrum.  Both are strictly below 3 at every truncation.
+
+The sign-sum kernel.  With c = cos alpha, s = sin alpha, all three go
+through one kernel for S = sgn Q + sgn(c Q + s P) + sgn(c Q - s P).  It
+never forms a dense N x N sign: S is bipartite, S = [[0, M], [M^T, 0]],
+so its spectrum is +-(singular values of the real block M), padded with
+zeros for odd N, and the value is the top singular value of M.  The sign
+of a bipartite [[0, B], [B^*, 0]] is [[0, U], [U^*, 0]] with U = W V^*
+the polar factor of B = W Sigma V^* (Higham, Functions of Matrices,
+SIAM 2008), taken from the thin SVD of an N/2-sized block.
+
+* oscillator: e^{i theta N} q e^{-i theta N} = q cos theta + p sin theta
+  holds exactly in the truncation, so S = sgn q o [1 + 2 cos(alpha (j - l))]
+  entrywise, which is real.  q couples even levels to odd levels only,
+  so M = polar(B_q) o [1 + 2 cos(alpha (even - odd))], with B_q the
+  bidiagonal even-row/odd-column block of q.
+* grid: Q is real diagonal and P imaginary, so sgn(c Q - s P) is the
+  complex conjugate of sgn(c Q + s P) and S = sgn Q + 2 Re sgn(c Q + s P).
+  Both Q and P are odd under the reflection x -> -x, so in the basis of
+  reflection-odd and reflection-even vectors M = 2 Re polar(B) - [I | 0],
+  with B the block of c Q + s P and -[I | 0] that of sgn Q.
+
+For odd N the block is (N+1)/2 x (N-1)/2 or its transpose.  Its polar
+factor vanishes on the kernel vector, so sgn(0) = 0 holds without a
+tolerance, and the spectrum stays parity-symmetric.
 """
 
 from __future__ import annotations
@@ -38,8 +62,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .gaussian_algebra import span_inner, unit
 
 __all__ = [
     "CcrTriple",
@@ -215,26 +237,64 @@ def symmetric_triple(n: int, scheme: str = "oscillator",
                      Q, P, -(P + Q), x=x)
 
 
+def _sign(w: np.ndarray) -> np.ndarray:
+    """np.sign with |w| <= n eps max|w| counted as zero."""
+    tol = len(w) * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    return np.where(np.abs(w) <= tol, 0.0, np.sign(w))
+
+
 def sgn_op(a: np.ndarray) -> np.ndarray:
-    """Spectral sign of a Hermitian matrix, sgn(0) := 0."""
+    """Spectral sign of a Hermitian matrix, sgn(0) := 0.
+
+    Eigenvalues within n eps max|w| of zero map to 0, so a kernel vector
+    that roundoff leaves at an eigenvalue of +-1e-17 is annihilated.
+    """
     a = require_hermitian(a)
     d = np.diagonal(a)
     if not np.any(a - np.diag(d)):
         # exactly diagonal (grid-scheme position): sign the diagonal
-        return np.diag(np.sign(d.real)).astype(a.dtype)
+        return np.diag(_sign(d.real)).astype(a.dtype)
     w, v = np.linalg.eigh(a)
-    return (v * np.sign(w)) @ v.conj().T
+    return (v * _sign(w)) @ v.conj().T
 
 
-def _sign_sum(triple: CcrTriple) -> np.ndarray:
-    return sgn_op(triple.P) + sgn_op(triple.Q) + sgn_op(triple.R)
+def _polar(b: np.ndarray) -> np.ndarray:
+    """Polar factor W V^* of b = W Sigma V^* (thin SVD); for a full-rank
+    rectangular b it vanishes on the complement of b's range."""
+    w, _, vh = np.linalg.svd(b, full_matrices=False)
+    return w @ vh
+
+
+def _sign_sum_block(pair: CcrTriple, alpha: float) -> np.ndarray:
+    """Real block M with sgn Q + sgn(c Q + s P) + sgn(c Q - s P) =
+    [[0, M], [M^T, 0]] in the bipartite basis of the module docstring."""
+    if pair.scheme == "oscillator":
+        # rows are even levels, columns odd levels
+        lev = np.arange(pair.n)
+        weight = 1.0 + 2.0 * np.cos(alpha * (lev[0::2, None] - lev[None, 1::2]))
+        return _polar(pair.Q[0::2, 1::2]) * weight
+    # grid: basis (e_j -+ e_{N-1-j})/sqrt 2 for j < N/2, then the centre
+    # point (odd N); reflection-oddness of c Q + s P reduces the block of
+    # that operator to its top rows
+    k = pair.n // 2
+    top = math.cos(alpha) * pair.Q[:k] + math.sin(alpha) * pair.P[:k]
+    b = top[:, :k] + top[:, ::-1][:, :k]
+    if pair.n % 2:
+        b = np.hstack([b, math.sqrt(2.0) * top[:, k:k + 1]])
+    m = 2.0 * _polar(b).real
+    m[np.arange(k), np.arange(k)] -= 1.0  # sgn Q: x_j < 0 for j < N/2
+    return m
 
 
 def sign_sum_extremes(scheme: str, n: int) -> tuple[float, float]:
     """(lowest, highest) eigenvalue of sgn P + sgn Q + sgn R for the
-    symmetric triple; converges to about -+1.2561."""
-    w = np.linalg.eigvalsh(_sign_sum(symmetric_triple(n, scheme)))
-    return float(w[0]), float(w[-1])
+    symmetric triple; converges to about -+1.2561.
+
+    The spectrum is exactly parity-symmetric (see the module docstring),
+    so the two are negatives of each other.
+    """
+    hi = lemma23_value(TWO_THIRDS_PI, 0.5, n, scheme)
+    return -hi, hi
 
 
 def sign_sum_norm(scheme: str, n: int) -> float:
@@ -256,7 +316,8 @@ def lemma23_value(alpha: float, t: float, n: int, scheme: str = "oscillator",
     || sgn Q_t + sgn(Q_t cos a + P_t sin a) + sgn(Q_t cos a - P_t sin a) ||
     for alpha in (pi/2, pi].  Positive scalings are absorbed by sgn, so
     the value does not depend on t; at alpha = pi the rotated terms both
-    reduce to -sgn Q_t and the value drops to 1.
+    reduce to -sgn Q_t and the value drops to 1.  At alpha = 2 pi / 3 the
+    three operators are the symmetric triple.
 
     The grid window defaults to the balanced, t-independent half width
     here (not 40/sqrt(2t)); a t-dependent window would rescale P against
@@ -266,13 +327,8 @@ def lemma23_value(alpha: float, t: float, n: int, scheme: str = "oscillator",
         raise ValueError("alpha must lie in (pi/2, pi]")
     if scheme == "grid" and L is None:
         L = balanced_grid_halfwidth(n)
-    pair = build_pair(scheme, n, t, L)
-    c, s = math.cos(alpha), math.sin(alpha)
-    total = (sgn_op(pair.Q)
-             + sgn_op(c * pair.Q + s * pair.P)
-             + sgn_op(c * pair.Q - s * pair.P))
-    w = np.linalg.eigvalsh(total)
-    return float(max(-w[0], w[-1]))
+    block = _sign_sum_block(build_pair(scheme, n, t, L), alpha)
+    return float(np.linalg.norm(block, 2))
 
 
 def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
@@ -370,12 +426,3 @@ def write_norm_study_csv(rows, path, wall_time: bool = False) -> None:
                                _fmt(r.value), _fmt(sec)]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def coherent_norm_crosscheck(zeta: complex, t: float, n: int) -> tuple[float, float]:
-    """Squared norm of the coherent vector against the span-side value."""
-    v = coherent_vector(zeta, t, n)
-    matrix_side = float(np.real(v.conj() @ v))
-    span = unit(0.0, zeta, t)
-    span_side = float(span_inner(span, span).real)
-    return matrix_side, span_side

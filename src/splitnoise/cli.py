@@ -20,10 +20,9 @@ import os
 import sys
 
 from . import ccr_matrix, warren_sim
+from .ccr_matrix import TWO_THIRDS_PI
 from .gaussian_algebra import ccr_phase_residual, random_unit_span, relation_suite
 from .warren_sim import Lemma43Row, replica_rng
-
-TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 DEFAULTS = {
     "norm-study": dict(scheme="oscillator", dims="64,128,256,512,1024",
@@ -98,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="comma-separated ascending truncations")
     p.add_argument("--alpha", help="comma-separated angles in (pi/2, pi]")
     p.add_argument("--t", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="ignored: the norm study is deterministic")
     p.add_argument("--out")
     p.add_argument("--wall-time", action="store_true",
                    help="write measured seconds (breaks byte reproducibility)")

@@ -27,6 +27,29 @@ def phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def _dense_lemma23(alpha, t, n, scheme):
+    """Dense oracle for lemma23_value: three N x N sgn_op calls and the
+    eigenvalues of their sum."""
+    L = balanced_grid_halfwidth(n) if scheme == "grid" else None
+    pair = build_pair(scheme, n, t, L)
+    c, s = math.cos(alpha), math.sin(alpha)
+    total = (sgn_op(pair.Q)
+             + sgn_op(c * pair.Q + s * pair.P)
+             + sgn_op(c * pair.Q - s * pair.P))
+    w = np.linalg.eigvalsh(total)
+    return float(max(-w[0], w[-1]))
+
+
+def _odd_kernel_vector(n):
+    """Kernel vector of the odd-n position matrix q: zero on odd levels,
+    z_{j+1} = -sqrt(j / (j + 1)) z_{j-1} on even ones."""
+    z = np.zeros(n)
+    z[0] = 1.0
+    for j in range(1, n - 1, 2):
+        z[j + 1] = -math.sqrt(j / (j + 1)) * z[j - 1]
+    return z / np.linalg.norm(z)
+
+
 # --- build_pair ---------------------------------------------------------
 
 def test_oscillator_pair_n2_hand_value():
@@ -171,6 +194,17 @@ def test_sgn_zero_eigenvalue_maps_to_zero():
     assert np.allclose(s, np.diag([1.0, 0.0, -1.0]))
 
 
+def test_sgn_annihilates_odd_n_position_kernel():
+    # q's zero eigenvalue comes out of eigh at about 1e-17, not 0
+    for n in (63, 65, 129):
+        q, _ = position_momentum(n)
+        z = _odd_kernel_vector(n)
+        assert np.linalg.norm(q @ z) <= 1e-12
+        s = sgn_op(q)
+        assert np.linalg.norm(s @ z) <= 1e-12
+        assert abs(np.trace(s)) <= 1e-12
+
+
 def test_sgn_rejects_non_hermitian():
     with pytest.raises(ValueError):
         sgn_op(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -261,6 +295,32 @@ def test_lemma23_oscillator_rotation_trick_oracle():
     w = np.linalg.eigvalsh(total)
     oracle = float(max(-w[0], w[-1]))
     assert lemma23_value(alpha, 0.5, n) == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("scheme", ["oscillator", "grid"])
+def test_lemma23_matches_dense_oracle(scheme):
+    worst = 0.0
+    for n in (16, 17, 64, 65, 128, 256):
+        for alpha in (1.8, 2 * math.pi / 3, 2.9, math.pi):
+            for t in (0.25, 2.0):
+                gap = abs(lemma23_value(alpha, t, n, scheme)
+                          - _dense_lemma23(alpha, t, n, scheme))
+                worst = max(worst, gap)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["oscillator", "grid"])
+def test_odd_n_parity_symmetry_and_degenerate_angle(scheme):
+    for n in (63, 65, 129):
+        lo, hi = sign_sum_extremes(scheme, n)
+        assert abs(lo + hi) <= 1e-12
+        tri = symmetric_triple(n, scheme)
+        w = np.linalg.eigvalsh(sgn_op(tri.P) + sgn_op(tri.Q) + sgn_op(tri.R))
+        assert abs(w[0] - lo) <= 1e-12 and abs(w[-1] - hi) <= 1e-12
+        for alpha in (2 * math.pi / 3, 2.9, math.pi):
+            assert lemma23_value(alpha, 0.5, n, scheme) == pytest.approx(
+                _dense_lemma23(alpha, 0.5, n, scheme), abs=1e-12)
+        assert lemma23_value(math.pi, 0.5, n, scheme) <= 1.0 + 1e-8
 
 
 def test_lemma23_rejects_bad_alpha():
