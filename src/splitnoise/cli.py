@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="flat key = value configuration file")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (orchestration is single-threaded)")
+                        help="run Monte Carlo replica chunks on at most this "
+                             "many worker threads; results do not depend on it")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("norm-study", help="sign-sum norm across truncations")
@@ -189,7 +190,8 @@ def _cmd_warren_mass(args) -> str:
     _positive("samples", args.samples)
     f = warren_sim.half_interval_profile()
     est = warren_sim.quad_form_C(warren_sim.constant_evaluator(1.0), f,
-                                 args.samples, args.seed, m=args.m)
+                                 args.samples, args.seed, m=args.m,
+                                 threads=args.threads)
     line = (f"warren-mass: ||f||^2 ~ {est.mean:.6g} +- {est.stderr:.3g} "
             f"(m={args.m}, samples={est.samples})")
     if args.out:
@@ -222,7 +224,8 @@ def _cmd_lemma43(args) -> str:
         raise CliError(str(exc)) from exc
     f = warren_sim.half_interval_profile()
     rows = warren_sim.lemma43_table(f, n_list, delta_list, args.m,
-                                    args.samples, args.seed)
+                                    args.samples, args.seed,
+                                    threads=args.threads)
     out = _out_path(args.out)
     warren_sim.write_lemma43_csv(rows, out)
     best = min(rows, key=lambda r: (r.delta, -r.n))

@@ -17,6 +17,18 @@ out exactly: the per-path integrand of <C_psi> is sum_j |g(t_j)|^2
 psi(t_j, path), so only the path replicas are sampled.  Replica r draws
 from the counter-based Philox stream keyed (master_seed, r), which makes
 every estimate reproducible independently of scheduling.
+
+Both Monte Carlo drivers, quad_form_C and lemma43_table, are per-path
+closures over one replica engine, run_replicas(seed, samples, m,
+per_path, width, threads).  The engine splits range(samples) into
+contiguous chunks of REPLICA_CHUNK replicas and runs them on at most
+`threads` workers of a thread pool (inline when one worker suffices);
+row r of its (samples, width) result is per_path of replica r.  The
+drivers compute the weight profile once per run, before the engine
+starts, and reduce each column to a mean and a standard error in
+replica order afterwards, so every estimate is bit-identical for any
+thread count.  numpy's normal fills and ufunc loops release the
+interpreter lock, which is what lets the threads overlap.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ __all__ = [
     "DEFAULT_GRID_M",
     "DEFAULT_SAMPLES",
     "LEMMA43_HEADER",
+    "REPLICA_CHUNK",
     "replica_rng",
     "local_minima",
     "sample_path",
@@ -50,6 +63,7 @@ __all__ = [
     "chaos_eval",
     "chaos_norm_contribution",
     "per_path_integrand",
+    "run_replicas",
     "constant_evaluator",
     "bucket_probe_evaluator",
     "endpoint_sign_evaluator",
@@ -70,6 +84,7 @@ __all__ = [
 DEFAULT_GRID_M = 2 ** 14
 DEFAULT_SAMPLES = 10 ** 4
 MAX_CHAOS_ORDER = 2
+REPLICA_CHUNK = 64  # replicas per work item of run_replicas
 
 LEMMA43_HEADER = "n,delta,m,samples,estimate,stderr,mass,mass_stderr,seed"
 
@@ -196,15 +211,19 @@ def half_interval_profile() -> SuperchaosVector:
     return SuperchaosVector.deterministic(StepFunction.indicator(0.0, 0.5, 1.0))
 
 
+def _amplitudes(f: SuperchaosVector, path: WarrenPath) -> np.ndarray:
+    """g(t_j, path) at every minimum: the weight times the sign factor."""
+    return f.weight_profile(path.m)[path.minima] * f.sign_factor(path)
+
+
 def chaos_eval(f: SuperchaosVector, path: WarrenPath) -> float:
     """sum over minima of eta_j g(t_j, path); odd in the signs."""
-    amp = f.weight_profile(path.m)[path.minima] * f.sign_factor(path)
-    return float(np.sum(path.signs * amp))
+    return float(np.sum(path.signs * _amplitudes(f, path)))
 
 
 def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
     """Per-path contribution sum_j |g(t_j, path)|^2 to ||f||^2."""
-    amp = f.weight_profile(path.m)[path.minima] * f.sign_factor(path)
+    amp = _amplitudes(f, path)
     return float(np.sum(amp * amp))
 
 
@@ -250,6 +269,14 @@ class PsiSpec:
         return m // (2 * self.n), d
 
 
+def _bucket_probe(values: np.ndarray, j, step: int, offset: int):
+    """sgn(B[edge + offset] - B[edge]) at the right edge
+    edge = (j // step + 1) * step of the bucket holding grid index j (an
+    index or an index array); exact ties give 0."""
+    edge = (j // step + 1) * step
+    return np.sign(values[edge + offset] - values[edge])
+
+
 def psi_eval(spec: PsiSpec, t: float, path: WarrenPath) -> float:
     """Value in {-1, 0, +1}: zero at or beyond 1/2, otherwise the sign
     probe of the bucket containing t; exact ties return 0."""
@@ -259,19 +286,16 @@ def psi_eval(spec: PsiSpec, t: float, path: WarrenPath) -> float:
         raise ValueError("t outside [0, 1]")
     if j >= path.m // 2:
         return 0.0
-    edge = (j // step + 1) * step
-    return float(np.sign(path.values[edge + d] - path.values[edge]))
+    return float(_bucket_probe(path.values, j, step, d))
 
 
 def bucket_probe_evaluator(spec: PsiSpec):
     def psi(path: WarrenPath) -> np.ndarray:
         step, d = spec.alignment(path.m)
-        half = path.m // 2
         jj = path.minima
         out = np.zeros(len(jj))
-        mask = jj < half
-        edge = (jj[mask] // step + 1) * step
-        out[mask] = np.sign(path.values[edge + d] - path.values[edge])
+        mask = jj < path.m // 2
+        out[mask] = _bucket_probe(path.values, jj[mask], step, d)
         return out
     return psi
 
@@ -290,29 +314,81 @@ class McEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
+def _integrand(w: np.ndarray, s: float, probe: np.ndarray) -> float:
+    """sum_j w_j^2 s^2 probe_j in one fixed evaluation order, shared by
+    per_path_integrand and the quad_form_C engine so that they agree
+    bit for bit."""
+    return float(np.sum((w * w) * (s * s) * probe))
+
+
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
     integrated out, exactly, so this is the whole per-path quantity."""
-    w = f.weight_profile(path.m)[path.minima]
-    s = f.sign_factor(path)
-    return float(np.sum((w * w) * (s * s) * psi(path)))
+    return _integrand(f.weight_profile(path.m)[path.minima],
+                      f.sign_factor(path), psi(path))
 
 
-def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
-                m: int = DEFAULT_GRID_M) -> McEstimate:
-    """Monte Carlo of the quadratic form <C_psi> on the profile vector f.
+def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
+                 threads: int = 1) -> np.ndarray:
+    """(samples, width) array whose row r is per_path(path of replica r).
 
-    psi is an evaluator (path -> array over the path's minima).  With
-    psi == 1 this estimates ||f||^2, the total mass identity.
+    Replica r is sample_path(m, replica_rng(seed, r)), whatever worker
+    draws it.  Contiguous chunks of REPLICA_CHUNK replicas run on
+    min(threads, chunks) pool workers, or inline when that is one; each
+    worker holds one path at a time and writes only its own rows, so the
+    array does not depend on the thread count.  per_path must be safe to
+    call from several threads at once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    vals = np.empty(samples)
-    for r in range(samples):
-        path = sample_path(m, replica_rng(seed, r))
-        vals[r] = per_path_integrand(psi, f, path)
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return McEstimate(float(vals.mean()), stderr, samples, int(seed))
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    out = np.empty((samples, width))
+    chunk = REPLICA_CHUNK
+
+    def run_chunk(lo: int) -> None:
+        for r in range(lo, min(lo + chunk, samples)):
+            out[r] = per_path(sample_path(m, replica_rng(seed, r)))
+
+    starts = range(0, samples, chunk)
+    workers = min(threads, len(starts))
+    if workers == 1:
+        for lo in starts:
+            run_chunk(lo)
+    else:
+        # imported on first use, which keeps it out of the package's import
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(run_chunk, starts):
+                pass  # reading each result re-raises a worker's exception
+    return out
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of one nonempty column of replica values,
+    summed in replica order; the standard error of one sample is 0."""
+    v = np.ascontiguousarray(values)
+    stderr = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
+    return float(v.mean()), stderr
+
+
+def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
+                m: int = DEFAULT_GRID_M, threads: int = 1) -> McEstimate:
+    """Monte Carlo of the quadratic form <C_psi> on the profile vector f.
+
+    psi is an evaluator (path -> array over the path's minima).  With
+    psi == 1 this estimates ||f||^2, the total mass identity.  Each path
+    contributes per_path_integrand(psi, f, path), evaluated against the
+    weight profile computed once for the run.
+    """
+    wp = f.weight_profile(m)
+
+    def per_path(path: WarrenPath) -> float:
+        return _integrand(wp[path.minima], f.sign_factor(path), psi(path))
+
+    vals = run_replicas(seed, samples, m, per_path, 1, threads)
+    mean, stderr = _mean_stderr(vals[:, 0])
+    return McEstimate(mean, stderr, samples, int(seed))
 
 
 @dataclass(frozen=True)
@@ -330,12 +406,8 @@ class Lemma43Row:
     seed: int
 
 
-def _mean_se(acc: np.ndarray) -> tuple[float, float]:
-    return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(len(acc)))
-
-
 def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
-                  samples: int, seed: int) -> list[Lemma43Row]:
+                  samples: int, seed: int, threads: int = 1) -> list[Lemma43Row]:
     """Refinement table of <C_psi_{n,delta}> over shared path replicas.
 
     Rows carry the bucket-probe estimate, the mass estimate (psi == 1)
@@ -348,37 +420,42 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
         raise ValueError("profile must be supported in (0, 1/2)")
     n_list = [int(n) for n in n_list]
     delta_list = [float(d) for d in delta_list]
-    steps = {n: PsiSpec(n, delta_list[0]).alignment(m)[0] for n in n_list}
-    offsets = {d: _grid_index(d, m, "delta") for d in delta_list}
-    if min(offsets.values()) < 1:
+    steps = [PsiSpec(n, delta_list[0]).alignment(m)[0] for n in n_list]
+    offsets = [_grid_index(d, m, "delta") for d in delta_list]
+    if min(offsets) < 1:
         raise ValueError("delta must be at least one grid step")
-
-    est = {(n, d): np.empty(samples) for n in n_list for d in delta_list}
-    u_acc = {d: np.empty(samples) for d in delta_list}
-    mass_acc = np.empty(samples)
     half = m // 2
-    for r in range(samples):
-        path = sample_path(m, replica_rng(seed, r))
-        jj = path.minima[path.minima < half]
+    wp2 = wp ** 2
+    # the probe is constant on a bucket: evaluate it once per bucket, at
+    # the bucket's first grid index, and gather it at the minima
+    firsts = [np.arange(0, half, step) for step in steps]
+
+    # columns: mass, then u_mass per delta, then the estimate per (n, delta)
+    def per_path(path: WarrenPath) -> list:
+        jj = path.minima[:np.searchsorted(path.minima, half)]
         B = path.values
         s = f.sign_factor(path)
-        w2 = wp[jj] ** 2 * (s * s)
-        mass_acc[r] = w2.sum()
-        for d, off in offsets.items():
-            u_acc[d][r] = w2 @ (B[jj + off] > B[jj])
-        for n in n_list:
-            edge = (jj // steps[n] + 1) * steps[n]
-            for d, off in offsets.items():
-                est[(n, d)][r] = w2 @ np.sign(B[edge + off] - B[edge])
+        w2 = wp2[jj] * (s * s)
+        at_min = B[jj]
+        row = [w2.sum()]
+        row += [w2 @ (B[jj + off] > at_min) for off in offsets]
+        for step, first in zip(steps, firsts):
+            bucket = jj // step
+            row += [w2 @ _bucket_probe(B, first, step, off)[bucket]
+                    for off in offsets]
+        return row
 
-    mass, mass_se = _mean_se(mass_acc)
+    k = len(delta_list)
+    acc = run_replicas(seed, samples, m, per_path,
+                       1 + k + len(n_list) * k, threads)
+    mass, mass_se = _mean_stderr(acc[:, 0])
+    u = [_mean_stderr(acc[:, 1 + i]) for i in range(k)]
     rows = []
-    for n in n_list:
-        for d in delta_list:
-            e, se = _mean_se(est[(n, d)])
-            u, use = _mean_se(u_acc[d])
+    for a, n in enumerate(n_list):
+        for i, d in enumerate(delta_list):
+            e, se = _mean_stderr(acc[:, 1 + k + a * k + i])
             rows.append(Lemma43Row(n, d, m, samples, e, se, mass, mass_se,
-                                   u, use, int(seed)))
+                                   *u[i], int(seed)))
     return rows
 
 
@@ -417,14 +494,13 @@ def chaos_terms(F: TruncatedChaosVector, path: WarrenPath):
     tt = path.times()
     eta = path.signs.astype(float)
     if F.order1 is not None:
-        amp = (F.order1.weight_profile(path.m)[path.minima]
-               * F.order1.sign_factor(path))
+        amp = _amplitudes(F.order1, path)
         for k in range(len(tt)):
             yield (tt[k],), float(eta[k] * amp[k])
     if F.order2 is not None:
         ga, gb = F.order2
-        va = ga.weight_profile(path.m)[path.minima] * ga.sign_factor(path)
-        vb = gb.weight_profile(path.m)[path.minima] * gb.sign_factor(path)
+        va = _amplitudes(ga, path)
+        vb = _amplitudes(gb, path)
         for k in range(len(tt)):
             for l in range(k + 1, len(tt)):
                 coeff = 0.5 * (va[k] * vb[l] + va[l] * vb[k])
@@ -439,8 +515,7 @@ def op_E(phi, F: TruncatedChaosVector, path: WarrenPath) -> float:
 
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath, psi) -> float:
     """(C_psi f)(path): term k picks up the factor psi(t_k, path)."""
-    amp = f.weight_profile(path.m)[path.minima] * f.sign_factor(path)
-    return float(np.sum(path.signs * amp * psi(path)))
+    return float(np.sum(path.signs * _amplitudes(f, path) * psi(path)))
 
 
 def apply_matched_sign_probe(f: SuperchaosVector,

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from splitnoise.ccr_matrix import (
+    TWO_THIRDS_PI,
     build_pair,
     coherent_vector,
     lemma23_value,
@@ -50,7 +51,6 @@ from splitnoise.warren_sim import (
     sample_path,
 )
 
-TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 GRID_M = 2 ** 14
 SAMPLES = 10 ** 4
 MASTER_SEED = 20_240

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -89,6 +90,22 @@ def test_lemma43_and_obstruction_pipeline(tmp_path, capsys):
     assert "margin" in stdout
 
 
+def test_single_sample_runs_write_zero_stderr_without_warnings(tmp_path, capsys):
+    table, mass = tmp_path / "one.csv", tmp_path / "one.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["lemma43", *SMALL_LEMMA43, "--samples", "1",
+                    "--out", str(table)], capsys)[0] == 0
+        assert run(["warren-mass", "--m", "256", "--samples", "1",
+                    "--out", str(mass)], capsys)[0] == 0
+    text = table.read_text()
+    assert "nan" not in text
+    for line in text.splitlines()[1:]:
+        fields = dict(zip(LEMMA43_HEADER.split(","), line.split(",")))
+        assert fields["stderr"] == fields["mass_stderr"] == "0"
+    assert json.loads(mass.read_text())["stderr"] == 0.0
+
+
 def test_lemma43_rejects_misalignment_before_sampling(tmp_path, capsys):
     code, _, err = run(["lemma43", "--m", "256", "--samples", "40",
                         "--n-list", "3", "--delta-list", "0.00390625",
@@ -120,6 +137,15 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert run(argv + ["--out", str(a)], capsys)[0] == 0
     assert run(argv + ["--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+    # 150 replicas are three chunks: --threads 2 runs them on two workers
+    for cmd, ext in ((["warren-mass", "--m", "256", "--samples", "150",
+                       "--seed", "4"], "json"),
+                     (["lemma43", *SMALL_LEMMA43, "--samples", "150"], "csv")):
+        t1, t2 = tmp_path / f"t1.{ext}", tmp_path / f"t2.{ext}"
+        assert run(["--threads", "1", *cmd, "--out", str(t1)], capsys)[0] == 0
+        assert run(["--threads", "2", *cmd, "--out", str(t2)], capsys)[0] == 0
+        assert t1.read_bytes() == t2.read_bytes()
 
     n1, n2 = tmp_path / "n1.csv", tmp_path / "n2.csv"
     assert run(["norm-study", "--dims", "16,32", "--out", str(n1)],

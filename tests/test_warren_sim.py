@@ -1,9 +1,13 @@
 import json
 import math
+import sys
+import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
 
+from splitnoise import warren_sim
 from splitnoise.gaussian_algebra import StepFunction
 from splitnoise.warren_sim import (
     LEMMA43_HEADER,
@@ -32,6 +36,7 @@ from splitnoise.warren_sim import (
     psi_eval,
     quad_form_C,
     replica_rng,
+    run_replicas,
     sample_path,
     validate_chaos_order,
     write_lemma43_csv,
@@ -360,6 +365,140 @@ def test_lemma43_alignment_guard():
     f = half_interval_profile()
     with pytest.raises(ValueError):
         lemma43_table(f, [3], [1 / 64], 64, 4, 0)
+
+
+def test_lemma43_rejects_no_samples():
+    with pytest.raises(ValueError):
+        lemma43_table(half_interval_profile(), [2], [1 / 64], 64, 0, 0)
+
+
+def test_single_sample_stderr_is_zero():
+    f = half_interval_profile()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = lemma43_table(f, [2], [1 / 64], 64, 1, 0)
+        est = quad_form_C(constant_evaluator(1.0), f, 1, 0, m=64)
+    assert rows[0].stderr == rows[0].mass_stderr == rows[0].u_mass_stderr == 0.0
+    assert est.stderr == 0.0 and est.mean == rows[0].mass
+
+
+# --- replica engine ------------------------------------------------------
+
+def ws_half_profile():
+    return SuperchaosVector.sign_modulated(
+        StepFunction.indicator(0.0, 0.5, 1.0), 0.5, 1.0)
+
+
+def mean_stderr(values):
+    v = np.asarray(values, dtype=float)
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
+
+
+def plain_lemma43_loop(f, n_list, delta_list, m, samples, seed):
+    """Refinement table from one replica loop over the public per-path
+    pieces: the profile, the sign factor and bucket_probe_evaluator."""
+    cols = {}
+    for r in range(samples):
+        path = sample_path(m, replica_rng(seed, r))
+        keep = path.minima < m // 2
+        jj = path.minima[keep]
+        s = f.sign_factor(path)
+        w2 = f.weight_profile(m)[jj] ** 2 * (s * s)
+        B = path.values
+        cols.setdefault("mass", []).append(w2.sum())
+        for d in delta_list:
+            off = round(d * m)
+            cols.setdefault(("u", d), []).append(w2 @ (B[jj + off] > B[jj]))
+            for n in n_list:
+                probe = bucket_probe_evaluator(PsiSpec(n, d))(path)[keep]
+                cols.setdefault((n, d), []).append(w2 @ probe)
+    mass = mean_stderr(cols["mass"])
+    return [Lemma43Row(n, d, m, samples, *mean_stderr(cols[(n, d)]), *mass,
+                       *mean_stderr(cols[("u", d)]), seed)
+            for n in n_list for d in delta_list]
+
+
+@pytest.mark.parametrize("f, psi", [
+    (half_interval_profile(), constant_evaluator(1.0)),
+    (ws_half_profile(), endpoint_sign_evaluator(0.5, 1.0)),
+], ids=["W-constant", "WS-endpoint-sign"])
+def test_quad_form_exact_for_any_thread_count(monkeypatch, f, psi):
+    # 37 replicas in chunks of 8: five chunks, the last one short
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
+    m, seed = 256, 61
+    ests = [quad_form_C(psi, f, 37, seed, m=m, threads=t) for t in (1, 2, 3)]
+    assert ests[0] == ests[1] == ests[2]
+    loop = [per_path_integrand(psi, f, sample_path(m, replica_rng(seed, r)))
+            for r in range(37)]
+    assert (ests[0].mean, ests[0].stderr) == mean_stderr(loop)
+
+
+@pytest.mark.parametrize("f", [half_interval_profile(), ws_half_profile()],
+                         ids=["W", "WS"])
+def test_lemma43_exact_for_any_thread_count(monkeypatch, f):
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
+    m, seed = 256, 67
+    args = (f, [2, 4], [1 / m, 4 / m], m, 37, seed)
+    tables = [lemma43_table(*args, threads=t) for t in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0] == plain_lemma43_loop(*args)
+
+
+def test_engine_never_starts_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    args = (f, [2], [1 / 128], 128, 3, 71)
+    # 3 replicas are one chunk of 64: the loop runs inline
+    assert quad_form_C(one, f, 3, 71, m=128, threads=8) == \
+        quad_form_C(one, f, 3, 71, m=128)
+    assert lemma43_table(*args, threads=8) == lemma43_table(*args)
+    assert started == []
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 2)  # two chunks
+    assert quad_form_C(one, f, 3, 71, m=128, threads=8) == \
+        quad_form_C(one, f, 3, 71, m=128)
+    assert started == [2]
+
+
+def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch):
+    # chunks of one replica on more workers than cores, with the
+    # interpreter switching threads as often as it can: a row written
+    # from the wrong replica or lost would break the equality
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 1)
+
+    def per_path(path):
+        return [path.values[-1], len(path.minima)]
+
+    expected = [per_path(sample_path(64, replica_rng(5, r))) for r in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_replicas(5, 24, 64, per_path, 2, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows.shape == (24, 2)
+    assert rows.tolist() == expected
+
+
+def test_run_replicas_validation_and_worker_errors(monkeypatch):
+    zero = lambda path: 0.0  # noqa: E731
+    with pytest.raises(ValueError):
+        run_replicas(0, 0, 64, zero, 1)
+    with pytest.raises(ValueError):
+        run_replicas(0, 4, 64, zero, 1, threads=0)
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 2)
+
+    def failing(path):
+        raise RuntimeError("per-path failure")
+
+    with pytest.raises(RuntimeError, match="per-path failure"):
+        run_replicas(0, 4, 64, failing, 1, threads=2)
 
 
 # --- op_A ----------------------------------------------------------------
