@@ -12,6 +12,11 @@ the convergence certificate.
   sign of the position operator is exactly diagonal, and the commutator
   defect is rank one at the alternating (Nyquist) vector.
 
+Each scheme is built once, by `_natural_pair`: `build_pair` scales its
+(q, p) by sqrt(2 t), `symmetric_triple` rotates it by 2 pi / 3, and the
+sign-sum kernel reads it unscaled, since positive scalings drop out of
+sgn.  The grid aliasing check reads only the grid points and t.
+
 The zero-sum triple Q, P, R places three scaled coordinates at mutual
 120 degrees, Q = alpha q, P = alpha (q cos + p sin), R = -(P + Q) with
 alpha^2 = 2/sqrt(3), so that all pairwise commutators equal -i.
@@ -119,10 +124,6 @@ def position_momentum(n: int):
     return q, p
 
 
-def _grid_points(n: int, L: float) -> np.ndarray:
-    return np.linspace(-L, L, n)
-
-
 def _grid_momentum(x: np.ndarray) -> np.ndarray:
     # sinc-kernel first derivative on the uniform infinite grid, times -i
     h = x[1] - x[0]
@@ -139,25 +140,33 @@ class CcrTriple:
     scheme: str
     n: int
     t: float
-    L: float | None
     Q: np.ndarray
     P: np.ndarray
     R: np.ndarray
     x: np.ndarray | None = None  # grid points, grid scheme only
 
+    @property
+    def L(self) -> float | None:
+        """Grid half width in natural units; None for the oscillator."""
+        return None if self.x is None else float(self.x[-1])
+
     def vacuum(self) -> np.ndarray:
         """Ground-state vector of the underlying oscillator, unit norm."""
-        if self.scheme == "oscillator":
+        if self.x is None:
             e0 = np.zeros(self.n)
             e0[0] = 1.0
             return e0
-        v = np.exp(-self.x * self.x / 2.0)
-        return v / np.linalg.norm(v)
+        return _grid_vacuum(self.x)
 
     def vacuum_moment_error(self) -> float:
         """|<vac| Q^2 |vac> - t|, the tail-aliasing diagnostic."""
         v = self.vacuum()
         return abs(float(np.real(v.conj() @ (self.Q @ (self.Q @ v)))) - self.t)
+
+
+def _grid_vacuum(x: np.ndarray) -> np.ndarray:
+    v = np.exp(-x * x / 2.0)
+    return v / np.linalg.norm(v)
 
 
 def default_grid_halfwidth(t: float) -> float:
@@ -170,6 +179,43 @@ def balanced_grid_halfwidth(n: int) -> float:
     return math.sqrt(math.pi * n / 2.0)
 
 
+def _natural_pair(scheme: str, n: int, L: float | None, default_L: float):
+    """Natural-unit (q, p, x) of one scheme, x = None for the oscillator.
+
+    The one place where a scheme's operators are built and its arguments
+    checked.  The grid spans [-L, L], with L = default_L when L is None;
+    its q is the real diagonal of the points x.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if scheme == "oscillator":
+        if L is not None:
+            raise ValueError("L applies to the grid scheme only")
+        q, p = position_momentum(n)
+        return q, p, None
+    if scheme == "grid":
+        L = default_L if L is None else L
+        if L <= 0.0:
+            raise ValueError("L must be positive")
+        x = np.linspace(-L, L, n)
+        return np.diag(x), _grid_momentum(x), x
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _warn_if_aliased(x: np.ndarray | None, t: float) -> None:
+    """GridAliasingWarning when the grid vacuum's second moment of
+    Q_t = sqrt(2 t) x misses t by more than 1e-6 max(t, 1)."""
+    if x is None:
+        return
+    v = _grid_vacuum(x)
+    sx = math.sqrt(2.0 * t) * x
+    err = abs(float(v @ (sx * (sx * v))) - t)
+    if err > 1e-6 * max(t, 1.0):
+        warnings.warn(
+            f"grid vacuum moment off by {err:.2e} (N={len(x)}, L={x[-1]:.3g}); "
+            "increase N or adjust L", GridAliasingWarning, stacklevel=3)
+
+
 def build_pair(scheme: str, n: int, t: float, L: float | None = None) -> CcrTriple:
     """Canonical pair at time scale t, [P, Q] = -2 t i up to the defect.
 
@@ -177,70 +223,29 @@ def build_pair(scheme: str, n: int, t: float, L: float | None = None) -> CcrTrip
     grid default half width is 40/sqrt(2 t) natural units and the
     vacuum-moment aliasing check warns above 1e-6.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     if t <= 0.0:
         raise ValueError("t must be positive")
+    q, p, x = _natural_pair(scheme, n, L, default_grid_halfwidth(t))
     s = math.sqrt(2.0 * t)
-    if scheme == "oscillator":
-        if L is not None:
-            raise ValueError("L applies to the grid scheme only")
-        q, p = position_momentum(n)
-        triple = CcrTriple("oscillator", n, float(t), None, s * q, s * p,
-                           -(s * p + s * q))
-    elif scheme == "grid":
-        if L is None:
-            L = default_grid_halfwidth(t)
-        if L <= 0.0:
-            raise ValueError("L must be positive")
-        x = _grid_points(n, float(L))
-        Q = s * np.diag(x).astype(complex)
-        P = s * _grid_momentum(x)
-        triple = CcrTriple("grid", n, float(t), float(L), Q, P, -(P + Q), x=x)
-        err = triple.vacuum_moment_error()
-        if err > 1e-6 * max(t, 1.0):
-            warnings.warn(
-                f"grid vacuum moment off by {err:.2e} (N={n}, L={L:.3g}); "
-                "increase N or adjust L", GridAliasingWarning, stacklevel=2)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return triple
+    _warn_if_aliased(x, t)
+    Q, P = s * q, s * p
+    return CcrTriple(scheme, n, float(t), Q, P, -(P + Q), x=x)
 
 
-def symmetric_triple(n: int, scheme: str = "oscillator",
-                     L: float | None = None) -> CcrTriple:
+def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
     """Zero-sum triple at mutual 120 degrees, pairwise commutators -i.
 
     alpha^2 = 2/sqrt(3) makes alpha^2 sin(2 pi / 3) = 1.  R is built as
     -(P + Q), so P + Q + R = 0 holds exactly in floating point.  The
-    grid transcription defaults to the balanced half width sqrt(pi n/2),
-    which puts equal position and momentum cutoffs around the origin.
+    grid transcription uses the balanced half width sqrt(pi n/2), which
+    puts equal position and momentum cutoffs around the origin.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    q, p, x = _natural_pair(scheme, n, None, balanced_grid_halfwidth(n))
     alpha = math.sqrt(2.0 / math.sqrt(3.0))
     c, s = math.cos(TWO_THIRDS_PI), math.sin(TWO_THIRDS_PI)
-    if scheme == "oscillator":
-        q, p = position_momentum(n)
-        x = None
-    elif scheme == "grid":
-        if L is None:
-            L = balanced_grid_halfwidth(n)
-        x = _grid_points(n, float(L))
-        q = np.diag(x).astype(complex)
-        p = _grid_momentum(x)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     Q = alpha * q
     P = alpha * (c * q + s * p)
-    return CcrTriple(scheme, n, 0.5, None if x is None else float(L),
-                     Q, P, -(P + Q), x=x)
-
-
-def _sign(w: np.ndarray) -> np.ndarray:
-    """np.sign with |w| <= n eps max|w| counted as zero."""
-    tol = len(w) * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    return np.where(np.abs(w) <= tol, 0.0, np.sign(w))
+    return CcrTriple(scheme, n, 0.5, Q, P, -(P + Q), x=x)
 
 
 def sgn_op(a: np.ndarray) -> np.ndarray:
@@ -250,12 +255,9 @@ def sgn_op(a: np.ndarray) -> np.ndarray:
     that roundoff leaves at an eigenvalue of +-1e-17 is annihilated.
     """
     a = require_hermitian(a)
-    d = np.diagonal(a)
-    if not np.any(a - np.diag(d)):
-        # exactly diagonal (grid-scheme position): sign the diagonal
-        return np.diag(_sign(d.real)).astype(a.dtype)
     w, v = np.linalg.eigh(a)
-    return (v * _sign(w)) @ v.conj().T
+    tol = len(w) * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    return (v * np.where(np.abs(w) <= tol, 0.0, np.sign(w))) @ v.conj().T
 
 
 def _polar(b: np.ndarray) -> np.ndarray:
@@ -265,21 +267,23 @@ def _polar(b: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _sign_sum_block(pair: CcrTriple, alpha: float) -> np.ndarray:
-    """Real block M with sgn Q + sgn(c Q + s P) + sgn(c Q - s P) =
+def _sign_sum_block(scheme: str, q: np.ndarray, p: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """Real block M with sgn q + sgn(c q + s p) + sgn(c q - s p) =
     [[0, M], [M^T, 0]] in the bipartite basis of the module docstring."""
-    if pair.scheme == "oscillator":
+    n = len(q)
+    if scheme == "oscillator":
         # rows are even levels, columns odd levels
-        lev = np.arange(pair.n)
+        lev = np.arange(n)
         weight = 1.0 + 2.0 * np.cos(alpha * (lev[0::2, None] - lev[None, 1::2]))
-        return _polar(pair.Q[0::2, 1::2]) * weight
+        return _polar(q[0::2, 1::2]) * weight
     # grid: basis (e_j -+ e_{N-1-j})/sqrt 2 for j < N/2, then the centre
-    # point (odd N); reflection-oddness of c Q + s P reduces the block of
+    # point (odd N); reflection-oddness of c q + s p reduces the block of
     # that operator to its top rows
-    k = pair.n // 2
-    top = math.cos(alpha) * pair.Q[:k] + math.sin(alpha) * pair.P[:k]
+    k = n // 2
+    top = math.cos(alpha) * q[:k] + math.sin(alpha) * p[:k]
     b = top[:, :k] + top[:, ::-1][:, :k]
-    if pair.n % 2:
+    if n % 2:
         b = np.hstack([b, math.sqrt(2.0) * top[:, k:k + 1]])
     m = 2.0 * _polar(b).real
     m[np.arange(k), np.arange(k)] -= 1.0  # sgn Q: x_j < 0 for j < N/2
@@ -309,8 +313,8 @@ def sign_sum_norm(scheme: str, n: int) -> float:
     return (3.0 + hi) / 2.0
 
 
-def lemma23_value(alpha: float, t: float, n: int, scheme: str = "oscillator",
-                  L: float | None = None) -> float:
+def lemma23_value(alpha: float, t: float, n: int,
+                  scheme: str = "oscillator") -> float:
     """Raw sign-sum norm of the angle-alpha triple built on (Q_t, P_t).
 
     || sgn Q_t + sgn(Q_t cos a + P_t sin a) + sgn(Q_t cos a - P_t sin a) ||
@@ -319,16 +323,17 @@ def lemma23_value(alpha: float, t: float, n: int, scheme: str = "oscillator",
     reduce to -sgn Q_t and the value drops to 1.  At alpha = 2 pi / 3 the
     three operators are the symmetric triple.
 
-    The grid window defaults to the balanced, t-independent half width
-    here (not 40/sqrt(2t)); a t-dependent window would rescale P against
-    Q and break the exact t-invariance that sgn guarantees.
+    The kernel reads the natural-unit pair, so the value is exactly
+    t-invariant; t only feeds the grid aliasing check.  The grid uses
+    the balanced, t-independent half width sqrt(pi n / 2).
     """
     if not (math.pi / 2.0 < alpha <= math.pi):
         raise ValueError("alpha must lie in (pi/2, pi]")
-    if scheme == "grid" and L is None:
-        L = balanced_grid_halfwidth(n)
-    block = _sign_sum_block(build_pair(scheme, n, t, L), alpha)
-    return float(np.linalg.norm(block, 2))
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    q, p, x = _natural_pair(scheme, n, None, balanced_grid_halfwidth(n))
+    _warn_if_aliased(x, t)
+    return float(np.linalg.norm(_sign_sum_block(scheme, q, p, alpha), 2))
 
 
 def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:

@@ -16,13 +16,13 @@ The one-parameter automorphism family acts on these spans by
     I = integral_0^T (U f)(s) ds,
 
 with |U| = 1; shifts are (xi, U=1), rotations are (xi=0, U).  The same
-multiplier can be accumulated interval by interval (the tensor splitting
-of the horizon), and both routes are implemented so they can be checked
-against each other.
+multiplier is the product of one factor per interval of f (the tensor
+splitting of the horizon); the tests check the closed form against it.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -118,7 +118,7 @@ class StepFunction:
         """Value on the interval [breaks[j], breaks[j+1]) containing t."""
         if not 0.0 <= t <= self.horizon:
             raise ValueError("t outside horizon")
-        j = int(np.searchsorted(self.breaks, t, side="right")) - 1
+        j = bisect.bisect_right(self.breaks, t) - 1
         return complex(self.values[min(j, len(self.values) - 1)])
 
     def integral(self) -> complex:
@@ -203,20 +203,25 @@ class ExpSpan:
                 kept.append((complex(c), f))
         return ExpSpan(self.horizon, tuple(kept))
 
+    def _gram_form(self) -> tuple[float, np.ndarray]:
+        """(||v||^2, G): c^T G conj(c) over the Gram matrix G of the terms."""
+        coef = np.array([c for c, _ in self.terms], dtype=complex)
+        g = gram_matrix([f for _, f in self.terms])
+        return max(float((coef @ g @ coef.conj()).real), 0.0), g
+
     def norm_squared(self) -> float:
-        val = span_inner(self, self)
-        return max(val.real, 0.0)
+        return self._gram_form()[0]
 
     def norm(self) -> float:
-        if len(self.terms) >= 2:
-            g = gram_matrix([f for _, f in self.terms])
+        value, g = self._gram_form()
+        if len(g) >= 2:
             cond = np.linalg.cond(g)
             if cond > GRAM_CONDITION_LIMIT:
                 warnings.warn(
                     f"Gram condition number {cond:.2e} exceeds 1e12; "
                     "norm digits are unreliable", GramConditionWarning,
                     stacklevel=2)
-        return math.sqrt(self.norm_squared())
+        return math.sqrt(value)
 
 
 def exponential(f: StepFunction) -> ExpSpan:
@@ -285,29 +290,16 @@ def _closed_multiplier(p: AutomorphismParams, f: StepFunction) -> complex:
     return cmath.exp(1j * p.lam * T) * cmath.exp(
         -0.5 * abs(xi) ** 2 * T - xi.conjugate() * complex(p.U) * f.integral())
 
-def _per_interval_multiplier(p: AutomorphismParams, f: StepFunction) -> complex:
-    # same number assembled from the tensor splitting of [0, T]
-    xi = complex(p.xi)
-    out = cmath.exp(1j * p.lam * f.horizon)
-    for v, a, b in zip(f.values, f.breaks, f.breaks[1:]):
-        dt = b - a
-        out *= cmath.exp(-0.5 * abs(xi) ** 2 * dt
-                         - complex(p.U) * complex(v) * xi.conjugate() * dt)
-    return out
 
-
-def apply_automorphism(p: AutomorphismParams, v: ExpSpan,
-                       per_interval: bool = False) -> ExpSpan:
+def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
     """Image of the span under the automorphism with parameters p.
 
-    Each term (c, f) maps to (c * mult, U f + xi).  `per_interval`
-    selects the interval-by-interval multiplier instead of the closed
-    form; the two agree to roundoff and tests pin that down.
+    Each term (c, f) maps to (c * mult, U f + xi), with the closed-form
+    multiplier of the module docstring.
     """
-    mult = _per_interval_multiplier if per_interval else _closed_multiplier
     out = []
     for c, f in v.terms:
-        out.append((c * mult(p, f), f.scale_add(p.U, p.xi)))
+        out.append((c * _closed_multiplier(p, f), f.scale_add(p.U, p.xi)))
     return ExpSpan(v.horizon, tuple(out))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_grid_vacuum_moment_within_aliasing_threshold():
 def test_grid_default_window_warns_when_too_coarse():
     with pytest.warns(GridAliasingWarning):
         build_pair("grid", 64, 0.5)  # default L = 40, h too large
+
+
+def test_lemma23_grid_aliasing_warning():
+    # lemma23_value checks the balanced window it builds, as build_pair does
+    with pytest.warns(GridAliasingWarning):
+        lemma23_value(2 * math.pi / 3, 0.5, 8, "grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lemma23_value(2 * math.pi / 3, 0.5, 64, "grid")
 
 
 def test_build_pair_validation():
