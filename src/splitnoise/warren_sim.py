@@ -20,7 +20,7 @@ every estimate reproducible independently of scheduling.
 
 Both Monte Carlo drivers, quad_form_C and lemma43_table, are per-path
 closures over one replica engine, run_replicas(seed, samples, m,
-per_path, width, threads).  The engine splits range(samples) into
+per_path, width, threads, reach).  The engine splits range(samples) into
 contiguous chunks of REPLICA_CHUNK replicas and runs them on at most
 `threads` workers of a thread pool (inline when one worker suffices);
 row r of its (samples, width) result is per_path of replica r.  The
@@ -29,6 +29,20 @@ starts, and reduce each column to a mean and a standard error in
 replica order afterwards, so every estimate is bit-identical for any
 thread count.  numpy's normal fills and ufunc loops release the
 interpreter lock, which is what lets the threads overlap.
+
+Each replica draws its walk only up to the driver's reach: the last
+grid index that any of its columns reads, computed from the driver's
+own inputs.  lemma43_table reads up to m//2 plus its largest probe
+offset; quad_form_C reads up to one past the last nonzero weight, the
+probe times a, b of a WS profile and the reach its evaluator declares
+(evaluators without a declaration get the whole walk).  The prefix is
+exact, not an approximation: Philox is a counter-based stream, and
+Generator.normal consumes it one element at a time, so the first h
+draws of a fill of size m are bit for bit the draws of a fill of size
+h.  The prefix therefore holds the same values[0..h] and the same minima
+below h as the whole walk; only the signs, drawn after the increments,
+start at another point of the stream, and no driver reads them.  An
+index past the prefix raises IndexError.
 """
 
 from __future__ import annotations
@@ -105,16 +119,18 @@ def local_minima(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise ValueError("need at least three values")
-    d = np.diff(v)
-    return np.where((d[:-1] < 0.0) & (d[1:] > 0.0))[0] + 1
+    inner = v[1:-1]
+    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
 
 
 @dataclass(frozen=True)
 class WarrenPath:
     """Sampled path with its decorated strict local minima.
 
-    values has m + 1 entries, values[0] == 0; minima are ascending
-    interior indices; signs holds one +-1 per minimum.
+    values holds the walk on the grid {0, 1/m, ..., 1} up to some index
+    h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m);
+    minima are the ascending interior indices below h; signs holds one
+    +-1 per minimum.
     """
 
     m: int
@@ -123,8 +139,8 @@ class WarrenPath:
     signs: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError("values must have m + 1 entries")
+        if not 3 <= len(self.values) <= self.m + 1:
+            raise ValueError("values must have 3 to m + 1 entries")
         if self.values[0] != 0.0:
             raise ValueError("path must start at 0")
         if len(self.signs) != len(self.minima):
@@ -142,12 +158,23 @@ class WarrenPath:
             raise ValueError("signs must be +-1")
 
 
-def sample_path(m: int, rng: np.random.Generator) -> WarrenPath:
-    """Walk with N(0, 1/m) increments; signs drawn after the increments."""
+def sample_path(m: int, rng: np.random.Generator,
+                reach: int | None = None) -> WarrenPath:
+    """Walk with N(0, 1/m) increments; signs drawn after the increments.
+
+    With reach = h only the first h increments are drawn: values[0..h]
+    and the minima below h are bit for bit those of the whole walk (the
+    default, h = m), because the stream is consumed one draw at a time.
+    """
     if m < 4:
         raise ValueError("m must be at least 4")
-    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=m)
-    values = np.concatenate(([0.0], np.cumsum(steps)))
+    h = m if reach is None else int(reach)
+    if not 2 <= h <= m:
+        raise ValueError("reach must lie in [2, m]")
+    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
+    values = np.empty(h + 1)
+    values[0] = 0.0
+    np.cumsum(steps, out=values[1:])
     minima = local_minima(values)
     signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
     return WarrenPath(m=m, values=values, minima=minima, signs=signs)
@@ -206,6 +233,26 @@ def _grid_index(t: float, m: int, name: str) -> int:
     return int(j)
 
 
+def _profile_reach(f: SuperchaosVector, wp: np.ndarray) -> int:
+    """How far f reads a walk, given its weight wp on the grid: one past
+    the last index where wp is nonzero (so that every weighted minimum is
+    found), and the probe indices a and b of a WS profile."""
+    m = len(wp) - 1
+    nonzero = np.flatnonzero(wp)
+    reach = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    if f.kind == "WS":
+        reach = max(reach, _grid_index(f.a, m, "a"), _grid_index(f.b, m, "b"))
+    return reach
+
+
+def _check_drawn(path: WarrenPath, reach: int) -> None:
+    """IndexError unless path is drawn far enough to hold every minimum
+    below reach: a shorter prefix would silently drop weighted terms."""
+    drawn = len(path.values) - 1
+    if drawn < min(reach, path.m):
+        raise IndexError(f"walk drawn to index {drawn}, {reach} needed")
+
+
 def half_interval_profile() -> SuperchaosVector:
     """Deterministic profile with unit weight on (0, 1/2)."""
     return SuperchaosVector.deterministic(StepFunction.indicator(0.0, 0.5, 1.0))
@@ -213,7 +260,9 @@ def half_interval_profile() -> SuperchaosVector:
 
 def _amplitudes(f: SuperchaosVector, path: WarrenPath) -> np.ndarray:
     """g(t_j, path) at every minimum: the weight times the sign factor."""
-    return f.weight_profile(path.m)[path.minima] * f.sign_factor(path)
+    wp = f.weight_profile(path.m)
+    _check_drawn(path, _profile_reach(f, wp))
+    return wp[path.minima] * f.sign_factor(path)
 
 
 def chaos_eval(f: SuperchaosVector, path: WarrenPath) -> float:
@@ -228,10 +277,14 @@ def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
 
 
 # --- evaluators: callables path -> psi value per minimum, in order ------
+# Each factory's evaluator declares reach(m), the last grid index it
+# reads of a walk on the 1/m grid; quad_form_C draws no further than
+# that.  An evaluator without the attribute is given the whole walk.
 
 def constant_evaluator(c: float):
     def psi(path: WarrenPath) -> np.ndarray:
         return np.full(len(path.minima), float(c))
+    psi.reach = lambda m: 0
     return psi
 
 
@@ -242,6 +295,7 @@ def endpoint_sign_evaluator(a: float, b: float, cutoff: float = 0.5):
         ib = _grid_index(b, path.m, "b")
         s = np.sign(path.values[ib] - path.values[ia])
         return np.where(path.minima < cutoff * path.m, s, 0.0)
+    psi.reach = lambda m: max(_grid_index(a, m, "a"), _grid_index(b, m, "b"))
     return psi
 
 
@@ -297,6 +351,8 @@ def bucket_probe_evaluator(spec: PsiSpec):
         mask = jj < path.m // 2
         out[mask] = _bucket_probe(path.values, jj[mask], step, d)
         return out
+    # the last bucket's right edge is m // 2, probed d steps further on
+    psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
     return psi
 
 
@@ -314,30 +370,42 @@ class McEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _integrand(w: np.ndarray, s: float, probe: np.ndarray) -> float:
-    """sum_j w_j^2 s^2 probe_j in one fixed evaluation order, shared by
-    per_path_integrand and the quad_form_C engine so that they agree
-    bit for bit."""
+def _integrand(wp: np.ndarray, end: int, s: float, path: WarrenPath,
+               probe) -> float:
+    """sum_j wp_j^2 s^2 probe_j over the minima j below end, past which
+    wp vanishes, in one fixed evaluation order shared by
+    per_path_integrand and the quad_form_C engine.  The sum does not
+    depend on how far past end the walk was drawn, so the two agree bit
+    for bit on a prefix and on the whole walk."""
+    _check_drawn(path, end)
+    keep = path.minima < end
+    w = wp[path.minima[keep]]
+    probe = np.asarray(probe)
+    if probe.ndim:
+        probe = probe[keep]
     return float(np.sum((w * w) * (s * s) * probe))
 
 
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
     integrated out, exactly, so this is the whole per-path quantity."""
-    return _integrand(f.weight_profile(path.m)[path.minima],
-                      f.sign_factor(path), psi(path))
+    wp = f.weight_profile(path.m)
+    return _integrand(wp, _profile_reach(f, wp), f.sign_factor(path), path,
+                      psi(path))
 
 
 def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
-                 threads: int = 1) -> np.ndarray:
+                 threads: int = 1, reach: int | None = None) -> np.ndarray:
     """(samples, width) array whose row r is per_path(path of replica r).
 
-    Replica r is sample_path(m, replica_rng(seed, r)), whatever worker
-    draws it.  Contiguous chunks of REPLICA_CHUNK replicas run on
-    min(threads, chunks) pool workers, or inline when that is one; each
-    worker holds one path at a time and writes only its own rows, so the
-    array does not depend on the thread count.  per_path must be safe to
-    call from several threads at once.
+    Replica r is sample_path(m, replica_rng(seed, r), h), whatever worker
+    draws it: the walk up to h = reach clamped to [2, m], or the whole
+    walk when reach is None.  reach must be the last grid index per_path
+    reads; reading past it raises IndexError.  Contiguous chunks of
+    REPLICA_CHUNK replicas run on min(threads, chunks) pool workers, or
+    inline when that is one; each worker holds one path at a time and
+    writes only its own rows, so the array does not depend on the thread
+    count.  per_path must be safe to call from several threads at once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -345,10 +413,11 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
         raise ValueError("threads must be at least 1")
     out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
+    h = None if reach is None else min(m, max(2, int(reach)))
 
     def run_chunk(lo: int) -> None:
         for r in range(lo, min(lo + chunk, samples)):
-            out[r] = per_path(sample_path(m, replica_rng(seed, r)))
+            out[r] = per_path(sample_path(m, replica_rng(seed, r), h))
 
     starts = range(0, samples, chunk)
     workers = min(threads, len(starts))
@@ -372,6 +441,17 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(v.mean()), stderr
 
 
+def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
+    """Delta-method standard error of mean(num) / mean(den) over the same
+    replicas: the standard error of the residuals num - ratio * den,
+    divided by mean(den); 0.0 when mean(den) is 0."""
+    den_mean = _mean_stderr(den)[0]
+    if den_mean == 0.0:
+        return 0.0
+    ratio = _mean_stderr(num)[0] / den_mean
+    return _mean_stderr(num - ratio * den)[1] / den_mean
+
+
 def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
                 m: int = DEFAULT_GRID_M, threads: int = 1) -> McEstimate:
     """Monte Carlo of the quadratic form <C_psi> on the profile vector f.
@@ -379,14 +459,19 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     psi is an evaluator (path -> array over the path's minima).  With
     psi == 1 this estimates ||f||^2, the total mass identity.  Each path
     contributes per_path_integrand(psi, f, path), evaluated against the
-    weight profile computed once for the run.
+    weight profile computed once for the run.  Walks are drawn up to one
+    past the last nonzero weight, the probe times of a WS profile and
+    psi.reach(m) when psi declares it; otherwise in full.
     """
     wp = f.weight_profile(m)
+    end = _profile_reach(f, wp)
+    declared = getattr(psi, "reach", None)
+    reach = max(end, m if declared is None else declared(m))
 
     def per_path(path: WarrenPath) -> float:
-        return _integrand(wp[path.minima], f.sign_factor(path), psi(path))
+        return _integrand(wp, end, f.sign_factor(path), path, psi(path))
 
-    vals = run_replicas(seed, samples, m, per_path, 1, threads)
+    vals = run_replicas(seed, samples, m, per_path, 1, threads, reach)
     mean, stderr = _mean_stderr(vals[:, 0])
     return McEstimate(mean, stderr, samples, int(seed))
 
@@ -404,6 +489,9 @@ class Lemma43Row:
     u_mass: float
     u_mass_stderr: float
     seed: int
+    # delta-method standard error of u_mass / mass over the shared paths;
+    # 0.0 where it is not known, as for rows read back from the CSV
+    u_ratio_stderr: float = 0.0
 
 
 def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
@@ -412,8 +500,11 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 
     Rows carry the bucket-probe estimate, the mass estimate (psi == 1)
     and the minimum-anchored set mass u_mass of {B_{t+delta} > B_t},
-    all from the same paths (common random numbers).  The profile must
-    vanish on [1/2, 1].
+    all from the same paths (common random numbers), with the
+    delta-method standard error of the ratio u_mass / mass.  The profile
+    must vanish on [1/2, 1].  Walks are drawn up to m // 2 plus the
+    largest probe offset (and the probe times of a WS profile), the last
+    grid index that any column reads.
     """
     wp = f.weight_profile(m)
     if np.any(wp[m // 2:] != 0.0):
@@ -425,6 +516,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     if min(offsets) < 1:
         raise ValueError("delta must be at least one grid step")
     half = m // 2
+    reach = max(half + max(offsets), _profile_reach(f, wp))
     wp2 = wp ** 2
     # the probe is constant on a bucket: evaluate it once per bucket, at
     # the bucket's first grid index, and gather it at the minima
@@ -447,15 +539,16 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 
     k = len(delta_list)
     acc = run_replicas(seed, samples, m, per_path,
-                       1 + k + len(n_list) * k, threads)
+                       1 + k + len(n_list) * k, threads, reach)
     mass, mass_se = _mean_stderr(acc[:, 0])
     u = [_mean_stderr(acc[:, 1 + i]) for i in range(k)]
+    ratio_se = [_ratio_stderr(acc[:, 1 + i], acc[:, 0]) for i in range(k)]
     rows = []
     for a, n in enumerate(n_list):
         for i, d in enumerate(delta_list):
             e, se = _mean_stderr(acc[:, 1 + k + a * k + i])
             rows.append(Lemma43Row(n, d, m, samples, e, se, mass, mass_se,
-                                   *u[i], int(seed)))
+                                   *u[i], int(seed), ratio_se[i]))
     return rows
 
 

@@ -188,7 +188,7 @@ def test_criterion_08_refinement_trend(refinement_rows):
     # E Phi(|Z|/sqrt 3) = 2/3 at four grid steps, rising to the full mass
     pilot, fine = by[(64, 2.0 ** -12)], by[(64, 2.0 ** -14)]
     u_pilot = pilot.u_mass / pilot.mass
-    z_pilot = (u_pilot - 2.0 / 3.0) / (pilot.u_mass_stderr / pilot.mass)
+    z_pilot = (u_pilot - 2.0 / 3.0) / pilot.u_ratio_stderr
     u_fine = fine.u_mass / fine.mass
     closed_form = abs(z_pilot) <= 5.0
     rises = u_fine > u_pilot

@@ -94,6 +94,42 @@ def test_sample_path_reproducible_from_substream():
     assert np.array_equal(a.signs, b.signs)
 
 
+def sample_path_as_drawn_in_full(m, rng):
+    """The whole-walk sampler written out: m increments, their running
+    sum after a leading 0, then one sign per strict minimum."""
+    values = np.concatenate(([0.0], np.cumsum(
+        rng.normal(0.0, math.sqrt(1.0 / m), size=m))))
+    minima = local_minima(values)
+    signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
+    return values, minima, signs
+
+
+@pytest.mark.parametrize("m", [64, 257, 16384])
+def test_sample_path_prefix_is_the_whole_walk_cut_short(m):
+    for r in range(4):
+        full = sample_path(m, replica_rng(29, r))
+        values, minima, signs = sample_path_as_drawn_in_full(
+            m, replica_rng(29, r))
+        assert full.values.tobytes() == values.tobytes()
+        assert np.array_equal(full.minima, minima)
+        assert full.signs.tobytes() == signs.tobytes()
+        for h in (2, m // 2, m // 2 + 5, m - 1, m):
+            part = sample_path(m, replica_rng(29, r), reach=h)
+            assert part.m == m and len(part.values) == h + 1
+            assert np.array_equal(part.values, full.values[:h + 1])
+            assert np.array_equal(part.minima, full.minima[full.minima < h])
+            part.validate()
+            with pytest.raises(IndexError):
+                part.values[h + 1]
+        assert part.signs.tobytes() == full.signs.tobytes()  # h == m
+
+
+def test_sample_path_rejects_bad_reach():
+    for h in (1, 65):
+        with pytest.raises(ValueError):
+            sample_path(64, replica_rng(0, 0), reach=h)
+
+
 def test_endpoint_variance_matches_brownian_scaling():
     n = 10_000
     ends = np.array([sample_path(64, replica_rng(123, r)).values[-1]
@@ -116,6 +152,10 @@ def test_warren_path_invariant_violations():
     with pytest.raises(ValueError):
         WarrenPath(m=4, values=np.array([1.0, 0.0, 2.0, 0.5, 1.0]),
                    minima=np.array([1]), signs=np.array([1], dtype=np.int8))
+    for values in ([0.0, -1.0], np.zeros(6)):  # too short, longer than m + 1
+        with pytest.raises(ValueError):
+            WarrenPath(m=4, values=np.array(values), minima=np.array([], int),
+                       signs=np.array([], dtype=np.int8))
     bad = WarrenPath(m=4, values=np.array([0.0, -1.0, 2.0, -0.5, 1.0]),
                      minima=np.array([1]), signs=np.array([1], dtype=np.int8))
     with pytest.raises(ValueError):
@@ -340,8 +380,7 @@ def test_lemma43_u_mass_four_steps_matches_arctan_constant():
     rows = lemma43_table(f, [2], [4 / m], m, 600, 47)
     r = rows[0]
     ratio = r.u_mass / r.mass
-    se = r.u_mass_stderr / r.mass
-    assert abs(ratio - 2.0 / 3.0) <= 5 * se
+    assert abs(ratio - 2.0 / 3.0) <= 5 * r.u_ratio_stderr
 
 
 def test_lemma43_bucket_probe_estimate_is_centered():
@@ -378,7 +417,8 @@ def test_single_sample_stderr_is_zero():
         warnings.simplefilter("error")
         rows = lemma43_table(f, [2], [1 / 64], 64, 1, 0)
         est = quad_form_C(constant_evaluator(1.0), f, 1, 0, m=64)
-    assert rows[0].stderr == rows[0].mass_stderr == rows[0].u_mass_stderr == 0.0
+    assert rows[0].stderr == rows[0].mass_stderr == rows[0].u_mass_stderr \
+        == rows[0].u_ratio_stderr == 0.0
     assert est.stderr == 0.0 and est.mean == rows[0].mass
 
 
@@ -394,9 +434,16 @@ def mean_stderr(values):
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
 
 
-def plain_lemma43_loop(f, n_list, delta_list, m, samples, seed):
-    """Refinement table from one replica loop over the public per-path
-    pieces: the profile, the sign factor and bucket_probe_evaluator."""
+def ratio_stderr(num, den):
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    ratio = num.mean() / den.mean()
+    return mean_stderr(num - ratio * den)[1] / den.mean()
+
+
+def lemma43_columns(f, n_list, delta_list, m, samples, seed):
+    """Per-replica columns of the refinement table from one loop over
+    whole walks and the public per-path pieces: the profile, the sign
+    factor and bucket_probe_evaluator."""
     cols = {}
     for r in range(samples):
         path = sample_path(m, replica_rng(seed, r))
@@ -412,9 +459,15 @@ def plain_lemma43_loop(f, n_list, delta_list, m, samples, seed):
             for n in n_list:
                 probe = bucket_probe_evaluator(PsiSpec(n, d))(path)[keep]
                 cols.setdefault((n, d), []).append(w2 @ probe)
+    return cols
+
+
+def plain_lemma43_loop(f, n_list, delta_list, m, samples, seed):
+    cols = lemma43_columns(f, n_list, delta_list, m, samples, seed)
     mass = mean_stderr(cols["mass"])
     return [Lemma43Row(n, d, m, samples, *mean_stderr(cols[(n, d)]), *mass,
-                       *mean_stderr(cols[("u", d)]), seed)
+                       *mean_stderr(cols[("u", d)]), seed,
+                       ratio_stderr(cols[("u", d)], cols["mass"]))
             for n in n_list for d in delta_list]
 
 
@@ -442,6 +495,132 @@ def test_lemma43_exact_for_any_thread_count(monkeypatch, f):
     tables = [lemma43_table(*args, threads=t) for t in (1, 2, 3)]
     assert tables[0] == tables[1] == tables[2]
     assert tables[0] == plain_lemma43_loop(*args)
+
+
+def test_lemma43_ratio_stderr_is_the_delta_method_on_the_replica_columns():
+    f = half_interval_profile()
+    m, samples, seed = 1024, 200, 83
+    deltas = [1 / m, 4 / m]
+    rows = lemma43_table(f, [2], deltas, m, samples, seed)
+    cols = lemma43_columns(f, [2], deltas, m, samples, seed)
+    mass = np.asarray(cols["mass"], dtype=float)
+    for r, d in zip(rows, deltas):
+        u = np.asarray(cols[("u", d)], dtype=float)
+        ratio = u.mean() / mass.mean()
+        cov = np.cov(u, mass)  # ddof = 1
+        var = cov[0, 0] - 2 * ratio * cov[0, 1] + ratio ** 2 * cov[1, 1]
+        expected = math.sqrt(max(var, 0.0) / samples) / mass.mean()
+        assert r.u_ratio_stderr == pytest.approx(expected, rel=1e-9, abs=1e-15)
+    one_step, four_steps = rows
+    assert one_step.u_ratio_stderr == 0.0  # u_mass is mass on every path
+    # u_mass and mass are positively correlated: the ratio is tighter
+    # than u_mass_stderr / mass, which treats mass as exact
+    assert four_steps.u_ratio_stderr < four_steps.u_mass_stderr / four_steps.mass
+
+
+def recorded_reaches(monkeypatch, cut=0):
+    """Record the reach each drawn walk is given, drawing `cut` fewer
+    increments than that."""
+    drawn, sample = [], warren_sim.sample_path
+
+    def short_path(m, rng, reach=None):
+        drawn.append(reach)
+        return sample(m, rng, None if reach is None else reach - cut)
+
+    monkeypatch.setattr(warren_sim, "sample_path", short_path)
+    return drawn
+
+
+def drivers_at(m):
+    """(name, driver call, its reach) for both drivers and every factory
+    evaluator, on the 1/m grid."""
+    f, ws = half_interval_profile(), ws_half_profile()
+    spec = PsiSpec(4, 4 / m)
+    return [
+        ("lemma43", lambda: lemma43_table(f, [2, 4], [1 / m, 4 / m], m, 5, 1),
+         m // 2 + 4),
+        ("lemma43-WS", lambda: lemma43_table(ws, [2], [1 / m], m, 5, 1), m),
+        ("constant", lambda: quad_form_C(constant_evaluator(1.0), f, 5, 1, m=m),
+         m // 2),
+        ("bucket", lambda: quad_form_C(bucket_probe_evaluator(spec), f, 5, 1,
+                                       m=m), m // 2 + 4),
+        ("endpoint", lambda: quad_form_C(
+            endpoint_sign_evaluator(0.25, 0.625), f, 5, 1, m=m), 5 * m // 8),
+        ("endpoint-WS", lambda: quad_form_C(
+            endpoint_sign_evaluator(0.5, 1.0), ws, 5, 1, m=m), m),
+    ]
+
+
+def test_drivers_draw_each_walk_to_their_reach(monkeypatch):
+    m = 64
+    drawn = recorded_reaches(monkeypatch)
+    for name, run, reach in drivers_at(m):
+        drawn.clear()
+        run()
+        assert drawn == [reach] * 5, name
+
+
+def test_driver_reading_past_a_short_reach_raises(monkeypatch):
+    m = 64
+    recorded_reaches(monkeypatch, cut=1)
+    for name, run, reach in drivers_at(m):
+        if reach < m:  # a reach of m is the whole walk: nothing to cut
+            with pytest.raises(IndexError):
+                run()
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("psi", [
+    constant_evaluator(0.5),
+    endpoint_sign_evaluator(0.125, 0.375),
+    bucket_probe_evaluator(PsiSpec(4, 1 / 32)),
+], ids=["constant", "endpoint", "bucket"])
+def test_evaluator_on_its_declared_reach_matches_the_whole_walk(m, psi):
+    h = max(2, psi.reach(m))
+    assert h < m
+    for r in range(50):
+        full = sample_path(m, replica_rng(89, r))
+        part = sample_path(m, replica_rng(89, r), reach=h)
+        assert np.array_equal(psi(part), psi(full)[full.minima < h])
+
+
+def fractional_profiles():
+    w = StepFunction((0.0, 0.2, 0.45, 1.0), (0.7, -1.3, 0.0))
+    return [SuperchaosVector.deterministic(w),
+            SuperchaosVector.sign_modulated(w, 0.125, 0.5)]
+
+
+@pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
+@pytest.mark.parametrize("psi", [
+    constant_evaluator(0.37),
+    endpoint_sign_evaluator(0.125, 0.375),
+    bucket_probe_evaluator(PsiSpec(4, 1 / 32)),
+], ids=["constant", "endpoint", "bucket"])
+def test_quad_form_on_prefixes_equals_whole_walk_loop(f, psi):
+    # fractional weights: a sum that took in minima past the support
+    # could round differently on a prefix and on the whole walk
+    m, seed, samples = 256, 97, 30
+    est = quad_form_C(psi, f, samples, seed, m=m)
+    loop = [per_path_integrand(psi, f, sample_path(m, replica_rng(seed, r)))
+            for r in range(samples)]
+    assert (est.mean, est.stderr) == mean_stderr(loop)
+
+
+def test_undeclared_evaluator_gets_the_whole_walk(monkeypatch):
+    m, seed, samples = 128, 101, 20
+    f = half_interval_profile()
+
+    def psi(path):  # reads the walk's last value
+        return np.full(len(path.minima), np.sign(path.values[path.m]))
+
+    with pytest.raises(IndexError):
+        psi(sample_path(m, replica_rng(seed, 0), reach=m - 1))
+    loop = [per_path_integrand(psi, f, sample_path(m, replica_rng(seed, r)))
+            for r in range(samples)]
+    drawn = recorded_reaches(monkeypatch)
+    est = quad_form_C(psi, f, samples, seed, m=m)
+    assert drawn == [m] * samples
+    assert (est.mean, est.stderr) == mean_stderr(loop)
 
 
 def test_engine_never_starts_more_workers_than_chunks(monkeypatch):
