@@ -2,7 +2,8 @@
 
 A path is a random walk with Gaussian increments of variance 1/m on the
 grid {0, 1/m, ..., 1}, together with interior strict three-point local
-minima and one independent fair sign per minimum.  First-superchaos
+minima and one independent fair sign per minimum (see below for the
+Monte Carlo engine, whose paths need no signs).  First-superchaos
 vectors carry one sign factor per term,
 
     f(path, signs) = sum_j eta_j g(t_j, path),
@@ -40,9 +41,17 @@ exact, not an approximation: Philox is a counter-based stream, and
 Generator.normal consumes it one element at a time, so the first h
 draws of a fill of size m are bit for bit the draws of a fill of size
 h.  The prefix therefore holds the same values[0..h] and the same minima
-below h as the whole walk; only the signs, drawn after the increments,
-start at another point of the stream, and no driver reads them.  An
-index past the prefix raises IndexError.
+below h as the whole walk.  An index past the prefix raises IndexError.
+
+A replica costs little beyond its normal fill.  The engine draws no
+signs: its paths carry signs=None, since both drivers integrate the
+signs out, and code that reads signs raises ValueError on such a path
+(sample_path still draws them, after the increments).  Each worker
+builds one Philox generator with replica_rng and re-keys it to
+(master_seed, r), counter 0 and an empty buffer, for every replica r,
+which is exactly the state replica_rng(master_seed, r) starts from.
+lemma43_table sums the weights per bucket and evaluates each bucket's
+sign probe once, at the bucket's edge, instead of once per minimum.
 """
 
 from __future__ import annotations
@@ -111,6 +120,31 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
         np.random.Philox(key=np.array([master_seed, replica], dtype=np.uint64)))
 
 
+def _replica_streams(master_seed: int, replicas: range):
+    """Yield (r, rng) for each replica r of a nonempty range, where rng
+    draws bit for bit what replica_rng(master_seed, r) draws.
+
+    One generator serves the whole range: built by replica_rng (which
+    validates the seed), then set, before each replica, to the state
+    replica_rng starts from, key (master_seed, r), counter 0 and an
+    empty buffer, whatever the previous replica drew."""
+    rng = replica_rng(master_seed, replicas[0])
+    bitgen = rng.bit_generator
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    for r in replicas:
+        key[1] = r
+        bitgen.state = fresh
+        yield r, rng
+
+
+def _minima(v: np.ndarray) -> np.ndarray:
+    """local_minima of a 1-D float array of at least three values,
+    without the input checks."""
+    inner = v[1:-1]
+    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
+
+
 def local_minima(values) -> np.ndarray:
     """Interior indices j with values[j-1] > values[j] < values[j+1].
 
@@ -119,8 +153,7 @@ def local_minima(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise ValueError("need at least three values")
-    inner = v[1:-1]
-    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
+    return _minima(v)
 
 
 @dataclass(frozen=True)
@@ -130,20 +163,21 @@ class WarrenPath:
     values holds the walk on the grid {0, 1/m, ..., 1} up to some index
     h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m);
     minima are the ascending interior indices below h; signs holds one
-    +-1 per minimum.
+    +-1 per minimum, or is None on a path drawn without signs, as the
+    Monte Carlo engine's are.
     """
 
     m: int
     values: np.ndarray
     minima: np.ndarray
-    signs: np.ndarray
+    signs: np.ndarray | None
 
     def __post_init__(self):
         if not 3 <= len(self.values) <= self.m + 1:
             raise ValueError("values must have 3 to m + 1 entries")
         if self.values[0] != 0.0:
             raise ValueError("path must start at 0")
-        if len(self.signs) != len(self.minima):
+        if self.signs is not None and len(self.signs) != len(self.minima):
             raise ValueError("one sign per minimum required")
 
     def times(self) -> np.ndarray:
@@ -154,8 +188,28 @@ class WarrenPath:
         found = local_minima(self.values)
         if not np.array_equal(found, self.minima):
             raise ValueError("minima list is not the complete strict set")
-        if not np.all(np.abs(self.signs) == 1):
+        if not np.all(np.abs(_signs(self)) == 1):
             raise ValueError("signs must be +-1")
+
+
+def _signs(path: WarrenPath) -> np.ndarray:
+    """The path's signs; ValueError on a path drawn without them."""
+    if path.signs is None:
+        raise ValueError("path carries no signs: draw it with sample_path")
+    return path.signs
+
+
+def _walk(m: int, rng: np.random.Generator, h: int):
+    """(values, minima) of the walk with N(0, 1/m) increments on the 1/m
+    grid, drawn up to index h (2 <= h <= m): values[0..h] and the minima
+    below h, bit for bit those of the whole walk."""
+    if m < 4:
+        raise ValueError("m must be at least 4")
+    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
+    values = np.empty(h + 1)
+    values[0] = 0.0
+    np.cumsum(steps, out=values[1:])
+    return values, _minima(values)
 
 
 def sample_path(m: int, rng: np.random.Generator,
@@ -166,16 +220,10 @@ def sample_path(m: int, rng: np.random.Generator,
     and the minima below h are bit for bit those of the whole walk (the
     default, h = m), because the stream is consumed one draw at a time.
     """
-    if m < 4:
-        raise ValueError("m must be at least 4")
     h = m if reach is None else int(reach)
     if not 2 <= h <= m:
         raise ValueError("reach must lie in [2, m]")
-    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
-    values = np.empty(h + 1)
-    values[0] = 0.0
-    np.cumsum(steps, out=values[1:])
-    minima = local_minima(values)
+    values, minima = _walk(m, rng, h)
     signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
     return WarrenPath(m=m, values=values, minima=minima, signs=signs)
 
@@ -267,7 +315,7 @@ def _amplitudes(f: SuperchaosVector, path: WarrenPath) -> np.ndarray:
 
 def chaos_eval(f: SuperchaosVector, path: WarrenPath) -> float:
     """sum over minima of eta_j g(t_j, path); odd in the signs."""
-    return float(np.sum(path.signs * _amplitudes(f, path)))
+    return float(np.sum(_signs(path) * _amplitudes(f, path)))
 
 
 def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
@@ -323,11 +371,10 @@ class PsiSpec:
         return m // (2 * self.n), d
 
 
-def _bucket_probe(values: np.ndarray, j, step: int, offset: int):
-    """sgn(B[edge + offset] - B[edge]) at the right edge
-    edge = (j // step + 1) * step of the bucket holding grid index j (an
-    index or an index array); exact ties give 0."""
-    edge = (j // step + 1) * step
+def _bucket_probe(values: np.ndarray, edge, offset: int):
+    """sgn(B[edge + offset] - B[edge]) at a bucket's right edge (an index
+    or an index array); exact ties give 0.  The bucket of width step
+    holding grid index j has its right edge at (j // step + 1) * step."""
     return np.sign(values[edge + offset] - values[edge])
 
 
@@ -340,7 +387,7 @@ def psi_eval(spec: PsiSpec, t: float, path: WarrenPath) -> float:
         raise ValueError("t outside [0, 1]")
     if j >= path.m // 2:
         return 0.0
-    return float(_bucket_probe(path.values, j, step, d))
+    return float(_bucket_probe(path.values, (j // step + 1) * step, d))
 
 
 def bucket_probe_evaluator(spec: PsiSpec):
@@ -349,7 +396,8 @@ def bucket_probe_evaluator(spec: PsiSpec):
         jj = path.minima
         out = np.zeros(len(jj))
         mask = jj < path.m // 2
-        out[mask] = _bucket_probe(path.values, jj[mask], step, d)
+        edge = (jj[mask] // step + 1) * step
+        out[mask] = _bucket_probe(path.values, edge, d)
         return out
     # the last bucket's right edge is m // 2, probed d steps further on
     psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
@@ -371,14 +419,20 @@ class McEstimate:
 
 
 def _integrand(wp: np.ndarray, end: int, s: float, path: WarrenPath,
-               probe) -> float:
+               probe, ascending: bool = False) -> float:
     """sum_j wp_j^2 s^2 probe_j over the minima j below end, past which
     wp vanishes, in one fixed evaluation order shared by
     per_path_integrand and the quad_form_C engine.  The sum does not
     depend on how far past end the walk was drawn, so the two agree bit
-    for bit on a prefix and on the whole walk."""
+    for bit on a prefix and on the whole walk.  When the minima are known
+    to ascend, as on every walk the engine draws, the minima below end
+    are a prefix of the list and are sliced rather than masked: the same
+    elements in the same order, so the same sum."""
     _check_drawn(path, end)
-    keep = path.minima < end
+    if ascending:
+        keep = slice(np.searchsorted(path.minima, end))
+    else:
+        keep = path.minima < end
     w = wp[path.minima[keep]]
     probe = np.asarray(probe)
     if probe.ndim:
@@ -398,14 +452,16 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
                  threads: int = 1, reach: int | None = None) -> np.ndarray:
     """(samples, width) array whose row r is per_path(path of replica r).
 
-    Replica r is sample_path(m, replica_rng(seed, r), h), whatever worker
-    draws it: the walk up to h = reach clamped to [2, m], or the whole
-    walk when reach is None.  reach must be the last grid index per_path
-    reads; reading past it raises IndexError.  Contiguous chunks of
-    REPLICA_CHUNK replicas run on min(threads, chunks) pool workers, or
-    inline when that is one; each worker holds one path at a time and
-    writes only its own rows, so the array does not depend on the thread
-    count.  per_path must be safe to call from several threads at once.
+    Replica r is the walk of sample_path(m, replica_rng(seed, r), h)
+    without its signs (signs=None), whatever worker draws it: the walk up
+    to h = reach clamped to [2, m], or the whole walk when reach is None.
+    reach must be the last grid index per_path reads; reading past it
+    raises IndexError.  Contiguous chunks of REPLICA_CHUNK replicas run on
+    min(threads, chunks) pool workers, or inline when that is one; each
+    worker re-keys one generator per replica, holds one path at a time
+    and writes only its own rows, so the array does not depend on the
+    thread count.  per_path must be safe to call from several threads at
+    once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -413,11 +469,13 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
         raise ValueError("threads must be at least 1")
     out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
-    h = None if reach is None else min(m, max(2, int(reach)))
+    h = m if reach is None else min(m, max(2, int(reach)))
 
     def run_chunk(lo: int) -> None:
-        for r in range(lo, min(lo + chunk, samples)):
-            out[r] = per_path(sample_path(m, replica_rng(seed, r), h))
+        replicas = range(lo, min(lo + chunk, samples))
+        for r, rng in _replica_streams(seed, replicas):
+            values, minima = _walk(m, rng, h)
+            out[r] = per_path(WarrenPath(m, values, minima, None))
 
     starts = range(0, samples, chunk)
     workers = min(threads, len(starts))
@@ -469,7 +527,8 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     reach = max(end, m if declared is None else declared(m))
 
     def per_path(path: WarrenPath) -> float:
-        return _integrand(wp, end, f.sign_factor(path), path, psi(path))
+        return _integrand(wp, end, f.sign_factor(path), path, psi(path),
+                          ascending=True)
 
     vals = run_replicas(seed, samples, m, per_path, 1, threads, reach)
     mean, stderr = _mean_stderr(vals[:, 0])
@@ -518,9 +577,9 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     half = m // 2
     reach = max(half + max(offsets), _profile_reach(f, wp))
     wp2 = wp ** 2
-    # the probe is constant on a bucket: evaluate it once per bucket, at
-    # the bucket's first grid index, and gather it at the minima
-    firsts = [np.arange(0, half, step) for step in steps]
+    # the probe is constant on a bucket: sum the weights per bucket and
+    # evaluate the probe once per bucket, at the bucket's right edge
+    edges = [np.arange(step, half + 1, step) for step in steps]
 
     # columns: mass, then u_mass per delta, then the estimate per (n, delta)
     def per_path(path: WarrenPath) -> list:
@@ -531,10 +590,9 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
         at_min = B[jj]
         row = [w2.sum()]
         row += [w2 @ (B[jj + off] > at_min) for off in offsets]
-        for step, first in zip(steps, firsts):
-            bucket = jj // step
-            row += [w2 @ _bucket_probe(B, first, step, off)[bucket]
-                    for off in offsets]
+        for step, edge in zip(steps, edges):
+            bucket_w2 = np.bincount(jj // step, w2, len(edge))
+            row += [bucket_w2 @ _bucket_probe(B, edge, off) for off in offsets]
         return row
 
     k = len(delta_list)
@@ -582,10 +640,10 @@ def validate_chaos_order(order: int) -> None:
 def chaos_terms(F: TruncatedChaosVector, path: WarrenPath):
     """Yield (times, value) per term: the minimizer time set and the
     term value eta-product times coefficient."""
+    eta = _signs(path).astype(float)
     if F.order0 != 0.0:
         yield (), float(F.order0)
     tt = path.times()
-    eta = path.signs.astype(float)
     if F.order1 is not None:
         amp = _amplitudes(F.order1, path)
         for k in range(len(tt)):
@@ -608,7 +666,7 @@ def op_E(phi, F: TruncatedChaosVector, path: WarrenPath) -> float:
 
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath, psi) -> float:
     """(C_psi f)(path): term k picks up the factor psi(t_k, path)."""
-    return float(np.sum(path.signs * _amplitudes(f, path) * psi(path)))
+    return float(np.sum(_signs(path) * _amplitudes(f, path) * psi(path)))
 
 
 def apply_matched_sign_probe(f: SuperchaosVector,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -130,6 +131,23 @@ def test_sample_path_rejects_bad_reach():
             sample_path(64, replica_rng(0, 0), reach=h)
 
 
+@pytest.mark.parametrize("m", [64, 16384])
+def test_sample_path_signs_are_drawn_after_the_increments(m):
+    # by hand: h increments, their running sum after a leading 0, the
+    # strict minima, then one sign per minimum from the same stream
+    for r in range(4):
+        for h in (2, m // 2 + 4, m):
+            rng = replica_rng(43, r)
+            values = np.concatenate(([0.0], np.cumsum(
+                rng.normal(0.0, math.sqrt(1.0 / m), size=h))))
+            minima = local_minima(values)
+            signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
+            path = sample_path(m, replica_rng(43, r), reach=h)
+            assert path.values.tobytes() == values.tobytes()
+            assert np.array_equal(path.minima, minima)
+            assert path.signs.tobytes() == signs.tobytes()
+
+
 def test_endpoint_variance_matches_brownian_scaling():
     n = 10_000
     ends = np.array([sample_path(64, replica_rng(123, r)).values[-1]
@@ -160,6 +178,25 @@ def test_warren_path_invariant_violations():
                      minima=np.array([1]), signs=np.array([1], dtype=np.int8))
     with pytest.raises(ValueError):
         bad.validate()  # missing the minimum at index 3
+
+
+def test_paths_without_signs_refuse_to_have_them_read():
+    path = sample_path(256, replica_rng(3, 5))
+    bare = WarrenPath(path.m, path.values, path.minima, None)
+    f = half_interval_profile()
+    one = constant_evaluator(1.0)
+    F = TruncatedChaosVector(order0=0.7, order1=f, order2=(f, f))
+    path.validate()
+    for read in (bare.validate,
+                 lambda: chaos_eval(f, bare),
+                 lambda: chaos_eval_under_probe(f, bare, one),
+                 lambda: list(chaos_terms(F, bare)),
+                 lambda: op_E(lambda times: 1.0, F, bare)):
+        with pytest.raises(ValueError, match="no signs"):
+            read()
+    # what integrates the signs out reads the same from both paths
+    assert per_path_integrand(one, f, bare) == per_path_integrand(one, f, path)
+    assert chaos_norm_contribution(f, bare) == chaos_norm_contribution(f, path)
 
 
 # --- profiles and chaos evaluation ---------------------------------------
@@ -521,13 +558,13 @@ def test_lemma43_ratio_stderr_is_the_delta_method_on_the_replica_columns():
 def recorded_reaches(monkeypatch, cut=0):
     """Record the reach each drawn walk is given, drawing `cut` fewer
     increments than that."""
-    drawn, sample = [], warren_sim.sample_path
+    drawn, walk = [], warren_sim._walk
 
-    def short_path(m, rng, reach=None):
-        drawn.append(reach)
-        return sample(m, rng, None if reach is None else reach - cut)
+    def short_walk(m, rng, h):
+        drawn.append(h)
+        return walk(m, rng, h - cut)
 
-    monkeypatch.setattr(warren_sim, "sample_path", short_path)
+    monkeypatch.setattr(warren_sim, "_walk", short_walk)
     return drawn
 
 
@@ -621,6 +658,69 @@ def test_undeclared_evaluator_gets_the_whole_walk(monkeypatch):
     est = quad_form_C(psi, f, samples, seed, m=m)
     assert drawn == [m] * samples
     assert (est.mean, est.stderr) == mean_stderr(loop)
+
+
+@pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
+def test_lemma43_with_fractional_weights_matches_the_plain_loop(f):
+    # per-bucket weight sums group the fractional terms differently from
+    # a sum over the minima, so the two agree to roundoff, not bit for bit
+    m, seed = 256, 103
+    args = (f, [2, 4], [1 / m, 4 / m], m, 37, seed)
+    for got, want in zip(lemma43_table(*args), plain_lemma43_loop(*args),
+                         strict=True):
+        assert dataclasses.astuple(got) == pytest.approx(
+            dataclasses.astuple(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 97, 2 ** 63 - 1])
+@pytest.mark.parametrize("h", [5, 257, 16384 // 2 + 4])
+def test_rekeyed_generator_draws_what_replica_rng_draws(seed, h):
+    ended_mid_buffer = left_a_spare_word = 0
+    for r, rng in warren_sim._replica_streams(seed, range(64, 264)):
+        fill = rng.normal(0.0, 1 / 128, size=h)
+        fresh = replica_rng(seed, r).normal(0.0, 1 / 128, size=h)
+        assert fill.tobytes() == fresh.tobytes()
+        ended_mid_buffer += rng.bit_generator.state["buffer_pos"] < 4
+        if r % 3 == 0:  # a 32-bit draw leaves half a word for the next key
+            rng.integers(0, 2, size=3)
+            left_a_spare_word += rng.bit_generator.state["has_uint32"]
+    assert ended_mid_buffer and left_a_spare_word
+
+
+def test_rekeyed_streams_reject_bad_seeds():
+    zero = lambda path: 0.0  # noqa: E731
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(ValueError):
+            next(warren_sim._replica_streams(seed, range(3)))
+        with pytest.raises(ValueError):
+            run_replicas(seed, 3, 64, zero, 1)
+
+
+def test_engine_draws_no_signs(monkeypatch):
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
+    used, signs, rng_of = set(), [], warren_sim.replica_rng
+
+    class Spy:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            used.add(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(warren_sim, "replica_rng",
+                        lambda seed, r: Spy(rng_of(seed, r)))
+
+    def per_path(path):
+        signs.append(path.signs)
+        return [path.values[-1], len(path.minima)]
+
+    rows = run_replicas(5, 20, 64, per_path, 2, threads=2)
+    assert "normal" in used and "integers" not in used
+    assert signs == [None] * 20
+    expected = [[p.values[-1], len(p.minima)]
+                for p in (sample_path(64, rng_of(5, r)) for r in range(20))]
+    assert rows.tolist() == expected
 
 
 def test_engine_never_starts_more_workers_than_chunks(monkeypatch):
