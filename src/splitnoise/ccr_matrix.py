@@ -12,10 +12,15 @@ the convergence certificate.
   sign of the position operator is exactly diagonal, and the commutator
   defect is rank one at the alternating (Nyquist) vector.
 
-Each scheme is built once, by `_natural_pair`: `build_pair` scales its
-(q, p) by sqrt(2 t), `symmetric_triple` rotates it by 2 pi / 3, and the
-sign-sum kernel reads it unscaled, since positive scalings drop out of
-sgn.  The grid aliasing check reads only the grid points and t.
+Each entry formula lives in one helper: `_ladder_entries` gives the
+number-basis q[j, j + 1] = sqrt(j + 1)/sqrt 2, and `_sinc_diagonals` the
+grid derivative (-1)^(j-l) / (h (j - l)).  `_natural_pair` builds the
+dense (q, p) from them: `build_pair` scales it by sqrt(2 t) and
+`symmetric_triple` rotates it by 2 pi / 3.  The sign-sum kernel builds
+only the N/2-sized blocks it reads, from the same helpers, and unscaled,
+since positive scalings drop out of sgn.  `_grid_points` is the one
+check of a scheme and its dimensions, and the grid aliasing check reads
+only the grid points and t.
 
 The zero-sum triple Q, P, R places three scaled coordinates at mutual
 120 degrees, Q = alpha q, P = alpha (q cos + p sin), R = -(P + Q) with
@@ -41,18 +46,25 @@ so its spectrum is +-(singular values of the real block M), padded with
 zeros for odd N, and the value is the top singular value of M.  The sign
 of a bipartite [[0, B], [B^*, 0]] is [[0, U], [U^*, 0]] with U = W V^*
 the polar factor of B = W Sigma V^* (Higham, Functions of Matrices,
-SIAM 2008), taken from the thin SVD of an N/2-sized block.
+SIAM 2008), taken from the thin SVD of an N/2-sized block.  The top
+singular value of M is the square root of the top eigenvalue of the
+smaller of M^T M and M M^T.  What does not depend on the angle is built
+once per N, so a study at several angles shares it.
 
 * oscillator: e^{i theta N} q e^{-i theta N} = q cos theta + p sin theta
   holds exactly in the truncation, so S = sgn q o [1 + 2 cos(alpha (j - l))]
   entrywise, which is real.  q couples even levels to odd levels only,
   so M = polar(B_q) o [1 + 2 cos(alpha (even - odd))], with B_q the
-  bidiagonal even-row/odd-column block of q.
+  bidiagonal even-row/odd-column block of q.  B_q and its polar factor
+  are built once per N; only the weight depends on alpha.
 * grid: Q is real diagonal and P imaginary, so sgn(c Q - s P) is the
   complex conjugate of sgn(c Q + s P) and S = sgn Q + 2 Re sgn(c Q + s P).
   Both Q and P are odd under the reflection x -> -x, so in the basis of
   reflection-odd and reflection-even vectors M = 2 Re polar(B) - [I | 0],
-  with B the block of c Q + s P and -[I | 0] that of sgn Q.
+  with B the block of c Q + s P and -[I | 0] that of sgn Q.  Only the
+  top N/2 rows of the derivative enter B = c diag(x_j) - i s E: E, the
+  folded top rows, is built once per N, and B and its polar factor once
+  per angle.
 
 For odd N the block is (N+1)/2 x (N-1)/2 or its transpose.  Its polar
 factor vanishes on the kernel vector, so sgn(0) = 0 holds without a
@@ -72,7 +84,6 @@ __all__ = [
     "CcrTriple",
     "GridAliasingWarning",
     "require_hermitian",
-    "ladder",
     "position_momentum",
     "build_pair",
     "symmetric_triple",
@@ -108,29 +119,35 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return a
 
 
-def ladder(n: int) -> np.ndarray:
-    """Annihilation matrix truncated to n levels."""
-    a = np.zeros((n, n))
-    a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return a
+def _ladder_entries(n: int) -> np.ndarray:
+    """q[j, j + 1] = q[j + 1, j] = sqrt(j + 1) / sqrt 2 for j < n - 1, the
+    only nonzero entries of the natural-unit number-basis position."""
+    return np.sqrt(np.arange(1, n)) / math.sqrt(2.0)
 
 
 def position_momentum(n: int):
     """Natural-unit (q, p) in the number basis, [p, q] = -i up to the
     rank-one truncation defect at the top basis vector."""
-    a = ladder(n)
-    q = (a + a.T) / math.sqrt(2.0)
-    p = -1j * (a - a.T) / math.sqrt(2.0)
-    return q, p
+    up = np.diag(_ladder_entries(n), 1)
+    return up + up.T, -1j * (up - up.T)
 
 
-def _grid_momentum(x: np.ndarray) -> np.ndarray:
-    # sinc-kernel first derivative on the uniform infinite grid, times -i
+def _sinc_diagonals(x: np.ndarray) -> np.ndarray:
+    """Diagonals of the sinc-kernel first derivative on the uniform grid x:
+    entry d + N - 1 is (-1)^d / (h d) for d = j - l != 0, and 0 at d = 0."""
+    n = len(x)
     h = x[1] - x[0]
-    d = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deriv = np.where(d != 0, (-1.0) ** d / (h * d), 0.0)
-    return -1j * deriv
+    d = np.arange(1 - n, n)
+    with np.errstate(divide="ignore"):
+        g = (-1.0) ** d / (h * d)
+    g[n - 1] = 0.0
+    return g
+
+
+def _toeplitz(g: np.ndarray, cols: int) -> np.ndarray:
+    """Read-only view t[j, l] = g[j - l + cols - 1] of the diagonal-constant
+    matrix with len(g) - cols + 1 rows whose diagonals are g."""
+    return np.lib.stride_tricks.sliding_window_view(g[::-1], cols)[::-1]
 
 
 @dataclass(frozen=True)
@@ -179,32 +196,41 @@ def balanced_grid_halfwidth(n: int) -> float:
     return math.sqrt(math.pi * n / 2.0)
 
 
-def _natural_pair(scheme: str, n: int, L: float | None, default_L: float):
-    """Natural-unit (q, p, x) of one scheme, x = None for the oscillator.
-
-    The one place where a scheme's operators are built and its arguments
-    checked.  The grid spans [-L, L], with L = default_L when L is None;
-    its q is the real diagonal of the points x.
-    """
+def _grid_points(scheme: str, n: int, L: float | None,
+                 default_L: float) -> np.ndarray | None:
+    """Points x of the grid on [-L, L] (L = default_L when None), or None
+    for the oscillator; the one place where a scheme and its dimensions
+    are checked."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if scheme == "oscillator":
         if L is not None:
             raise ValueError("L applies to the grid scheme only")
-        q, p = position_momentum(n)
-        return q, p, None
+        return None
     if scheme == "grid":
         L = default_L if L is None else L
         if L <= 0.0:
             raise ValueError("L must be positive")
-        x = np.linspace(-L, L, n)
-        return np.diag(x), _grid_momentum(x), x
+        return np.linspace(-L, L, n)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _warn_if_aliased(x: np.ndarray | None, t: float) -> None:
+def _natural_pair(scheme: str, n: int, L: float | None, default_L: float):
+    """Dense natural-unit (q, p, x) of one scheme, x = None for the
+    oscillator; the grid q is the real diagonal of the points x."""
+    x = _grid_points(scheme, n, L, default_L)
+    if x is None:
+        q, p = position_momentum(n)
+        return q, p, None
+    return np.diag(x), -1j * _toeplitz(_sinc_diagonals(x), n), x
+
+
+def _warn_if_aliased(x: np.ndarray | None, t: float,
+                     stacklevel: int = 3) -> None:
     """GridAliasingWarning when the grid vacuum's second moment of
-    Q_t = sqrt(2 t) x misses t by more than 1e-6 max(t, 1)."""
+    Q_t = sqrt(2 t) x misses t by more than 1e-6 max(t, 1); stacklevel
+    counts from this function, so that the warning names the public
+    function's caller."""
     if x is None:
         return
     v = _grid_vacuum(x)
@@ -213,7 +239,8 @@ def _warn_if_aliased(x: np.ndarray | None, t: float) -> None:
     if err > 1e-6 * max(t, 1.0):
         warnings.warn(
             f"grid vacuum moment off by {err:.2e} (N={len(x)}, L={x[-1]:.3g}); "
-            "increase N or adjust L", GridAliasingWarning, stacklevel=3)
+            "increase N or adjust L", GridAliasingWarning,
+            stacklevel=stacklevel)
 
 
 def build_pair(scheme: str, n: int, t: float, L: float | None = None) -> CcrTriple:
@@ -267,27 +294,73 @@ def _polar(b: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _sign_sum_block(scheme: str, q: np.ndarray, p: np.ndarray,
-                    alpha: float) -> np.ndarray:
-    """Real block M with sgn q + sgn(c q + s p) + sgn(c q - s p) =
-    [[0, M], [M^T, 0]] in the bipartite basis of the module docstring."""
-    n = len(q)
-    if scheme == "oscillator":
-        # rows are even levels, columns odd levels
-        lev = np.arange(n)
-        weight = 1.0 + 2.0 * np.cos(alpha * (lev[0::2, None] - lev[None, 1::2]))
-        return _polar(q[0::2, 1::2]) * weight
-    # grid: basis (e_j -+ e_{N-1-j})/sqrt 2 for j < N/2, then the centre
-    # point (odd N); reflection-oddness of c q + s p reduces the block of
-    # that operator to its top rows
+def _top_singular_value(m: np.ndarray) -> float:
+    """Largest singular value of a real matrix, from its smaller Gram
+    matrix."""
+    gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
+
+
+def _oscillator_block(n: int) -> np.ndarray:
+    """q[0::2, 1::2], the bidiagonal block of q with even-level rows and
+    odd-level columns."""
     k = n // 2
-    top = math.cos(alpha) * q[:k] + math.sin(alpha) * p[:k]
-    b = top[:, :k] + top[:, ::-1][:, :k]
+    e = _ladder_entries(n)
+    b = np.zeros((n - k, k))
+    b.flat[0::k + 1] = e[0::2]  # b[l, l] = q[2l, 2l + 1]
+    b.flat[k::k + 1] = e[1::2]  # b[l + 1, l] = q[2l + 2, 2l + 1]
+    return b
+
+
+def _grid_block(x: np.ndarray) -> np.ndarray:
+    """Real E such that c diag(x[:k]) - i s E is the block of c q + s p in
+    the reflection basis, k = N // 2: the top k rows of the sinc
+    derivative, column l folded with column N-1-l, then the centre column
+    times sqrt 2 for odd N."""
+    n, k = len(x), len(x) // 2
+    top = _toeplitz(_sinc_diagonals(x), n)[:k]
+    e = np.empty((k, n - k))
+    np.add(top[:, :k], top[:, ::-1][:, :k], out=e[:, :k])
     if n % 2:
-        b = np.hstack([b, math.sqrt(2.0) * top[:, k:k + 1]])
-    m = 2.0 * _polar(b).real
-    m[np.arange(k), np.arange(k)] -= 1.0  # sgn Q: x_j < 0 for j < N/2
-    return m
+        e[:, k] = math.sqrt(2.0) * top[:, k]
+    return e
+
+
+def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
+    """Raw sign-sum norm of the angle-alpha triple for each alpha, one N.
+
+    The block that does not depend on the angle is built once: the polar
+    factor of q's even/odd block (oscillator), or the folded sinc block E
+    (grid).  Every angle is checked before any work; t feeds only the grid
+    aliasing check.
+    """
+    for alpha in alphas:
+        if not (math.pi / 2.0 < alpha <= math.pi):
+            raise ValueError("alpha must lie in (pi/2, pi]")
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    x = _grid_points(scheme, n, None, balanced_grid_halfwidth(n))
+    _warn_if_aliased(x, t, stacklevel=4)
+    k = n // 2
+    if x is None:
+        u = _polar(_oscillator_block(n))
+        # u[r, l] couples level 2r to level 2l + 1: r - l + k - 1 indexes
+        # the level differences 1 - 2k, 3 - 2k, ..., 2n - 2k - 3
+        diffs = np.arange(1 - 2 * k, 2 * (n - k) - 2, 2.0)
+        return [_top_singular_value(
+                    u * _toeplitz(1.0 + 2.0 * np.cos(alpha * diffs), k))
+                for alpha in alphas]
+    # basis (e_j -+ e_{N-1-j})/sqrt 2 for j < N/2, then the centre point
+    e = _grid_block(x)
+    diag = np.arange(k)
+    values = []
+    for alpha in alphas:
+        b = (-1j * math.sin(alpha)) * e
+        b[diag, diag] += math.cos(alpha) * x[:k]
+        m = 2.0 * _polar(b).real
+        m[diag, diag] -= 1.0  # sgn Q: x_j < 0 for j < N/2
+        values.append(_top_singular_value(m))
+    return values
 
 
 def sign_sum_extremes(scheme: str, n: int) -> tuple[float, float]:
@@ -323,17 +396,11 @@ def lemma23_value(alpha: float, t: float, n: int,
     reduce to -sgn Q_t and the value drops to 1.  At alpha = 2 pi / 3 the
     three operators are the symmetric triple.
 
-    The kernel reads the natural-unit pair, so the value is exactly
+    The kernel builds natural-unit blocks, so the value is exactly
     t-invariant; t only feeds the grid aliasing check.  The grid uses
     the balanced, t-independent half width sqrt(pi n / 2).
     """
-    if not (math.pi / 2.0 < alpha <= math.pi):
-        raise ValueError("alpha must lie in (pi/2, pi]")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    q, p, x = _natural_pair(scheme, n, None, balanced_grid_halfwidth(n))
-    _warn_if_aliased(x, t)
-    return float(np.linalg.norm(_sign_sum_block(scheme, q, p, alpha), 2))
+    return _sign_sum_values(scheme, n, (alpha,), t)[0]
 
 
 def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
@@ -392,25 +459,33 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
 
     value = (3 + lemma23_value(alpha)) / 2 per row; rows carry wall time
     and the successive difference along ascending N at fixed
-    (scheme, alpha).
+    (scheme, alpha), ordered by scheme, then angle, then N.  Each
+    (scheme, N) is one kernel call for all the angles, so its wall time
+    is split evenly across them: the seconds of a row are that call's
+    time over the number of angles.  Every angle is checked before any
+    work starts.
     """
     if isinstance(schemes, str):
         schemes = (schemes,)
     n_list = list(n_list)
     if n_list != sorted(n_list):
         raise ValueError("n_list must be ascending")
+    alphas = [float(a) for a in alpha_list]
     rows: list[StudyRow] = []
     for scheme in schemes:
-        for alpha in alpha_list:
+        per_n = []  # (values per angle, seconds per angle) for each N
+        for n in n_list:
+            t0 = time.perf_counter()
+            raw = _sign_sum_values(scheme, n, alphas, t)
+            share = (time.perf_counter() - t0) / max(len(alphas), 1)
+            per_n.append(([(3.0 + v) / 2.0 for v in raw], share))
+        for i, alpha in enumerate(alphas):
             prev = None
-            for n in n_list:
-                t0 = time.perf_counter()
-                value = (3.0 + lemma23_value(alpha, t, n, scheme)) / 2.0
-                dt = time.perf_counter() - t0
-                delta = None if prev is None else value - prev
-                rows.append(StudyRow(scheme, int(n), float(alpha), float(t),
-                                     value, dt, delta))
-                prev = value
+            for n, (values, share) in zip(n_list, per_n):
+                delta = None if prev is None else values[i] - prev
+                rows.append(StudyRow(scheme, int(n), alpha, float(t),
+                                     values[i], share, delta))
+                prev = values[i]
     return rows
 
 

@@ -102,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ignored: the norm study is deterministic")
     p.add_argument("--out")
     p.add_argument("--wall-time", action="store_true",
-                   help="write measured seconds (breaks byte reproducibility)")
+                   help="write measured seconds, each (scheme, N) kernel "
+                        "call's time split evenly across its angles (breaks "
+                        "byte reproducibility)")
 
     p = sub.add_parser("weyl-suite", help="automorphism relation residuals")
     p.add_argument("--seed", type=int)

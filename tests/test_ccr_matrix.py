@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from splitnoise import ccr_matrix
 from splitnoise.ccr_matrix import (
     GridAliasingWarning,
     NORM_STUDY_HEADER,
@@ -20,6 +22,12 @@ from splitnoise.ccr_matrix import (
     sign_sum_norm,
     symmetric_triple,
     write_norm_study_csv,
+)
+from splitnoise.ccr_matrix import (
+    _grid_block,
+    _natural_pair,
+    _oscillator_block,
+    _top_singular_value,
 )
 from splitnoise.gaussian_algebra import span_inner, unit
 
@@ -112,9 +120,13 @@ def test_grid_default_window_warns_when_too_coarse():
 
 
 def test_lemma23_grid_aliasing_warning():
-    # lemma23_value checks the balanced window it builds, as build_pair does
-    with pytest.warns(GridAliasingWarning):
+    # lemma23_value checks the balanced window it builds, as build_pair
+    # does, and so does the norm study; both warnings name their caller
+    with pytest.warns(GridAliasingWarning) as record:
         lemma23_value(2 * math.pi / 3, 0.5, 8, "grid")
+    with pytest.warns(GridAliasingWarning) as study_record:
+        convergence_study("grid", [8])
+    assert [w.filename for w in (*record, *study_record)] == [__file__] * 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lemma23_value(2 * math.pi / 3, 0.5, 64, "grid")
@@ -339,6 +351,43 @@ def test_lemma23_rejects_bad_alpha():
             lemma23_value(alpha, 0.5, 16)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
+def test_kernel_blocks_equal_dense_pair_blocks(n):
+    q, _ = position_momentum(n)
+    assert np.array_equal(_oscillator_block(n), q[0::2, 1::2])
+    # the grid block folds the top k rows of the sinc derivative -i p
+    _, p, x = _natural_pair("grid", n, None, balanced_grid_halfwidth(n))
+    k = n // 2
+    top = -p.imag[:k]
+    folded = top[:, :k] + top[:, ::-1][:, :k]
+    if n % 2:
+        folded = np.hstack([folded, math.sqrt(2.0) * top[:, k:k + 1]])
+    assert np.array_equal(_grid_block(x), folded)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (41, 40), (40, 41), (7, 30)])
+def test_gram_top_singular_value_matches_two_norm(shape):
+    rng = np.random.Generator(np.random.Philox(key=21))
+    m = rng.standard_normal(shape)
+    assert _top_singular_value(m) == pytest.approx(np.linalg.norm(m, 2),
+                                                   rel=1e-13)
+
+
+@pytest.mark.parametrize("scheme, bound_mib",
+                         [("oscillator", 16), ("grid", 30)])
+def test_lemma23_peak_memory(scheme, bound_mib):
+    # the kernel builds N/2 blocks only: about 8 MiB (oscillator) and
+    # 18 MiB (grid) at N = 1024, where the dense pair needed 40 and 48 MiB
+    lemma23_value(2.9, 0.5, 64, scheme)  # imports and lazy set-up
+    tracemalloc.start()
+    try:
+        lemma23_value(2.9, 0.5, 1024, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
+
+
 # --- coherent vectors ---------------------------------------------------
 
 def test_coherent_vacuum():
@@ -419,6 +468,27 @@ def test_convergence_study_rows_and_cauchy_trend():
 def test_convergence_study_rejects_unsorted():
     with pytest.raises(ValueError):
         convergence_study("oscillator", [128, 64])
+
+
+def test_convergence_study_equals_single_angle_lemma23():
+    alphas = (1.8, 2 * math.pi / 3, math.pi)
+    dims = [16, 17, 64, 65]
+    for scheme in ("oscillator", "grid"):
+        rows = convergence_study(scheme, dims, alphas)
+        assert [(r.alpha, r.n) for r in rows] == [(a, n) for a in alphas
+                                                  for n in dims]
+        for r in rows:
+            assert r.value == (3.0 + lemma23_value(r.alpha, 0.5, r.n,
+                                                   scheme)) / 2.0
+
+
+def test_convergence_study_checks_every_angle_before_any_work(monkeypatch):
+    def no_work(b):
+        raise AssertionError("kernel ran before the angles were checked")
+    monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    for scheme in ("oscillator", "grid"):
+        with pytest.raises(ValueError, match="alpha"):
+            convergence_study(scheme, [16, 64], [2.0, 2.9, 0.5])
 
 
 def test_norm_study_csv_format(tmp_path):
