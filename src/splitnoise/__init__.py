@@ -39,7 +39,6 @@ from .warren_sim import (  # noqa: F401
     lemma43_table,
     local_minima,
     obstruction_report,
-    psi_eval,
     quad_form_C,
     sample_path,
     write_lemma43_csv,

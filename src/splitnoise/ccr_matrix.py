@@ -162,11 +162,6 @@ class CcrTriple:
     R: np.ndarray
     x: np.ndarray | None = None  # grid points, grid scheme only
 
-    @property
-    def L(self) -> float | None:
-        """Grid half width in natural units; None for the oscillator."""
-        return None if self.x is None else float(self.x[-1])
-
     def vacuum(self) -> np.ndarray:
         """Ground-state vector of the underlying oscillator, unit norm."""
         if self.x is None:
@@ -174,11 +169,6 @@ class CcrTriple:
             e0[0] = 1.0
             return e0
         return _grid_vacuum(self.x)
-
-    def vacuum_moment_error(self) -> float:
-        """|<vac| Q^2 |vac> - t|, the tail-aliasing diagnostic."""
-        v = self.vacuum()
-        return abs(float(np.real(v.conj() @ (self.Q @ (self.Q @ v)))) - self.t)
 
 
 def _grid_vacuum(x: np.ndarray) -> np.ndarray:

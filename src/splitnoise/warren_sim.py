@@ -73,8 +73,6 @@ __all__ = [
     "McEstimate",
     "Lemma43Row",
     "ObstructionReport",
-    "TruncatedChaosVector",
-    "MAX_CHAOS_ORDER",
     "DEFAULT_GRID_M",
     "DEFAULT_SAMPLES",
     "LEMMA43_HEADER",
@@ -91,11 +89,7 @@ __all__ = [
     "bucket_probe_evaluator",
     "endpoint_sign_evaluator",
     "quad_form_C",
-    "psi_eval",
     "lemma43_table",
-    "op_A",
-    "op_E",
-    "chaos_terms",
     "chaos_eval_under_probe",
     "apply_matched_sign_probe",
     "mc_coherent_sign_probe",
@@ -106,7 +100,6 @@ __all__ = [
 
 DEFAULT_GRID_M = 2 ** 14
 DEFAULT_SAMPLES = 10 ** 4
-MAX_CHAOS_ORDER = 2
 REPLICA_CHUNK = 64  # replicas per work item of run_replicas
 
 LEMMA43_HEADER = "n,delta,m,samples,estimate,stderr,mass,mass_stderr,seed"
@@ -162,9 +155,10 @@ class WarrenPath:
 
     values holds the walk on the grid {0, 1/m, ..., 1} up to some index
     h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m);
-    minima are the ascending interior indices below h; signs holds one
-    +-1 per minimum, or is None on a path drawn without signs, as the
-    Monte Carlo engine's are.
+    minima are interior indices below h, in any order (validate() asks
+    for the complete ascending set, which sample_path and the engine
+    give); signs holds one +-1 per minimum, or is None on a path drawn
+    without signs, as the Monte Carlo engine's are.
     """
 
     m: int
@@ -376,18 +370,6 @@ def _bucket_probe(values: np.ndarray, edge, offset: int):
     or an index array); exact ties give 0.  The bucket of width step
     holding grid index j has its right edge at (j // step + 1) * step."""
     return np.sign(values[edge + offset] - values[edge])
-
-
-def psi_eval(spec: PsiSpec, t: float, path: WarrenPath) -> float:
-    """Value in {-1, 0, +1}: zero at or beyond 1/2, otherwise the sign
-    probe of the bucket containing t; exact ties return 0."""
-    step, d = spec.alignment(path.m)
-    j = _grid_index(t, path.m, "t")
-    if not 0 <= j <= path.m:
-        raise ValueError("t outside [0, 1]")
-    if j >= path.m // 2:
-        return 0.0
-    return float(_bucket_probe(path.values, (j // step + 1) * step, d))
 
 
 def bucket_probe_evaluator(spec: PsiSpec):
@@ -608,60 +590,6 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
             rows.append(Lemma43Row(n, d, m, samples, e, se, mass, mass_se,
                                    *u[i], int(seed), ratio_se[i]))
     return rows
-
-
-def op_A(chi: StepFunction, f: SuperchaosVector) -> SuperchaosVector:
-    """Time-side multiplication: profile w goes to w * chi, exactly.
-
-    For a 0/1-valued chi this is an exact projection (idempotent at the
-    coefficient level)."""
-    return SuperchaosVector(f.kind, step_product(f.w, chi), f.a, f.b)
-
-
-@dataclass(frozen=True)
-class TruncatedChaosVector:
-    """Chaos vector truncated at order 2, catalog coefficient profiles.
-
-    order2 holds an ordered pair of profiles whose symmetrized product
-    g(t, t') = (g_a(t) g_b(t') + g_a(t') g_b(t)) / 2 is the coefficient.
-    """
-
-    order0: float = 0.0
-    order1: SuperchaosVector | None = None
-    order2: tuple[SuperchaosVector, SuperchaosVector] | None = None
-
-
-def validate_chaos_order(order: int) -> None:
-    if order > MAX_CHAOS_ORDER:
-        raise ValueError(f"chaos order {order} above the truncation "
-                         f"{MAX_CHAOS_ORDER}")
-
-
-def chaos_terms(F: TruncatedChaosVector, path: WarrenPath):
-    """Yield (times, value) per term: the minimizer time set and the
-    term value eta-product times coefficient."""
-    eta = _signs(path).astype(float)
-    if F.order0 != 0.0:
-        yield (), float(F.order0)
-    tt = path.times()
-    if F.order1 is not None:
-        amp = _amplitudes(F.order1, path)
-        for k in range(len(tt)):
-            yield (tt[k],), float(eta[k] * amp[k])
-    if F.order2 is not None:
-        ga, gb = F.order2
-        va = _amplitudes(ga, path)
-        vb = _amplitudes(gb, path)
-        for k in range(len(tt)):
-            for l in range(k + 1, len(tt)):
-                coeff = 0.5 * (va[k] * vb[l] + va[l] * vb[k])
-                yield (tt[k], tt[l]), float(eta[k] * eta[l] * coeff)
-
-
-def op_E(phi, F: TruncatedChaosVector, path: WarrenPath) -> float:
-    """(E_phi F)(path): each term is multiplied by phi of its minimizer
-    set, handed over as a tuple of ascending times."""
-    return sum(float(phi(times)) * value for times, value in chaos_terms(F, path))
 
 
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath, psi) -> float:

@@ -110,8 +110,11 @@ def test_grid_q_diagonal_and_sign_diagonal():
 
 
 def test_grid_vacuum_moment_within_aliasing_threshold():
+    # |<vac| Q^2 |vac> - t|, from the dense Q rather than from the points
     pair = build_pair("grid", 256, 2.0)
-    assert pair.vacuum_moment_error() <= 1e-6
+    v = pair.vacuum()
+    moment = float(np.real(v.conj() @ (pair.Q @ (pair.Q @ v))))
+    assert abs(moment - pair.t) <= 1e-6
 
 
 def test_grid_default_window_warns_when_too_coarse():

@@ -1,0 +1,50 @@
+"""Every public name resolves, every name the benchmark traces exists, and
+every demo runs to completion."""
+
+import ast
+import importlib
+import pathlib
+import runpy
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = ("gaussian_algebra", "ccr_matrix", "warren_sim")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def traced_names():
+    """(module, qualified attribute) of each entry of bench/run.py's
+    TRACED, read from the source without importing the benchmark."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:2])
+                    for entry in node.value.elts]
+    raise AssertionError("bench/run.py defines no TRACED")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"splitnoise.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module,qualname", traced_names())
+def test_every_traced_name_resolves(module, qualname):
+    # the tracer looks each name up with no default: a missing one makes
+    # every traced benchmark run raise AttributeError
+    owner = importlib.import_module(f"splitnoise.{module}")
+    for part in qualname.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs_to_completion(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos write their artifacts to the cwd
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -13,17 +13,14 @@ from splitnoise.gaussian_algebra import StepFunction
 from splitnoise.warren_sim import (
     LEMMA43_HEADER,
     Lemma43Row,
-    MAX_CHAOS_ORDER,
     PsiSpec,
     SuperchaosVector,
-    TruncatedChaosVector,
     WarrenPath,
     apply_matched_sign_probe,
     bucket_probe_evaluator,
     chaos_eval,
     chaos_eval_under_probe,
     chaos_norm_contribution,
-    chaos_terms,
     constant_evaluator,
     endpoint_sign_evaluator,
     half_interval_profile,
@@ -31,15 +28,11 @@ from splitnoise.warren_sim import (
     local_minima,
     mc_coherent_sign_probe,
     obstruction_report,
-    op_A,
-    op_E,
     per_path_integrand,
-    psi_eval,
     quad_form_C,
     replica_rng,
     run_replicas,
     sample_path,
-    validate_chaos_order,
     write_lemma43_csv,
     write_obstruction_json,
 )
@@ -185,13 +178,10 @@ def test_paths_without_signs_refuse_to_have_them_read():
     bare = WarrenPath(path.m, path.values, path.minima, None)
     f = half_interval_profile()
     one = constant_evaluator(1.0)
-    F = TruncatedChaosVector(order0=0.7, order1=f, order2=(f, f))
     path.validate()
     for read in (bare.validate,
                  lambda: chaos_eval(f, bare),
-                 lambda: chaos_eval_under_probe(f, bare, one),
-                 lambda: list(chaos_terms(F, bare)),
-                 lambda: op_E(lambda times: 1.0, F, bare)):
+                 lambda: chaos_eval_under_probe(f, bare, one)):
         with pytest.raises(ValueError, match="no signs"):
             read()
     # what integrates the signs out reads the same from both paths
@@ -235,18 +225,34 @@ def test_chaos_eval_odd_in_signs():
     assert chaos_eval(f, flipped) == -chaos_eval(f, path)
 
 
-def test_chaos_eval_enumeration_invariance():
+def shuffled_minima_path():
+    """A sampled path and the same path with its minima (and their signs)
+    in a shuffled order."""
     path = sample_path(256, replica_rng(3, 2))
     perm = np.random.Generator(np.random.Philox(key=0)).permutation(
         len(path.minima))
-    shuffled = WarrenPath(path.m, path.values, path.minima[perm],
-                          path.signs[perm])
+    return path, WarrenPath(path.m, path.values, path.minima[perm],
+                            path.signs[perm])
+
+
+def test_chaos_eval_enumeration_invariance():
+    path, shuffled = shuffled_minima_path()
     f = half_interval_profile()
     assert chaos_eval(f, shuffled) == pytest.approx(chaos_eval(f, path),
                                                     rel=1e-12, abs=1e-12)
     c = constant_evaluator(1.0)
     assert per_path_integrand(c, f, shuffled) == pytest.approx(
         per_path_integrand(c, f, path), rel=1e-12)
+
+
+def test_validate_rejects_shuffled_minima():
+    # the constructor takes minima in any order; validate() asks for the
+    # complete set in ascending order
+    path, shuffled = shuffled_minima_path()
+    assert not np.array_equal(shuffled.minima, path.minima)
+    path.validate()
+    with pytest.raises(ValueError, match="complete strict set"):
+        shuffled.validate()
 
 
 def test_ws_sign_factor():
@@ -347,43 +353,51 @@ def test_matched_probe_rejects_plain_profile():
 def test_psi_eval_zero_past_half():
     spec = PsiSpec(4, 1 / 64)
     path = sample_path(64, replica_rng(31, 0))
-    assert psi_eval(spec, 0.703125, path) == 0.0  # 45/64
+    past_half = path.minima >= 32
+    assert past_half.any()
+    assert np.all(bucket_probe_evaluator(spec)(path)[past_half] == 0.0)
 
 
 def test_psi_eval_rising_path_probe_positive():
-    values = np.concatenate(([0.0], np.linspace(0.1, 6.4, 64)))
+    # one minimum, at index 1; the walk rises everywhere after it
+    values = np.concatenate(([0.0, -0.1], np.linspace(0.2, 6.4, 63)))
     path = make_path(values)
     spec = PsiSpec(4, 1 / 64)
-    assert psi_eval(spec, 1 / 64, path) == 1.0
+    assert path.minima.tolist() == [1]
+    assert bucket_probe_evaluator(spec)(path).tolist() == [1.0]
 
 
 def test_psi_eval_range_and_tie():
     path = make_path([0.0, -1.0, 1.0, 1.0, 2.0, 0.0, 1.0, 2.0, 3.0])
     spec = PsiSpec(2, 1 / 8)
-    vals = {psi_eval(spec, j / 8, path) for j in range(8)}
-    assert vals <= {-1.0, 0.0, 1.0}
-    # probe over [2/8, 3/8] hits the exact tie -> 0
-    assert psi_eval(spec, 1 / 8, path) == 0.0
+    vals = bucket_probe_evaluator(spec)(path)
+    assert path.minima.tolist() == [1, 5]
+    assert set(vals.tolist()) <= {-1.0, 0.0, 1.0}
+    # the minimum at 1/8 is probed over [2/8, 3/8], an exact tie -> 0
+    assert vals[0] == 0.0
 
 
 def test_psi_eval_alignment_errors():
     path = sample_path(64, replica_rng(37, 0))
     with pytest.raises(ValueError):
-        psi_eval(PsiSpec(3, 1 / 64), 0.25, path)   # 6 does not divide 64
+        bucket_probe_evaluator(PsiSpec(3, 1 / 64))(path)   # 6 does not divide 64
     with pytest.raises(ValueError):
-        psi_eval(PsiSpec(4, 1 / 100), 0.25, path)  # delta off grid
+        bucket_probe_evaluator(PsiSpec(4, 1 / 100))(path)  # delta off grid
     with pytest.raises(ValueError):
-        PsiSpec(4, 0.7)                            # delta outside (0, 1/2)
+        PsiSpec(4, 0.7)                                    # delta outside (0, 1/2)
 
 
 def test_psi_decomposition_identity_exact():
-    # sum_k chi_{n,k}(t) phi_{n,k,delta}(path) equals psi_eval, bitwise
+    # at every minimum, sum_k chi_{n,k}(t) phi_{n,k,delta}(path) equals
+    # the bucket probe, bitwise
     m, n, delta = 128, 4, 1 / 32
     spec = PsiSpec(n, delta)
     path = sample_path(m, replica_rng(41, 0))
     d = round(delta * m)
     step = m // (2 * n)
-    for j in range(m):
+    vals = bucket_probe_evaluator(spec)(path)
+    assert len(vals) == len(path.minima) > 0
+    for j, val in zip(path.minima, vals):
         t = j / m
         total = 0.0
         for k in range(1, n + 1):
@@ -391,7 +405,7 @@ def test_psi_decomposition_identity_exact():
                 edge = k * step
                 total += float(np.sign(path.values[edge + d]
                                        - path.values[edge]))
-        assert psi_eval(spec, t, path) == total
+        assert val == total
 
 
 # --- refinement table ----------------------------------------------------
@@ -778,95 +792,6 @@ def test_run_replicas_validation_and_worker_errors(monkeypatch):
 
     with pytest.raises(RuntimeError, match="per-path failure"):
         run_replicas(0, 4, 64, failing, 1, threads=2)
-
-
-# --- op_A ----------------------------------------------------------------
-
-def test_op_a_identity_weight():
-    f = half_interval_profile()
-    g = op_A(StepFunction.constant(1.0, 1.0), f)
-    path = sample_path(128, replica_rng(59, 0))
-    assert chaos_eval(g, path) == chaos_eval(f, path)
-
-
-def test_op_a_indicator_idempotent_exact():
-    f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
-    chi = StepFunction.indicator(0.0, 0.25, 1.0)
-    once = op_A(chi, f)
-    twice = op_A(chi, once)
-    assert once == twice
-
-
-def test_op_a_projects_onto_time_window():
-    f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
-    chi = StepFunction.indicator(0.0, 0.5, 1.0)
-    g = op_A(chi, f)
-    path = sample_path(256, replica_rng(61, 0))
-    mask = path.minima < 128
-    manual = float(np.sum(path.signs[mask]))
-    assert chaos_eval(g, path) == manual
-
-
-# --- truncated chaos and op_E -------------------------------------------
-
-def test_chaos_order_guard():
-    validate_chaos_order(MAX_CHAOS_ORDER)
-    with pytest.raises(ValueError):
-        validate_chaos_order(MAX_CHAOS_ORDER + 1)
-
-
-def test_op_e_constant_multiplier_is_full_eval():
-    f = half_interval_profile()
-    F = TruncatedChaosVector(order0=0.7, order1=f, order2=(f, f))
-    path = sample_path(64, replica_rng(67, 0))
-    full = sum(v for _, v in chaos_terms(F, path))
-    assert op_E(lambda c: 1.0, F, path) == pytest.approx(full, rel=1e-12)
-
-
-def test_op_e_window_avoidance_kills_terms():
-    # phi(C) = [C avoids (s, t)] zeroes exactly the terms with a
-    # minimizer inside the window
-    f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
-    F = TruncatedChaosVector(order0=0.0, order1=f, order2=(f, f))
-    path = sample_path(64, replica_rng(71, 0))
-    s, t = 0.25, 0.75
-
-    def phi_avoid(times):
-        return 0.0 if any(s < u < t for u in times) else 1.0
-
-    expected = sum(v for times, v in chaos_terms(F, path)
-                   if not any(s < u < t for u in times))
-    assert op_E(phi_avoid, F, path) == pytest.approx(expected, rel=1e-12)
-
-
-def test_op_e_multiplicative_per_path():
-    f = half_interval_profile()
-    F = TruncatedChaosVector(order0=0.3, order1=f, order2=(f, f))
-    path = sample_path(64, replica_rng(73, 0))
-
-    def phi1(times):
-        return 1.0 if len(times) % 2 == 0 else -0.5
-
-    def phi2(times):
-        return 0.0 if any(u > 0.8 for u in times) else 2.0
-
-    combined = op_E(lambda c: phi1(c) * phi2(c), F, path)
-    sequential = sum(phi1(times) * phi2(times) * v
-                     for times, v in chaos_terms(F, path))
-    assert combined == pytest.approx(sequential, rel=1e-12)
-
-
-def test_order2_coefficients_are_symmetrized():
-    wa = StepFunction.indicator(0.0, 0.5, 1.0)
-    wb = StepFunction.indicator(0.25, 1.0, 1.0)
-    fa = SuperchaosVector.deterministic(wa)
-    fb = SuperchaosVector.deterministic(wb)
-    path = make_path([0.0, -1.0, 1.0, -2.0, 1.0, -3.0, 1.0, 0.5, 1.0],
-                     signs=[1, -1, 1, -1])
-    F_ab = TruncatedChaosVector(order2=(fa, fb))
-    F_ba = TruncatedChaosVector(order2=(fb, fa))
-    assert op_E(lambda c: 1.0, F_ab, path) == pytest.approx(
-        op_E(lambda c: 1.0, F_ba, path), rel=1e-12)
 
 
 # --- superchaos orthogonality -------------------------------------------
