@@ -452,8 +452,8 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     (scheme, alpha), ordered by scheme, then angle, then N.  Each
     (scheme, N) is one kernel call for all the angles, so its wall time
     is split evenly across them: the seconds of a row are that call's
-    time over the number of angles.  Every angle is checked before any
-    work starts.
+    time over the number of angles.  Every input but a later scheme's
+    name is checked before any work starts.
     """
     if isinstance(schemes, str):
         schemes = (schemes,)
@@ -461,13 +461,15 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     if n_list != sorted(n_list):
         raise ValueError("n_list must be ascending")
     alphas = [float(a) for a in alpha_list]
+    if not schemes or not n_list or not alphas:
+        raise ValueError("schemes, n_list and alpha_list must be nonempty")
     rows: list[StudyRow] = []
     for scheme in schemes:
         per_n = []  # (values per angle, seconds per angle) for each N
         for n in n_list:
             t0 = time.perf_counter()
             raw = _sign_sum_values(scheme, n, alphas, t)
-            share = (time.perf_counter() - t0) / max(len(alphas), 1)
+            share = (time.perf_counter() - t0) / len(alphas)
             per_n.append(([(3.0 + v) / 2.0 for v in raw], share))
         for i, alpha in enumerate(alphas):
             prev = None

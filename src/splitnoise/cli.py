@@ -5,17 +5,18 @@ artifacts.  Identical configuration and seed give byte-identical
 artifacts; for that reason the seconds column of the norm study is
 written as 0 unless --wall-time is requested.
 
-Configuration precedence: flags, then --config file, then defaults.
-The config file is flat `key = value` text, keys matching the long
-option names.  SPLITNOISE_OUT_DIR, when set, is the default directory
-for relative output paths.
+Configuration precedence: flags, then --config file, then the defaults
+of _build_parser.  The config file is flat `key = value` text, keys
+matching the subcommand's long option names.  The library functions
+check their inputs before any work; their ValueError exits 2.
+SPLITNOISE_OUT_DIR, when set, is the default directory for relative
+output paths.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -24,38 +25,17 @@ from .ccr_matrix import TWO_THIRDS_PI
 from .gaussian_algebra import ccr_phase_residual, random_unit_span, relation_suite
 from .warren_sim import Lemma43Row, replica_rng
 
-DEFAULTS = {
-    "norm-study": dict(scheme="oscillator", dims="64,128,256,512,1024",
-                       alpha=f"{TWO_THIRDS_PI!r}", t=0.5, seed=7,
-                       out="norm_study.csv"),
-    "weyl-suite": dict(seed=1, trials=100, t=1.0),
-    "warren-mass": dict(m=warren_sim.DEFAULT_GRID_M,
-                        samples=warren_sim.DEFAULT_SAMPLES, seed=0, out=""),
-    "lemma43": dict(m=warren_sim.DEFAULT_GRID_M,
-                    samples=warren_sim.DEFAULT_SAMPLES,
-                    n_list="16,64", delta_list="0.000244140625,6.103515625e-05",
-                    seed=0, out="lemma43.csv"),
-    "obstruction": dict(norm_from="norm_study.csv", lemma43_from="lemma43.csv",
-                        out="obstruction.json", f_mass=None),
-}
-
 
 class CliError(Exception):
     """Validation failure: exit code 2."""
 
 
 def _ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from exc
+    return [int(x) for x in text.split(",") if x != ""]
 
 
 def _floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from exc
+    return [float(x) for x in text.split(",") if x != ""]
 
 
 def _read_config(path: str) -> dict:
@@ -82,7 +62,8 @@ def _out_path(name: str) -> str:
     return name
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and its subparsers action (subcommand -> parser)."""
     parser = argparse.ArgumentParser(
         prog="splitnoise",
         description="sign-operator norms and splitting-noise experiments")
@@ -94,76 +75,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("norm-study", help="sign-sum norm across truncations")
-    p.add_argument("--scheme", choices=("oscillator", "grid", "both"))
-    p.add_argument("--dims", help="comma-separated ascending truncations")
-    p.add_argument("--alpha", help="comma-separated angles in (pi/2, pi]")
-    p.add_argument("--t", type=float)
-    p.add_argument("--seed", type=int,
+    p.add_argument("--scheme", choices=("oscillator", "grid", "both"),
+                   default="oscillator")
+    p.add_argument("--dims", type=_ints, default="64,128,256,512,1024",
+                   help="comma-separated ascending truncations")
+    p.add_argument("--alpha", type=_floats, default=f"{TWO_THIRDS_PI!r}",
+                   help="comma-separated angles in (pi/2, pi]")
+    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=7,
                    help="ignored: the norm study is deterministic")
-    p.add_argument("--out")
+    p.add_argument("--out", default="norm_study.csv")
     p.add_argument("--wall-time", action="store_true",
                    help="write measured seconds, each (scheme, N) kernel "
                         "call's time split evenly across its angles (breaks "
                         "byte reproducibility)")
 
     p = sub.add_parser("weyl-suite", help="automorphism relation residuals")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--t", type=float)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--t", type=float, default=1.0)
 
     p = sub.add_parser("warren-mass", help="total-mass identity estimate")
-    p.add_argument("--m", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--m", type=int, default=warren_sim.DEFAULT_GRID_M)
+    p.add_argument("--samples", type=int, default=warren_sim.DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="")
 
     p = sub.add_parser("lemma43", help="bucket-probe refinement table")
-    p.add_argument("--m", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--n-list")
-    p.add_argument("--delta-list")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--m", type=int, default=warren_sim.DEFAULT_GRID_M)
+    p.add_argument("--samples", type=int, default=warren_sim.DEFAULT_SAMPLES)
+    p.add_argument("--n-list", type=_ints, default="16,64")
+    p.add_argument("--delta-list", type=_floats,
+                   default="0.000244140625,6.103515625e-05")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="lemma43.csv")
 
     p = sub.add_parser("obstruction", help="combine norm and table into the margin")
-    p.add_argument("--norm-from")
-    p.add_argument("--lemma43-from")
-    p.add_argument("--f-mass", type=float)
-    p.add_argument("--out")
-    return parser
-
-
-def _fill(args: argparse.Namespace, conf: dict) -> argparse.Namespace:
-    # flags win over config file values, config file over defaults
-    defaults = DEFAULTS[args.command]
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in conf:
-                raw = conf[key]
-                value = type(default)(raw) if default is not None else raw
-            else:
-                value = default
-            setattr(args, key, value)
-    return args
-
-
-def _positive(name, value):
-    if value is None or value <= 0:
-        raise CliError(f"{name} must be positive")
-    return value
+    p.add_argument("--norm-from", default="norm_study.csv")
+    p.add_argument("--lemma43-from", default="lemma43.csv")
+    p.add_argument("--f-mass", type=float, default=None)
+    p.add_argument("--out", default="obstruction.json")
+    return parser, sub
 
 
 def _cmd_norm_study(args) -> str:
-    dims = _ints(args.dims)
-    if not dims or dims != sorted(dims) or dims[0] < 2:
-        raise CliError("dims must be ascending integers >= 2")
-    alphas = _floats(args.alpha)
-    for a in alphas:
-        if not math.pi / 2.0 < a <= math.pi:
-            raise CliError("alpha must lie in (pi/2, pi]")
-    _positive("t", args.t)
     schemes = ("oscillator", "grid") if args.scheme == "both" else (args.scheme,)
-    rows = ccr_matrix.convergence_study(schemes, dims, alphas, t=args.t)
+    rows = ccr_matrix.convergence_study(schemes, args.dims, args.alpha,
+                                        t=args.t)
     out = _out_path(args.out)
     ccr_matrix.write_norm_study_csv(rows, out, wall_time=args.wall_time)
     top = max(rows, key=lambda r: r.n)
@@ -172,8 +130,6 @@ def _cmd_norm_study(args) -> str:
 
 
 def _cmd_weyl_suite(args) -> str:
-    _positive("trials", args.trials)
-    _positive("t", args.t)
     report = relation_suite(args.seed, trials=args.trials, t=args.t)
     rng = replica_rng(args.seed, 1)
     worst_phase = 0.0
@@ -188,8 +144,6 @@ def _cmd_weyl_suite(args) -> str:
 
 
 def _cmd_warren_mass(args) -> str:
-    _positive("m", args.m)
-    _positive("samples", args.samples)
     f = warren_sim.half_interval_profile()
     est = warren_sim.quad_form_C(warren_sim.constant_evaluator(1.0), f,
                                  args.samples, args.seed, m=args.m,
@@ -207,25 +161,9 @@ def _cmd_warren_mass(args) -> str:
     return line
 
 
-def _aligned_lists(n_list, delta_list, m):
-    for n in n_list:
-        for d in delta_list:
-            warren_sim.PsiSpec(n, d).alignment(m)
-
-
 def _cmd_lemma43(args) -> str:
-    _positive("m", args.m)
-    _positive("samples", args.samples)
-    n_list = _ints(args.n_list)
-    delta_list = _floats(args.delta_list)
-    if not n_list or not delta_list:
-        raise CliError("n-list and delta-list must be nonempty")
-    try:
-        _aligned_lists(n_list, delta_list, args.m)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     f = warren_sim.half_interval_profile()
-    rows = warren_sim.lemma43_table(f, n_list, delta_list, args.m,
+    rows = warren_sim.lemma43_table(f, args.n_list, args.delta_list, args.m,
                                     args.samples, args.seed,
                                     threads=args.threads)
     out = _out_path(args.out)
@@ -274,8 +212,7 @@ def _read_lemma43_rows(path: str) -> list[Lemma43Row]:
 def _cmd_obstruction(args) -> str:
     scheme, n_dim, _alpha, _t, norm_value = _read_norm_row(args.norm_from)
     rows = _read_lemma43_rows(args.lemma43_from)
-    f_mass = None if args.f_mass is None else float(args.f_mass)
-    report = warren_sim.obstruction_report(norm_value, rows, f_mass,
+    report = warren_sim.obstruction_report(norm_value, rows, args.f_mass,
                                            scheme=scheme, n_dim=n_dim)
     out = _out_path(args.out)
     warren_sim.write_obstruction_json(report, out)
@@ -293,20 +230,24 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.threads is None or args.threads < 1:
+        if args.threads < 1:
             raise CliError("threads must be at least 1")
-        conf = _read_config(args.config) if args.config else {}
-        args = _fill(args, conf)
-        if getattr(args, "seed", 0) is not None and getattr(args, "seed", 0) < 0:
-            raise CliError("seed must be nonnegative")
+        if args.config:
+            # entries for the subcommand's valued options (flags default
+            # to False) become its defaults, which argparse parses by type
+            chosen = subparsers.choices[args.command]
+            own = vars(chosen.parse_args([]))
+            chosen.set_defaults(**{k: v for k, v in _read_config(args.config)
+                                   .items() if own.get(k, False) is not False})
+            args = parser.parse_args(argv)
         line = _HANDLERS[args.command](args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

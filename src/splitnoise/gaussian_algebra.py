@@ -379,6 +379,10 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
     of imaginary shifts, and preservation of inner products; residuals
     are relative span distances, all expected <= 1e-9.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 <= int(seed) < 2 ** 63:  # the seeds replica_rng accepts
+        raise ValueError("seed must lie in [0, 2**63)")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     worst = {"rotation_composition": 0.0, "rotated_shift": 0.0,
              "shift_additivity": 0.0, "gram_preservation": 0.0}

@@ -25,11 +25,12 @@ per_path, width, threads, reach).  The engine splits range(samples) into
 contiguous chunks of REPLICA_CHUNK replicas and runs them on at most
 `threads` workers of a thread pool (inline when one worker suffices);
 row r of its (samples, width) result is per_path of replica r.  The
-drivers compute the weight profile once per run, before the engine
-starts, and reduce each column to a mean and a standard error in
-replica order afterwards, so every estimate is bit-identical for any
-thread count.  numpy's normal fills and ufunc loops release the
-interpreter lock, which is what lets the threads overlap.
+drivers check their inputs and compute the weight profile once per run,
+before the engine starts, and reduce each column to a mean and a
+standard error in replica order afterwards, so every estimate is
+bit-identical for any thread count.  numpy's normal fills and ufunc
+loops release the interpreter lock, which is what lets the threads
+overlap.
 
 Each replica draws its walk only up to the driver's reach: the last
 grid index that any of its columns reads, computed from the driver's
@@ -197,8 +198,6 @@ def _walk(m: int, rng: np.random.Generator, h: int):
     """(values, minima) of the walk with N(0, 1/m) increments on the 1/m
     grid, drawn up to index h (2 <= h <= m): values[0..h] and the minima
     below h, bit for bit those of the whole walk."""
-    if m < 4:
-        raise ValueError("m must be at least 4")
     steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
     values = np.empty(h + 1)
     values[0] = 0.0
@@ -214,6 +213,8 @@ def sample_path(m: int, rng: np.random.Generator,
     and the minima below h are bit for bit those of the whole walk (the
     default, h = m), because the stream is consumed one draw at a time.
     """
+    if m < 4:
+        raise ValueError("m must be at least 4")
     h = m if reach is None else int(reach)
     if not 2 <= h <= m:
         raise ValueError("reach must lie in [2, m]")
@@ -430,6 +431,16 @@ def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
                       psi(path))
 
 
+def _check_run(samples: int, m: int, threads: int) -> None:
+    """ValueError unless samples and threads are positive and m >= 4."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if m < 4:
+        raise ValueError("m must be at least 4")
+
+
 def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
                  threads: int = 1, reach: int | None = None) -> np.ndarray:
     """(samples, width) array whose row r is per_path(path of replica r).
@@ -445,10 +456,7 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
     thread count.  per_path must be safe to call from several threads at
     once.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    _check_run(samples, m, threads)
     out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
     h = m if reach is None else min(m, max(2, int(reach)))
@@ -503,6 +511,7 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     past the last nonzero weight, the probe times of a WS profile and
     psi.reach(m) when psi declares it; otherwise in full.
     """
+    _check_run(samples, m, threads)
     wp = f.weight_profile(m)
     end = _profile_reach(f, wp)
     declared = getattr(psi, "reach", None)
@@ -545,17 +554,21 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     delta-method standard error of the ratio u_mass / mass.  The profile
     must vanish on [1/2, 1].  Walks are drawn up to m // 2 plus the
     largest probe offset (and the probe times of a WS profile), the last
-    grid index that any column reads.
+    grid index that any column reads.  Every (n, delta) pair is checked
+    before any work.
     """
+    _check_run(samples, m, threads)
+    n_list = [int(n) for n in n_list]
+    delta_list = [float(d) for d in delta_list]
+    if not n_list or not delta_list:
+        raise ValueError("n_list and delta_list must be nonempty")
+    aligned = [[PsiSpec(n, d).alignment(m) for d in delta_list]
+               for n in n_list]
+    steps = [row[0][0] for row in aligned]
+    offsets = [offset for _, offset in aligned[0]]
     wp = f.weight_profile(m)
     if np.any(wp[m // 2:] != 0.0):
         raise ValueError("profile must be supported in (0, 1/2)")
-    n_list = [int(n) for n in n_list]
-    delta_list = [float(d) for d in delta_list]
-    steps = [PsiSpec(n, delta_list[0]).alignment(m)[0] for n in n_list]
-    offsets = [_grid_index(d, m, "delta") for d in delta_list]
-    if min(offsets) < 1:
-        raise ValueError("delta must be at least one grid step")
     half = m // 2
     reach = max(half + max(offsets), _profile_reach(f, wp))
     wp2 = wp ** 2

@@ -473,6 +473,12 @@ def test_convergence_study_rejects_unsorted():
         convergence_study("oscillator", [128, 64])
 
 
+def test_convergence_study_rejects_empty_lists():
+    for args in (((), [16]), ("oscillator", []), ("oscillator", [16], [])):
+        with pytest.raises(ValueError, match="nonempty"):
+            convergence_study(*args)
+
+
 def test_convergence_study_equals_single_angle_lemma23():
     alphas = (1.8, 2 * math.pi / 3, math.pi)
     dims = [16, 17, 64, 65]

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from splitnoise import ccr_matrix, gaussian_algebra, warren_sim
 from splitnoise.cli import main
 from splitnoise.ccr_matrix import NORM_STUDY_HEADER
 from splitnoise.warren_sim import LEMMA43_HEADER
@@ -197,3 +198,89 @@ def test_wall_time_flag_breaks_nothing(tmp_path, capsys):
     assert code == 0
     last = out.read_text().splitlines()[1]
     assert not last.endswith(",0")  # measured seconds present
+
+
+BAD_INPUTS = {
+    "lemma43-delta-past-walk": ["lemma43", "--m", "160", "--samples", "2",
+                                "--n-list", "16",
+                                "--delta-list", "0.0125,0.6"],
+    "lemma43-empty-n-list": ["lemma43", "--m", "256", "--n-list", ","],
+    "lemma43-m-3": ["lemma43", "--m", "3", "--n-list", "1",
+                    "--delta-list", "0.25"],
+    "mass-m-3": ["warren-mass", "--m", "3"],
+    "mass-m-0": ["warren-mass", "--m", "0"],
+    "mass-seed-negative": ["warren-mass", "--m", "64", "--seed", "-1"],
+    "weyl-trials-0": ["weyl-suite", "--trials", "0"],
+    "weyl-seed-2**63": ["weyl-suite", "--seed", "9223372036854775808"],
+    "norm-empty-dims": ["norm-study", "--dims", ","],
+    "norm-empty-alpha": ["norm-study", "--dims", "16", "--alpha", ","],
+    "norm-dims-1": ["norm-study", "--dims", "1,2"],
+    "norm-alpha": ["norm-study", "--dims", "16", "--alpha", "0.3"],
+    "norm-t-0": ["norm-study", "--dims", "16", "--t", "0"],
+    "samples-0": ["warren-mass", "--m", "64", "--samples", "0"],
+    "n-list-3": ["lemma43", "--m", "256", "--n-list", "3",
+                 "--delta-list", "0.00390625"],
+    "config-t-abc": ["--config", "{conf}", "norm-study", "--dims", "16"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
+                                             monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the inputs were checked")
+    monkeypatch.setattr(warren_sim, "_walk", no_work)
+    monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("t = abc\n", encoding="utf-8")
+    try:
+        code = main([a.format(conf=conf) for a in argv])
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+def test_config_file_equals_flags(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n_list = 4,8\n"
+                    "delta-list = 0.00390625,0.0078125\n"
+                    "f_mass = 1.5\n", encoding="utf-8")
+    common = ["--m", "256", "--samples", "40", "--seed", "3"]
+    from_conf, from_flags = tmp_path / "conf.csv", tmp_path / "flags.csv"
+    assert run(["--config", str(conf), "lemma43", *common,
+                "--out", str(from_conf)], capsys)[0] == 0
+    assert run(["lemma43", *common, "--n-list", "4,8",
+                "--delta-list", "0.00390625,0.0078125",
+                "--out", str(from_flags)], capsys)[0] == 0
+    assert from_conf.read_bytes() == from_flags.read_bytes()
+    assert len(from_conf.read_text().splitlines()) == 5
+
+    norm = tmp_path / "norm.csv"
+    assert run(["norm-study", "--dims", "16", "--out", str(norm)],
+               capsys)[0] == 0
+    reports = tmp_path / "conf.json", tmp_path / "flags.json"
+    tail = ["--norm-from", str(norm), "--lemma43-from", str(from_flags)]
+    assert run(["--config", str(conf), "obstruction", *tail,
+                "--out", str(reports[0])], capsys)[0] == 0
+    assert run(["obstruction", *tail, "--f-mass", "1.5",
+                "--out", str(reports[1])], capsys)[0] == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_config_file_skips_global_options_and_flags(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("dims = 16\n"
+                    "threads = many\n"
+                    "command = frobnicate\n"
+                    "wall_time = false\n", encoding="utf-8")
+    out = tmp_path / "n.csv"
+    code, stdout, _ = run(["--threads", "2", "--config", str(conf),
+                           "norm-study", "--out", str(out)], capsys)
+    assert code == 0 and "norm-study:" in stdout
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",0")

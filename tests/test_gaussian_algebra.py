@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from splitnoise import gaussian_algebra
 from splitnoise.gaussian_algebra import (
     AutomorphismParams,
     ExpSpan,
@@ -286,6 +287,17 @@ def test_relation_suite_reproducible():
     a = relation_suite(77, trials=10)
     b = relation_suite(77, trials=10)
     assert a.residuals == b.residuals
+
+
+def test_relation_suite_rejects_bad_trials_and_seeds(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the inputs were checked")
+    monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_trial)
+    for seed, trials in ((1, 0), (1, -3), (-1, 5), (2 ** 63, 5)):
+        with pytest.raises(ValueError):
+            relation_suite(seed, trials=trials)
+    monkeypatch.undo()
+    assert relation_suite(2 ** 63 - 1, trials=2).max_residual <= 1e-9
 
 
 def test_gram_positivity():

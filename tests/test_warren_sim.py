@@ -462,6 +462,43 @@ def test_lemma43_rejects_no_samples():
         lemma43_table(half_interval_profile(), [2], [1 / 64], 64, 0, 0)
 
 
+def refuse_to_draw(monkeypatch):
+    def no_walk(m, rng, h):
+        raise AssertionError("a walk was drawn before the inputs were checked")
+    monkeypatch.setattr(warren_sim, "_walk", no_walk)
+
+
+def test_lemma43_checks_every_pair_before_drawing(monkeypatch):
+    refuse_to_draw(monkeypatch)
+    f = half_interval_profile()
+    # delta = 0.6 reaches past the walk; only the first delta used to be
+    # checked against every n
+    with pytest.raises(ValueError, match="delta"):
+        lemma43_table(f, [16], [0.0125, 0.6], 160, 2, 1)
+    with pytest.raises(ValueError, match="divide"):
+        lemma43_table(f, [2, 3], [1 / 64], 64, 2, 1)
+    with pytest.raises(ValueError, match="grid"):
+        lemma43_table(f, [2], [1 / 64, 1 / 100], 64, 2, 1)
+    for n_list, delta_list in (([], [1 / 64]), ([2], [])):
+        with pytest.raises(ValueError, match="nonempty"):
+            lemma43_table(f, n_list, delta_list, 64, 2, 1)
+
+
+@pytest.mark.parametrize("m", [3, 0, -8])
+def test_drivers_check_m_before_any_work(monkeypatch, m):
+    refuse_to_draw(monkeypatch)
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # m = 0 divided by zero in the profile
+        for run in (lambda: quad_form_C(one, f, 2, 1, m=m),
+                    lambda: lemma43_table(f, [2], [0.25], m, 2, 1),
+                    lambda: run_replicas(1, 2, m, lambda path: 0.0, 1)):
+            with pytest.raises(ValueError, match="m must be at least 4"):
+                run()
+    with pytest.raises(ValueError, match="m must be at least 4"):
+        sample_path(m, replica_rng(1, 0))
+
+
 def test_single_sample_stderr_is_zero():
     f = half_interval_profile()
     with warnings.catch_warnings():
