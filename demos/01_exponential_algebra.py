@@ -55,7 +55,8 @@ for lam, mu in ((1.3, -2.1), (0.7, 0.9), (2.5, 2.5)):
           ccr_phase_residual(lam, mu, w))
 
 # The full relation suite: composition of rotations, rotation-conjugated
-# shifts, additivity of imaginary shifts, inner-product preservation.
+# shifts, additivity of imaginary shifts, inner-product preservation and
+# the Weyl phase.
 report = relation_suite(seed=1, trials=50)
 for name, value in report.residuals.items():
     print(f"{name:22s} max residual {value:.2e}")

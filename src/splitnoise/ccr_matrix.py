@@ -452,8 +452,8 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     (scheme, alpha), ordered by scheme, then angle, then N.  Each
     (scheme, N) is one kernel call for all the angles, so its wall time
     is split evenly across them: the seconds of a row are that call's
-    time over the number of angles.  Every input but a later scheme's
-    name is checked before any work starts.
+    time over the number of angles.  Every input is checked before any
+    work starts.
     """
     if isinstance(schemes, str):
         schemes = (schemes,)
@@ -463,6 +463,8 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     alphas = [float(a) for a in alpha_list]
     if not schemes or not n_list or not alphas:
         raise ValueError("schemes, n_list and alpha_list must be nonempty")
+    for scheme in schemes:  # each name and the smallest N, before any kernel
+        _grid_points(scheme, n_list[0], None, 1.0)
     rows: list[StudyRow] = []
     for scheme in schemes:
         per_n = []  # (values per angle, seconds per angle) for each N

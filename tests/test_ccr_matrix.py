@@ -500,6 +500,14 @@ def test_convergence_study_checks_every_angle_before_any_work(monkeypatch):
             convergence_study(scheme, [16, 64], [2.0, 2.9, 0.5])
 
 
+def test_convergence_study_checks_every_scheme_before_any_work(monkeypatch):
+    def no_work(b):
+        raise AssertionError("kernel ran before the schemes were checked")
+    monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    with pytest.raises(ValueError, match="bogus"):
+        convergence_study(("oscillator", "bogus"), [16, 64])
+
+
 def test_norm_study_csv_format(tmp_path):
     rows = convergence_study("oscillator", [16, 32])
     out = tmp_path / "norm_study.csv"

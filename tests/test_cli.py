@@ -91,6 +91,29 @@ def test_lemma43_and_obstruction_pipeline(tmp_path, capsys):
     assert "margin" in stdout
 
 
+@pytest.mark.parametrize("header,row", [
+    (NORM_STUDY_HEADER, "oscillator,16"),
+    (LEMMA43_HEADER, "4,0.00390625,256,40,0.1,0.01,1.0,0.1"),
+], ids=["norm", "lemma43"])
+def test_obstruction_names_file_and_line_of_a_short_row(tmp_path, capsys,
+                                                        header, row):
+    norm, table = tmp_path / "norm.csv", tmp_path / "table.csv"
+    assert run(["norm-study", "--dims", "16", "--out", str(norm)],
+               capsys)[0] == 0
+    assert run(["lemma43", *SMALL_LEMMA43, "--out", str(table)],
+               capsys)[0] == 0
+    bad = tmp_path / "short.csv"
+    bad.write_text(f"{header}\n\n{row}\n", encoding="utf-8")
+    sources = {NORM_STUDY_HEADER: norm, LEMMA43_HEADER: table}
+    sources[header] = bad
+    code, _, err = run(["obstruction",
+                        "--norm-from", str(sources[NORM_STUDY_HEADER]),
+                        "--lemma43-from", str(sources[LEMMA43_HEADER]),
+                        "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 2
+    assert f"{bad} line 3:" in err and "Traceback" not in err
+
+
 def test_single_sample_runs_write_zero_stderr_without_warnings(tmp_path, capsys):
     table, mass = tmp_path / "one.csv", tmp_path / "one.json"
     with warnings.catch_warnings():
@@ -212,6 +235,9 @@ BAD_INPUTS = {
     "mass-seed-negative": ["warren-mass", "--m", "64", "--seed", "-1"],
     "weyl-trials-0": ["weyl-suite", "--trials", "0"],
     "weyl-seed-2**63": ["weyl-suite", "--seed", "9223372036854775808"],
+    "weyl-t-0": ["weyl-suite", "--t", "0"],
+    "weyl-t-nan": ["weyl-suite", "--t", "nan"],
+    "weyl-t-inf": ["weyl-suite", "--t", "inf"],
     "norm-empty-dims": ["norm-study", "--dims", ","],
     "norm-empty-alpha": ["norm-study", "--dims", "16", "--alpha", ","],
     "norm-dims-1": ["norm-study", "--dims", "1,2"],

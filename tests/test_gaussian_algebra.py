@@ -14,6 +14,7 @@ from splitnoise.gaussian_algebra import (
     ccr_phase_residual,
     exponential,
     gram_matrix,
+    random_span,
     random_step_function,
     random_unit_span,
     relation_suite,
@@ -88,6 +89,35 @@ def test_span_inner_single_exponential_norm():
     assert span_inner(v, v) == pytest.approx(math.exp(abs(zeta) ** 2 * t))
 
 
+def _double_sum_inner(v, w):
+    """Oracle: sum_ij c_i conj(d_j) exp(<f_i, g_j>), each <f_i, g_j> summed
+    term by term over the merged intervals, read at their midpoints."""
+    cuts = sorted(set(v.breaks.tolist()) | set(w.breaks.tolist()))
+    mids = [((a + b) / 2.0, b - a) for a, b in zip(cuts, cuts[1:])]
+
+    def terms(span):
+        return [(c, StepFunction(tuple(span.breaks.tolist()), tuple(row)))
+                for c, row in zip(span.coef.tolist(), span.values.tolist())]
+
+    total = 0.0 + 0.0j
+    for c, f in terms(v):
+        for d, g in terms(w):
+            inner = sum(f.value_at(s) * g.value_at(s).conjugate() * ds
+                        for s, ds in mids)
+            total += c * d.conjugate() * cmath.exp(inner)
+    return total
+
+
+def test_span_inner_and_norm_match_double_sum_oracle():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    for _ in range(20):
+        v, w = random_span(rng, 1.3), random_span(rng, 1.3)
+        assert span_inner(v, w) == pytest.approx(_double_sum_inner(v, w),
+                                                 rel=1e-13)
+        assert v.norm_squared() == pytest.approx(
+            _double_sum_inner(v, v).real, rel=1e-13)
+
+
 def test_span_inner_conjugate_symmetry():
     rng = np.random.Generator(np.random.Philox(key=42))
     for _ in range(10):
@@ -137,26 +167,26 @@ def test_unit_rejects_nonpositive_time():
 def test_rotation_on_units_rotates_argument_exactly():
     zeta, U, t = 0.6 + 0.3j, cmath.exp(1j * 0.8), 1.3
     out = apply_automorphism(rotation(U), unit(0.0, zeta, t))
-    (c, f), = out.terms
+    (c,) = out.coef
     assert c == pytest.approx(1.0)
-    assert f.values == (U * zeta,)
+    assert out.values.tolist() == [[U * zeta]]
 
 
 def test_imaginary_shift_closed_form_term_data():
     # exp(-lam^2 t / 2 + i lam zeta t) u^{(zeta + i lam)}
     lam, zeta, t = 1.7, 0.4 - 0.9j, 0.8
     out = apply_automorphism(shift(1j * lam), unit(0.0, zeta, t))
-    (c, f), = out.terms
+    (c,) = out.coef
     expected = cmath.exp(-0.5 * lam ** 2 * t + 1j * lam * zeta * t)
     assert c == pytest.approx(expected, rel=1e-12)
-    assert f.values[0] == pytest.approx(zeta + 1j * lam)
+    assert out.values[0, 0] == pytest.approx(zeta + 1j * lam)
 
 
 def test_identity_params_leave_span_unchanged():
     v = unit(0.1, 0.5 - 0.2j, 1.0)
     out = apply_automorphism(AutomorphismParams(0.0, 0.0, 1.0), v)
-    assert out.terms[0][0] == v.terms[0][0]
-    assert out.terms[0][1].values == v.terms[0][1].values
+    assert out.coef[0] == v.coef[0]
+    assert out.values.tolist() == v.values.tolist()
 
 
 def test_multiplication_identification_term_by_term():
@@ -164,11 +194,11 @@ def test_multiplication_identification_term_by_term():
     lam = 0.9
     f = StepFunction((0.0, 0.4, 1.0), (0.2 + 0.1j, -0.5 + 0.3j))
     out = apply_automorphism(shift(1j * lam), exponential(f))
-    (c, g), = out.terms
+    (c,) = out.coef
     expected_c = cmath.exp(-0.5 * lam ** 2 * f.horizon + 1j * lam * f.integral())
     assert c == pytest.approx(expected_c, rel=1e-12)
     assert all(gv == pytest.approx(fv + 1j * lam)
-               for gv, fv in zip(g.values, f.values))
+               for gv, fv in zip(out.values[0], f.values))
 
 
 def _per_interval_multiplier(p, f):
@@ -190,7 +220,7 @@ def test_closed_form_multiplier_equals_per_interval_product():
         p = AutomorphismParams(float(rng.uniform(-2, 2)),
                                complex(*rng.uniform(-1, 1, 2)),
                                cmath.exp(1j * float(rng.uniform(0, 2 * math.pi))))
-        (c, _), = apply_automorphism(p, exponential(f)).terms
+        (c,) = apply_automorphism(p, exponential(f)).coef
         assert c == pytest.approx(_per_interval_multiplier(p, f), rel=1e-12)
 
 
@@ -253,7 +283,8 @@ def test_ccr_phase_residual_wrong_phase_negative_control():
 
 
 def test_ccr_phase_residual_rejects_zero_vector():
-    empty = ExpSpan(1.0)
+    empty = ExpSpan(np.empty(0, dtype=complex), np.array([0.0, 1.0]),
+                    np.empty((0, 1), dtype=complex))
     with pytest.raises(ValueError):
         ccr_phase_residual(1.0, 1.0, empty)
 
@@ -279,7 +310,8 @@ def test_relation_suite_specific_cases():
 def test_relation_suite_seeded():
     report = relation_suite(2024, trials=40)
     assert set(report.residuals) == {"rotation_composition", "rotated_shift",
-                                     "shift_additivity", "gram_preservation"}
+                                     "shift_additivity", "gram_preservation",
+                                     "weyl_phase"}
     assert report.max_residual <= 1e-9
 
 
@@ -313,9 +345,29 @@ def test_dedup_combines_identical_terms():
     f = StepFunction.constant(0.5, 1.0)
     v = exponential(f) + exponential(f).scaled(-1.0)
     d = v.dedup()
-    assert len(d.terms) == 1
-    assert d.terms[0][0] == 0.0
+    assert d.coef.tolist() == [0.0]
     assert d.norm() == 0.0
+
+
+def test_dedup_adds_each_term_to_its_first_match():
+    tol = gaussian_algebra.DEDUP_VALUE_TOL
+
+    def constants(values):
+        k = len(values)
+        return ExpSpan(np.arange(1.0, k + 1.0) + 0j, np.array([0.0, 1.0]),
+                       np.array(values, dtype=complex)[:, None])
+
+    # 1.5 tol apart, both kept; the third is within tol of each and joins
+    # the first
+    d = constants([0.5, 0.5 + 1.5 * tol, 0.5 + 0.75 * tol]).dedup()
+    assert d.values[:, 0].tolist() == [0.5, 0.5 + 1.5 * tol]
+    assert d.coef.tolist() == [4.0, 2.0]
+    # 10 tol apart stay apart; past sup norm 1 the tolerance scales with it
+    d = constants([0.5, 0.5 + 10 * tol, 3.0, 3.0 + 2.5 * tol,
+                   3.0 + 30 * tol]).dedup()
+    assert d.values[:, 0].tolist() == [0.5, 0.5 + 10 * tol, 3.0,
+                                       3.0 + 30 * tol]
+    assert d.coef.tolist() == [1.0, 2.0, 7.0, 5.0]
 
 
 def test_norm_warns_on_ill_conditioned_gram():
