@@ -1,14 +1,14 @@
 """Paths of the splitting noise and first-superchaos quadratic forms.
 
-A sampled walk carries strict three-point local minima, each decorated
-with an independent fair sign.  A first-superchaos vector attaches one
-sign factor per term; its quadratic forms integrate the signs out
-exactly, path by path.
+A sampled walk carries strict three-point local minima; the noise puts
+an independent fair sign on each, drawn separately with draw_signs.  A
+first-superchaos vector attaches one sign factor per term; its quadratic
+forms integrate the signs out exactly, path by path.
 """
 
 import numpy as np
 
-from splitnoise import chaos_eval, quad_form_C, sample_path
+from splitnoise import chaos_eval, draw_signs, quad_form_C, sample_path
 from splitnoise.gaussian_algebra import StepFunction
 from splitnoise.warren_sim import (
     SuperchaosVector,
@@ -23,14 +23,16 @@ from splitnoise.warren_sim import (
 )
 
 m = 4096
-path = sample_path(m, replica_rng(11, 0))
+rng = replica_rng(11, 0)
+path = sample_path(m, rng)
+signs = draw_signs(path, rng)  # one fair sign per minimum, after the walk
 print(f"grid m = {m}, minima found: {len(path.minima)}"
       f" (about one interior point in four)")
 print("first few minima times:", np.round(path.times()[:6], 4))
 
 # Unit weight on (0, 1/2): the chaos value is a signed count of minima.
 f = half_interval_profile()
-print("chaos_eval(f)        =", chaos_eval(f, path))
+print("chaos_eval(f)        =", chaos_eval(f, path, signs))
 print("norm contribution    =", chaos_norm_contribution(f, path),
       "= number of minima below 1/2")
 
@@ -48,10 +50,10 @@ print(f"MC mass              = {est.mean:.2f} +- {est.stderr:.2f}"
 # product structure of the half-interval splitting in action.
 w = StepFunction.indicator(0.0, 0.5, 1.0)
 f_ws = SuperchaosVector.sign_modulated(w, 0.5, 1.0)
-psi = endpoint_sign_evaluator(0.5, 1.0, cutoff=0.5)
+psi = endpoint_sign_evaluator(0.5, 1.0)
 f_stripped = apply_matched_sign_probe(f_ws)
-lhs = chaos_eval_under_probe(f_ws, path, psi)
-rhs = chaos_eval(f_stripped, path)
+lhs = chaos_eval_under_probe(f_ws, path, signs, psi)
+rhs = chaos_eval(f_stripped, path, signs)
 print("probe strips sign    =", lhs == rhs, f"(value {lhs})")
 
 # The quadratic form of that probe on the sign-modulated vector has

@@ -36,6 +36,7 @@ from .warren_sim import (  # noqa: F401
     SuperchaosVector,
     WarrenPath,
     chaos_eval,
+    draw_signs,
     lemma43_table,
     local_minima,
     obstruction_report,

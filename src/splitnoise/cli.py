@@ -163,9 +163,11 @@ def _cmd_lemma43(args) -> str:
     out = _out_path(args.out)
     warren_sim.write_lemma43_csv(rows, out)
     best = min(rows, key=lambda r: (r.delta, -r.n))
-    return (f"lemma43: {len(rows)} rows, best normalized estimate "
-            f"{best.estimate / best.mass:.4f} at (n={best.n}, "
-            f"delta={best.delta:.6g}) -> {out}")
+    return (f"lemma43: {len(rows)} rows; best row (n={best.n}, "
+            f"delta={best.delta:.6g}): estimate/mass "
+            f"{best.estimate / best.mass:.4f}, u_mass/mass "
+            f"{best.u_mass / best.mass:.4f} +- {best.u_ratio_stderr:.2g} "
+            f"-> {out}")
 
 
 def _read_csv(path: str, header: str, what: str) -> list[list[str]]:

@@ -1,10 +1,12 @@
 """Monte Carlo model of the noise of splitting on a finite grid.
 
-A path is a random walk with Gaussian increments of variance 1/m on the
-grid {0, 1/m, ..., 1}, together with interior strict three-point local
-minima and one independent fair sign per minimum (see below for the
-Monte Carlo engine, whose paths need no signs).  First-superchaos
-vectors carry one sign factor per term,
+Warren's noise is a Brownian path plus one independent fair sign at
+each of its local minima.  Here a path is a walk with N(0, 1/m)
+increments on the grid {0, 1/m, ..., 1} (sample_path); its minima, the
+interior strict three-point local minima, are derived from the walk
+(local_minima), and its signs are a separate draw, draw_signs(path,
+rng), one fair +-1 per minimum from the same stream after the
+increments.  First-superchaos vectors carry one sign factor per term,
 
     f(path, signs) = sum_j eta_j g(t_j, path),
 
@@ -15,22 +17,22 @@ with the coefficient profile g drawn from a two-member catalog:
 
 Quadratic forms of multiplication-type operators integrate the signs
 out exactly: the per-path integrand of <C_psi> is sum_j |g(t_j)|^2
-psi(t_j, path), so only the path replicas are sampled.  Replica r draws
-from the counter-based Philox stream keyed (master_seed, r), which makes
-every estimate reproducible independently of scheduling.
+psi(t_j, path), so only the walks are sampled and no signs are drawn.
+Replica r draws from the Philox stream keyed (master_seed, r), which
+makes every estimate reproducible independently of scheduling.
 
 Both Monte Carlo drivers, quad_form_C and lemma43_table, are per-path
 closures over one replica engine, run_replicas(seed, samples, m,
-per_path, width, threads, reach).  The engine splits range(samples) into
-contiguous chunks of REPLICA_CHUNK replicas and runs them on at most
-`threads` workers of a thread pool (inline when one worker suffices);
-row r of its (samples, width) result is per_path of replica r.  The
-drivers check their inputs and compute the weight profile once per run,
-before the engine starts, and reduce each column to a mean and a
-standard error in replica order afterwards, so every estimate is
-bit-identical for any thread count.  numpy's normal fills and ufunc
-loops release the interpreter lock, which is what lets the threads
-overlap.
+per_path, width, threads, reach), which draws replica r with
+sample_path.  The engine splits range(samples) into contiguous chunks
+of REPLICA_CHUNK replicas and runs them on at most `threads` workers of
+a thread pool (inline when one worker suffices); row r of its
+(samples, width) result is per_path of replica r.  The drivers check
+their inputs and compute the weight profile once per run, before the
+engine starts, and reduce each column to a mean and a standard error in
+replica order afterwards, so every estimate is bit-identical for any
+thread count.  numpy's normal fills and ufunc loops release the
+interpreter lock, which is what lets the threads overlap.
 
 Each replica draws its walk only up to the driver's reach: the last
 grid index that any of its columns reads, computed from the driver's
@@ -44,15 +46,12 @@ draws of a fill of size m are bit for bit the draws of a fill of size
 h.  The prefix therefore holds the same values[0..h] and the same minima
 below h as the whole walk.  An index past the prefix raises IndexError.
 
-A replica costs little beyond its normal fill.  The engine draws no
-signs: its paths carry signs=None, since both drivers integrate the
-signs out, and code that reads signs raises ValueError on such a path
-(sample_path still draws them, after the increments).  Each worker
-builds one Philox generator with replica_rng and re-keys it to
-(master_seed, r), counter 0 and an empty buffer, for every replica r,
-which is exactly the state replica_rng(master_seed, r) starts from.
-lemma43_table sums the weights per bucket and evaluates each bucket's
-sign probe once, at the bucket's edge, instead of once per minimum.
+A replica costs little beyond its normal fill.  Each worker builds one
+Philox generator with replica_rng and re-keys it to (master_seed, r),
+counter 0 and an empty buffer, for every replica r, which is exactly the
+state replica_rng(master_seed, r) starts from.  lemma43_table sums the
+weights per bucket and evaluates each bucket's sign probe once, at the
+bucket's edge, instead of once per minimum.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,6 +80,7 @@ __all__ = [
     "replica_rng",
     "local_minima",
     "sample_path",
+    "draw_signs",
     "half_interval_profile",
     "chaos_eval",
     "chaos_norm_contribution",
@@ -132,13 +132,6 @@ def _replica_streams(master_seed: int, replicas: range):
         yield r, rng
 
 
-def _minima(v: np.ndarray) -> np.ndarray:
-    """local_minima of a 1-D float array of at least three values,
-    without the input checks."""
-    inner = v[1:-1]
-    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
-
-
 def local_minima(values) -> np.ndarray:
     """Interior indices j with values[j-1] > values[j] < values[j+1].
 
@@ -147,80 +140,61 @@ def local_minima(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise ValueError("need at least three values")
-    return _minima(v)
+    inner = v[1:-1]
+    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
 
 
 @dataclass(frozen=True)
 class WarrenPath:
-    """Sampled path with its decorated strict local minima.
+    """A drawn walk and its strict local minima.
 
     values holds the walk on the grid {0, 1/m, ..., 1} up to some index
-    h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m);
-    minima are interior indices below h, in any order (validate() asks
-    for the complete ascending set, which sample_path and the engine
-    give); signs holds one +-1 per minimum, or is None on a path drawn
-    without signs, as the Monte Carlo engine's are.
+    h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m).
+    minima is derived from values, not passed: local_minima(values), the
+    complete ascending set of interior strict minima below h.  The fair
+    signs at the minima are a separate draw, draw_signs.
     """
 
     m: int
     values: np.ndarray
-    minima: np.ndarray
-    signs: np.ndarray | None
+    minima: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 3 <= len(self.values) <= self.m + 1:
             raise ValueError("values must have 3 to m + 1 entries")
         if self.values[0] != 0.0:
             raise ValueError("path must start at 0")
-        if self.signs is not None and len(self.signs) != len(self.minima):
-            raise ValueError("one sign per minimum required")
+        object.__setattr__(self, "minima", local_minima(self.values))
 
     def times(self) -> np.ndarray:
         return self.minima / self.m
 
-    def validate(self) -> None:
-        """Full invariant rescan (strictness and completeness)."""
-        found = local_minima(self.values)
-        if not np.array_equal(found, self.minima):
-            raise ValueError("minima list is not the complete strict set")
-        if not np.all(np.abs(_signs(self)) == 1):
-            raise ValueError("signs must be +-1")
-
-
-def _signs(path: WarrenPath) -> np.ndarray:
-    """The path's signs; ValueError on a path drawn without them."""
-    if path.signs is None:
-        raise ValueError("path carries no signs: draw it with sample_path")
-    return path.signs
-
-
-def _walk(m: int, rng: np.random.Generator, h: int):
-    """(values, minima) of the walk with N(0, 1/m) increments on the 1/m
-    grid, drawn up to index h (2 <= h <= m): values[0..h] and the minima
-    below h, bit for bit those of the whole walk."""
-    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
-    values = np.empty(h + 1)
-    values[0] = 0.0
-    np.cumsum(steps, out=values[1:])
-    return values, _minima(values)
-
 
 def sample_path(m: int, rng: np.random.Generator,
                 reach: int | None = None) -> WarrenPath:
-    """Walk with N(0, 1/m) increments; signs drawn after the increments.
+    """Walk with N(0, 1/m) increments on the 1/m grid, drawn up to index
+    h = reach (2 <= h <= m; the whole walk, h = m, by default).
 
-    With reach = h only the first h increments are drawn: values[0..h]
-    and the minima below h are bit for bit those of the whole walk (the
-    default, h = m), because the stream is consumed one draw at a time.
+    values[0..h] and the minima below h are bit for bit those of the
+    whole walk, because the stream is consumed one draw at a time.
+    draw_signs(path, rng) on the same rng then draws the path's signs.
     """
     if m < 4:
         raise ValueError("m must be at least 4")
     h = m if reach is None else int(reach)
     if not 2 <= h <= m:
         raise ValueError("reach must lie in [2, m]")
-    values, minima = _walk(m, rng, h)
-    signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
-    return WarrenPath(m=m, values=values, minima=minima, signs=signs)
+    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
+    values = np.empty(h + 1)
+    values[0] = 0.0
+    np.cumsum(steps, out=values[1:])
+    return WarrenPath(m, values)
+
+
+def draw_signs(path: WarrenPath, rng: np.random.Generator) -> np.ndarray:
+    """One independent fair sign per minimum of path, in the order of
+    path.minima, as +-1 int8."""
+    return (2 * rng.integers(0, 2, size=len(path.minima)) - 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -308,9 +282,19 @@ def _amplitudes(f: SuperchaosVector, path: WarrenPath) -> np.ndarray:
     return wp[path.minima] * f.sign_factor(path)
 
 
-def chaos_eval(f: SuperchaosVector, path: WarrenPath) -> float:
-    """sum over minima of eta_j g(t_j, path); odd in the signs."""
-    return float(np.sum(_signs(path) * _amplitudes(f, path)))
+def _signed_amplitudes(f: SuperchaosVector, path: WarrenPath,
+                       signs: np.ndarray) -> np.ndarray:
+    """eta_j g(t_j, path) at every minimum, for one sign per minimum."""
+    amp = _amplitudes(f, path)
+    if np.shape(signs) != amp.shape:
+        raise ValueError("one sign per minimum required")
+    return signs * amp
+
+
+def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> float:
+    """sum over minima of eta_j g(t_j, path), with signs eta drawn by
+    draw_signs(path, rng); odd in the signs."""
+    return float(np.sum(_signed_amplitudes(f, path, signs)))
 
 
 def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
@@ -331,13 +315,13 @@ def constant_evaluator(c: float):
     return psi
 
 
-def endpoint_sign_evaluator(a: float, b: float, cutoff: float = 0.5):
-    """psi(t, path) = sgn(B_b - B_a) for t < cutoff, else 0."""
+def endpoint_sign_evaluator(a: float, b: float):
+    """psi(t, path) = sgn(B_b - B_a) for t < 1/2, else 0."""
     def psi(path: WarrenPath) -> np.ndarray:
         ia = _grid_index(a, path.m, "a")
         ib = _grid_index(b, path.m, "b")
         s = np.sign(path.values[ib] - path.values[ia])
-        return np.where(path.minima < cutoff * path.m, s, 0.0)
+        return np.where(path.minima < path.m / 2, s, 0.0)
     psi.reach = lambda m: max(_grid_index(a, m, "a"), _grid_index(b, m, "b"))
     return psi
 
@@ -402,25 +386,17 @@ class McEstimate:
 
 
 def _integrand(wp: np.ndarray, end: int, s: float, path: WarrenPath,
-               probe, ascending: bool = False) -> float:
+               probe: np.ndarray) -> float:
     """sum_j wp_j^2 s^2 probe_j over the minima j below end, past which
     wp vanishes, in one fixed evaluation order shared by
-    per_path_integrand and the quad_form_C engine.  The sum does not
-    depend on how far past end the walk was drawn, so the two agree bit
-    for bit on a prefix and on the whole walk.  When the minima are known
-    to ascend, as on every walk the engine draws, the minima below end
-    are a prefix of the list and are sliced rather than masked: the same
-    elements in the same order, so the same sum."""
+    per_path_integrand and the quad_form_C engine.  The minima ascend, so
+    those below end are a prefix of the list; the sum does not depend on
+    how far past end the walk was drawn, so the two agree bit for bit on
+    a prefix and on the whole walk."""
     _check_drawn(path, end)
-    if ascending:
-        keep = slice(np.searchsorted(path.minima, end))
-    else:
-        keep = path.minima < end
-    w = wp[path.minima[keep]]
-    probe = np.asarray(probe)
-    if probe.ndim:
-        probe = probe[keep]
-    return float(np.sum((w * w) * (s * s) * probe))
+    keep = np.searchsorted(path.minima, end)
+    w = wp[path.minima[:keep]]
+    return float(np.sum((w * w) * (s * s) * probe[:keep]))
 
 
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
@@ -445,9 +421,9 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
                  threads: int = 1, reach: int | None = None) -> np.ndarray:
     """(samples, width) array whose row r is per_path(path of replica r).
 
-    Replica r is the walk of sample_path(m, replica_rng(seed, r), h)
-    without its signs (signs=None), whatever worker draws it: the walk up
-    to h = reach clamped to [2, m], or the whole walk when reach is None.
+    Replica r is sample_path(m, replica_rng(seed, r), h), whatever worker
+    draws it: the walk up to h = reach clamped to [2, m], or the whole
+    walk when reach is None.  No signs are drawn.
     reach must be the last grid index per_path reads; reading past it
     raises IndexError.  Contiguous chunks of REPLICA_CHUNK replicas run on
     min(threads, chunks) pool workers, or inline when that is one; each
@@ -464,8 +440,7 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
     def run_chunk(lo: int) -> None:
         replicas = range(lo, min(lo + chunk, samples))
         for r, rng in _replica_streams(seed, replicas):
-            values, minima = _walk(m, rng, h)
-            out[r] = per_path(WarrenPath(m, values, minima, None))
+            out[r] = per_path(sample_path(m, rng, h))
 
     starts = range(0, samples, chunk)
     workers = min(threads, len(starts))
@@ -518,8 +493,7 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     reach = max(end, m if declared is None else declared(m))
 
     def per_path(path: WarrenPath) -> float:
-        return _integrand(wp, end, f.sign_factor(path), path, psi(path),
-                          ascending=True)
+        return _integrand(wp, end, f.sign_factor(path), path, psi(path))
 
     vals = run_replicas(seed, samples, m, per_path, 1, threads, reach)
     mean, stderr = _mean_stderr(vals[:, 0])
@@ -605,21 +579,22 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     return rows
 
 
-def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath, psi) -> float:
-    """(C_psi f)(path): term k picks up the factor psi(t_k, path)."""
-    return float(np.sum(_signs(path) * _amplitudes(f, path) * psi(path)))
+def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,
+                           signs: np.ndarray, psi) -> float:
+    """(C_psi f)(path, signs): term k picks up the factor psi(t_k, path)."""
+    return float(np.sum(_signed_amplitudes(f, path, signs) * psi(path)))
 
 
-def apply_matched_sign_probe(f: SuperchaosVector,
-                             cutoff: float = 0.5) -> SuperchaosVector:
-    """Exact action of C_psi, psi = 1_{t < cutoff} sgn(B_b - B_a), on the
-    WS vector carrying the same probe: the probe squares against the
-    profile's own sign factor and the result is the deterministic vector
-    with profile w * 1_{(0, cutoff)} (equality per path off sign ties)."""
+def apply_matched_sign_probe(f: SuperchaosVector) -> SuperchaosVector:
+    """Exact action of C_psi, psi = 1_{t < 1/2} sgn(B_b - B_a) (the
+    endpoint_sign_evaluator(a, b)), on the WS vector carrying the same
+    probe: the probe squares against the profile's own sign factor and
+    the result is the deterministic vector with profile w * 1_{(0, 1/2)}
+    (equality per path off sign ties)."""
     if f.kind != "WS":
         raise ValueError("matched probe applies to a WS profile")
-    chi = StepFunction.indicator(0.0, cutoff, 1.0)
-    return SuperchaosVector.deterministic(step_product(f.w, chi))
+    return SuperchaosVector.deterministic(
+        step_product(f.w, half_interval_profile().w))
 
 
 def mc_coherent_sign_probe(zeta: float, t: float, samples: int,
@@ -658,22 +633,6 @@ class ObstructionReport:
     margin: float
     master_seed: int
     versions: dict
-
-    def as_dict(self) -> dict:
-        # key order is part of the artifact contract
-        return {
-            "norm_value": self.norm_value,
-            "scheme": self.scheme,
-            "N": self.N,
-            "m_hat": self.m_hat,
-            "n": self.n,
-            "delta": self.delta,
-            "grid_m": self.grid_m,
-            "samples": self.samples,
-            "margin": self.margin,
-            "master_seed": self.master_seed,
-            "versions": self.versions,
-        }
 
 
 def _environment_versions() -> dict:
@@ -728,7 +687,7 @@ def write_lemma43_csv(rows, path) -> None:
 
 
 def write_obstruction_json(report: ObstructionReport, path) -> None:
-    """JSON artifact: stable key order, UTF-8, trailing newline."""
+    """JSON artifact: the report's fields in order, UTF-8, trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.as_dict(), fh, ensure_ascii=False, indent=2)
+        json.dump(asdict(report), fh, ensure_ascii=False, indent=2)
         fh.write("\n")

@@ -91,6 +91,24 @@ def test_lemma43_and_obstruction_pipeline(tmp_path, capsys):
     assert "margin" in stdout
 
 
+def test_lemma43_summary_reports_the_minimum_anchored_ratio(tmp_path, capsys):
+    # the edge-anchored estimate has mean zero; the line also carries the
+    # best row's u_mass/mass with its delta-method standard error
+    code, stdout, _ = run(["lemma43", "--m", "256", "--samples", "40",
+                           "--n-list", "4,8", "--delta-list", "0.03125,0.015625",
+                           "--seed", "3", "--out", str(tmp_path / "t.csv")],
+                          capsys)
+    assert code == 0
+    rows = warren_sim.lemma43_table(warren_sim.half_interval_profile(),
+                                    [4, 8], [0.03125, 0.015625], 256, 40, 3)
+    best = min(rows, key=lambda r: (r.delta, -r.n))
+    assert best.n == 8 and best.u_ratio_stderr > 0.0
+    assert (f"best row (n=8, delta=0.015625): estimate/mass "
+            f"{best.estimate / best.mass:.4f}, u_mass/mass "
+            f"{best.u_mass / best.mass:.4f} +- {best.u_ratio_stderr:.2g} "
+            f"-> ") in stdout
+
+
 @pytest.mark.parametrize("header,row", [
     (NORM_STUDY_HEADER, "oscillator,16"),
     (LEMMA43_HEADER, "4,0.00390625,256,40,0.1,0.01,1.0,0.1"),
@@ -255,7 +273,7 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
                                              monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the inputs were checked")
-    monkeypatch.setattr(warren_sim, "_walk", no_work)
+    monkeypatch.setattr(warren_sim, "sample_path", no_work)
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
     monkeypatch.chdir(tmp_path)

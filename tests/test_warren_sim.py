@@ -22,6 +22,7 @@ from splitnoise.warren_sim import (
     chaos_eval_under_probe,
     chaos_norm_contribution,
     constant_evaluator,
+    draw_signs,
     endpoint_sign_evaluator,
     half_interval_profile,
     lemma43_table,
@@ -42,13 +43,16 @@ def phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def make_path(values, signs=None):
+def make_path(values):
     values = np.asarray(values, dtype=float)
-    minima = local_minima(values)
-    if signs is None:
-        signs = np.ones(len(minima), dtype=np.int8)
-    return WarrenPath(m=len(values) - 1, values=values, minima=minima,
-                      signs=np.asarray(signs, dtype=np.int8))
+    return WarrenPath(m=len(values) - 1, values=values)
+
+
+def signed_path(m, seed, r):
+    """A sampled path and its signs, drawn from one replica stream."""
+    rng = replica_rng(seed, r)
+    path = sample_path(m, rng)
+    return path, draw_signs(path, rng)
 
 
 # --- local minima and path sampling -------------------------------------
@@ -71,9 +75,12 @@ def test_local_minima_needs_three_points():
 
 
 def test_sample_path_starts_at_zero_and_validates():
-    path = sample_path(512, replica_rng(1, 0))
-    assert path.values[0] == 0.0
-    path.validate()
+    path, signs = signed_path(512, 1, 0)
+    assert path.values[0] == 0.0 and len(path.values) == 513
+    assert np.array_equal(path.minima, local_minima(path.values))
+    assert np.all(np.diff(path.minima) > 0) and len(path.minima) > 0
+    assert signs.dtype == np.int8 and len(signs) == len(path.minima)
+    assert set(signs.tolist()) == {-1, 1}
 
 
 def test_sample_path_rejects_small_m():
@@ -82,10 +89,10 @@ def test_sample_path_rejects_small_m():
 
 
 def test_sample_path_reproducible_from_substream():
-    a = sample_path(128, replica_rng(9, 4))
-    b = sample_path(128, replica_rng(9, 4))
+    a, a_signs = signed_path(128, 9, 4)
+    b, b_signs = signed_path(128, 9, 4)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.signs, b.signs)
+    assert np.array_equal(a_signs, b_signs)
 
 
 def sample_path_as_drawn_in_full(m, rng):
@@ -101,21 +108,21 @@ def sample_path_as_drawn_in_full(m, rng):
 @pytest.mark.parametrize("m", [64, 257, 16384])
 def test_sample_path_prefix_is_the_whole_walk_cut_short(m):
     for r in range(4):
-        full = sample_path(m, replica_rng(29, r))
+        full, full_signs = signed_path(m, 29, r)
         values, minima, signs = sample_path_as_drawn_in_full(
             m, replica_rng(29, r))
         assert full.values.tobytes() == values.tobytes()
         assert np.array_equal(full.minima, minima)
-        assert full.signs.tobytes() == signs.tobytes()
+        assert full_signs.tobytes() == signs.tobytes()
         for h in (2, m // 2, m // 2 + 5, m - 1, m):
-            part = sample_path(m, replica_rng(29, r), reach=h)
+            rng = replica_rng(29, r)
+            part = sample_path(m, rng, reach=h)
             assert part.m == m and len(part.values) == h + 1
             assert np.array_equal(part.values, full.values[:h + 1])
             assert np.array_equal(part.minima, full.minima[full.minima < h])
-            part.validate()
             with pytest.raises(IndexError):
                 part.values[h + 1]
-        assert part.signs.tobytes() == full.signs.tobytes()  # h == m
+        assert draw_signs(part, rng).tobytes() == signs.tobytes()  # h == m
 
 
 def test_sample_path_rejects_bad_reach():
@@ -135,10 +142,11 @@ def test_sample_path_signs_are_drawn_after_the_increments(m):
                 rng.normal(0.0, math.sqrt(1.0 / m), size=h))))
             minima = local_minima(values)
             signs = (2 * rng.integers(0, 2, size=len(minima)) - 1).astype(np.int8)
-            path = sample_path(m, replica_rng(43, r), reach=h)
+            rng = replica_rng(43, r)
+            path = sample_path(m, rng, reach=h)
             assert path.values.tobytes() == values.tobytes()
             assert np.array_equal(path.minima, minima)
-            assert path.signs.tobytes() == signs.tobytes()
+            assert draw_signs(path, rng).tobytes() == signs.tobytes()
 
 
 def test_endpoint_variance_matches_brownian_scaling():
@@ -161,32 +169,27 @@ def test_minima_fraction_approaches_one_quarter():
 
 def test_warren_path_invariant_violations():
     with pytest.raises(ValueError):
-        WarrenPath(m=4, values=np.array([1.0, 0.0, 2.0, 0.5, 1.0]),
-                   minima=np.array([1]), signs=np.array([1], dtype=np.int8))
+        WarrenPath(m=4, values=np.array([1.0, 0.0, 2.0, 0.5, 1.0]))
     for values in ([0.0, -1.0], np.zeros(6)):  # too short, longer than m + 1
         with pytest.raises(ValueError):
-            WarrenPath(m=4, values=np.array(values), minima=np.array([], int),
-                       signs=np.array([], dtype=np.int8))
-    bad = WarrenPath(m=4, values=np.array([0.0, -1.0, 2.0, -0.5, 1.0]),
-                     minima=np.array([1]), signs=np.array([1], dtype=np.int8))
-    with pytest.raises(ValueError):
-        bad.validate()  # missing the minimum at index 3
+            WarrenPath(m=4, values=np.array(values))
+    # the minima are derived from the walk, never passed in
+    path = WarrenPath(m=4, values=np.array([0.0, -1.0, 2.0, -0.5, 1.0]))
+    assert path.minima.tolist() == [1, 3]
+    with pytest.raises(TypeError):
+        WarrenPath(m=4, values=path.values, minima=np.array([1]))
 
 
-def test_paths_without_signs_refuse_to_have_them_read():
-    path = sample_path(256, replica_rng(3, 5))
-    bare = WarrenPath(path.m, path.values, path.minima, None)
-    f = half_interval_profile()
-    one = constant_evaluator(1.0)
-    path.validate()
-    for read in (bare.validate,
-                 lambda: chaos_eval(f, bare),
-                 lambda: chaos_eval_under_probe(f, bare, one)):
-        with pytest.raises(ValueError, match="no signs"):
-            read()
-    # what integrates the signs out reads the same from both paths
-    assert per_path_integrand(one, f, bare) == per_path_integrand(one, f, path)
-    assert chaos_norm_contribution(f, bare) == chaos_norm_contribution(f, path)
+def test_signed_evaluations_need_one_sign_per_minimum():
+    path, signs = signed_path(256, 3, 5)
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    for bad in (signs[:-1], signs[:1], np.append(signs, 1)):
+        for read in (lambda: chaos_eval(f, path, bad),
+                     lambda: chaos_eval_under_probe(f, path, bad, one)):
+            with pytest.raises(ValueError, match="one sign per minimum"):
+                read()
+    assert chaos_eval_under_probe(f, path, signs, one) == \
+        chaos_eval(f, path, signs)
 
 
 # --- profiles and chaos evaluation ---------------------------------------
@@ -208,51 +211,20 @@ def test_chaos_eval_no_minima_in_support():
     path = make_path([0.0, -1.0, 1.0, 0.5, 1.0])  # minima at 1/4, 3/4... check
     # keep only the minimum below 1/2 by masking the profile instead
     f2 = SuperchaosVector.deterministic(StepFunction.indicator(0.9, 1.0, 1.0))
-    assert chaos_eval(f2, path) == 0.0
+    assert chaos_eval(f2, path, np.ones(len(path.minima))) == 0.0
     assert f.w.value_at(0.25) == 0.0
 
 
 def test_chaos_eval_single_minimum_gives_sign():
-    path = make_path([0.0, -1.0, 1.0, 2.0], signs=[-1])
+    path = make_path([0.0, -1.0, 1.0, 2.0])
     f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
-    assert chaos_eval(f, path) == -1.0
+    assert chaos_eval(f, path, np.array([-1], dtype=np.int8)) == -1.0
 
 
 def test_chaos_eval_odd_in_signs():
-    path = sample_path(256, replica_rng(3, 1))
-    flipped = WarrenPath(path.m, path.values, path.minima, -path.signs)
+    path, signs = signed_path(256, 3, 1)
     f = half_interval_profile()
-    assert chaos_eval(f, flipped) == -chaos_eval(f, path)
-
-
-def shuffled_minima_path():
-    """A sampled path and the same path with its minima (and their signs)
-    in a shuffled order."""
-    path = sample_path(256, replica_rng(3, 2))
-    perm = np.random.Generator(np.random.Philox(key=0)).permutation(
-        len(path.minima))
-    return path, WarrenPath(path.m, path.values, path.minima[perm],
-                            path.signs[perm])
-
-
-def test_chaos_eval_enumeration_invariance():
-    path, shuffled = shuffled_minima_path()
-    f = half_interval_profile()
-    assert chaos_eval(f, shuffled) == pytest.approx(chaos_eval(f, path),
-                                                    rel=1e-12, abs=1e-12)
-    c = constant_evaluator(1.0)
-    assert per_path_integrand(c, f, shuffled) == pytest.approx(
-        per_path_integrand(c, f, path), rel=1e-12)
-
-
-def test_validate_rejects_shuffled_minima():
-    # the constructor takes minima in any order; validate() asks for the
-    # complete set in ascending order
-    path, shuffled = shuffled_minima_path()
-    assert not np.array_equal(shuffled.minima, path.minima)
-    path.validate()
-    with pytest.raises(ValueError, match="complete strict set"):
-        shuffled.validate()
+    assert chaos_eval(f, path, -signs) == -chaos_eval(f, path, signs)
 
 
 def test_ws_sign_factor():
@@ -301,28 +273,22 @@ def test_quad_form_domination_per_path():
         assert per_path_integrand(psi, f, path) <= per_path_integrand(one, f, path)
 
 
-def test_quad_form_signs_never_used():
-    f = half_interval_profile()
-    path = sample_path(256, replica_rng(17, 0))
-    flipped = WarrenPath(path.m, path.values, path.minima, -path.signs)
-    one = constant_evaluator(1.0)
-    assert per_path_integrand(one, f, path) == per_path_integrand(one, f, flipped)
-
-
 def test_matched_probe_strips_sign_factor_per_path():
     # the endpoint probe acting on the matching WS vector returns the
     # deterministic vector, exactly, whenever the probe is not a tie
     w = StepFunction.indicator(0.0, 0.5, 1.0)
     f_ws = SuperchaosVector.sign_modulated(w, 0.5, 1.0)
-    f_w = apply_matched_sign_probe(f_ws, cutoff=0.5)
+    f_w = apply_matched_sign_probe(f_ws)
     assert f_w.kind == "W"
-    psi = endpoint_sign_evaluator(0.5, 1.0, cutoff=0.5)
+    assert f_w.w == StepFunction.indicator(0.0, 0.5, 1.0)
+    psi = endpoint_sign_evaluator(0.5, 1.0)
     hits = 0
     for r in range(10):
-        path = sample_path(64, replica_rng(19, r))
+        path, signs = signed_path(64, 19, r)
         if f_ws.sign_factor(path) != 0.0:
             hits += 1
-            assert chaos_eval_under_probe(f_ws, path, psi) == chaos_eval(f_w, path)
+            assert chaos_eval_under_probe(f_ws, path, signs, psi) == \
+                chaos_eval(f_w, path, signs)
     assert hits > 0
 
 
@@ -463,9 +429,9 @@ def test_lemma43_rejects_no_samples():
 
 
 def refuse_to_draw(monkeypatch):
-    def no_walk(m, rng, h):
+    def no_walk(m, rng, reach=None):
         raise AssertionError("a walk was drawn before the inputs were checked")
-    monkeypatch.setattr(warren_sim, "_walk", no_walk)
+    monkeypatch.setattr(warren_sim, "sample_path", no_walk)
 
 
 def test_lemma43_checks_every_pair_before_drawing(monkeypatch):
@@ -609,13 +575,13 @@ def test_lemma43_ratio_stderr_is_the_delta_method_on_the_replica_columns():
 def recorded_reaches(monkeypatch, cut=0):
     """Record the reach each drawn walk is given, drawing `cut` fewer
     increments than that."""
-    drawn, walk = [], warren_sim._walk
+    drawn = []
 
     def short_walk(m, rng, h):
         drawn.append(h)
-        return walk(m, rng, h - cut)
+        return sample_path(m, rng, h - cut)
 
-    monkeypatch.setattr(warren_sim, "_walk", short_walk)
+    monkeypatch.setattr(warren_sim, "sample_path", short_walk)
     return drawn
 
 
@@ -646,6 +612,32 @@ def test_drivers_draw_each_walk_to_their_reach(monkeypatch):
         drawn.clear()
         run()
         assert drawn == [reach] * 5, name
+
+
+def test_drivers_draw_through_the_public_sampler_once_per_replica(monkeypatch):
+    # the engine draws every replica through the public sample_path, and a
+    # path finds its minima through the public local_minima; the
+    # benchmark's traced layers wrap these two names
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
+    calls = {"sample_path": [], "local_minima": []}
+    for name, seen in calls.items():
+        def counted(*args, _fn=getattr(warren_sim, name), _seen=seen):
+            _seen.append(None)  # list.append is atomic across threads
+            return _fn(*args)
+        monkeypatch.setattr(warren_sim, name, counted)
+    f, m, samples = half_interval_profile(), 128, 37
+    for run in (
+            lambda: quad_form_C(constant_evaluator(1.0), f, samples, 5, m=m),
+            lambda: quad_form_C(bucket_probe_evaluator(PsiSpec(2, 4 / m)), f,
+                                samples, 5, m=m, threads=2),
+            lambda: lemma43_table(f, [2, 4], [1 / m], m, samples, 5),
+            lambda: lemma43_table(f, [2], [1 / m, 4 / m], m, samples, 5,
+                                  threads=3)):
+        for seen in calls.values():
+            seen.clear()
+        run()
+        assert {name: len(seen) for name, seen in calls.items()} == \
+            {"sample_path": samples, "local_minima": samples}
 
 
 def test_driver_reading_past_a_short_reach_raises(monkeypatch):
@@ -749,7 +741,7 @@ def test_rekeyed_streams_reject_bad_seeds():
 
 def test_engine_draws_no_signs(monkeypatch):
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
-    used, signs, rng_of = set(), [], warren_sim.replica_rng
+    used, rng_of = set(), warren_sim.replica_rng
 
     class Spy:
         def __init__(self, rng):
@@ -763,12 +755,10 @@ def test_engine_draws_no_signs(monkeypatch):
                         lambda seed, r: Spy(rng_of(seed, r)))
 
     def per_path(path):
-        signs.append(path.signs)
         return [path.values[-1], len(path.minima)]
 
     rows = run_replicas(5, 20, 64, per_path, 2, threads=2)
     assert "normal" in used and "integers" not in used
-    assert signs == [None] * 20
     expected = [[p.values[-1], len(p.minima)]
                 for p in (sample_path(64, rng_of(5, r)) for r in range(20))]
     assert rows.tolist() == expected
@@ -839,8 +829,8 @@ def test_disjoint_window_components_uncorrelated():
     reps = 800
     prods = np.empty(reps)
     for r in range(reps):
-        path = sample_path(128, replica_rng(79, r))
-        prods[r] = chaos_eval(f, path) * chaos_eval(g, path)
+        path, signs = signed_path(128, 79, r)
+        prods[r] = chaos_eval(f, path, signs) * chaos_eval(g, path, signs)
     se = prods.std(ddof=1) / math.sqrt(reps)
     assert abs(prods.mean()) <= 4 * se
 
