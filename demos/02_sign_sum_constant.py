@@ -9,12 +9,20 @@ constant, strictly below 3.
 Because the sign function of a truncation is not the truncation of the
 sign function, the constant is computed in two unrelated ways (number
 basis vs position grid with spectral differentiation); their agreement
-is the convergence certificate.
+is the convergence certificate.  Every grid object uses one window, the
+balanced half width sqrt(pi N / 2).
+
+For every angle alpha in (pi/2, pi) the continuum sum
+sgn Q + sgn(Q cos alpha + P sin alpha) + sgn(Q cos alpha - P sin alpha)
+is unitarily equivalent to the symmetric triple's (the metaplectic
+representation; Folland, Harmonic Analysis in Phase Space, ch. 4), so
+the angle sweep below converges to the same constant; only the
+truncations differ from angle to angle.  At alpha = pi the value is 1.
 """
 
 import math
 
-from splitnoise import convergence_study, lemma23_value, sign_sum_extremes
+from splitnoise import convergence_study, lemma23_value
 from splitnoise.ccr_matrix import write_norm_study_csv
 
 rows = convergence_study(("oscillator", "grid"), [64, 128, 256, 512])
@@ -27,13 +35,15 @@ top = {r.scheme: r.value for r in rows if r.n == 512}
 print("\ncross-scheme gap at N=512:",
       abs(top["oscillator"] - top["grid"]))
 
-lo, hi = sign_sum_extremes("oscillator", 512)
-print("raw sign-sum spectrum edge:", lo, hi)
+# the spectrum is exactly parity-symmetric: its edge is -+ this value
+hi = lemma23_value(2 * math.pi / 3, 0.5, 512)
+print("raw sign-sum spectrum edge:", -hi, hi)
 print("projection normalization  :", (3.0 + hi) / 2.0)
 
 # The same norm through rotated coordinate pairs: the value is angle-
-# independent in the continuum (positive scalings are absorbed by sgn),
-# and collapses to 1 at the degenerate angle pi.
+# independent in the continuum (a symplectic map moves any three rays
+# that positively span the plane onto any other three), and collapses to
+# 1 at the degenerate angle pi.
 print("\nangle sweep at N=256 (raw sign-sum norm):")
 for alpha in (1.8, 2 * math.pi / 3, 2.4, 2.9, math.pi):
     print(f"  alpha={alpha:8.5f}  value={lemma23_value(alpha, 0.5, 256):.6f}")

@@ -25,7 +25,6 @@ from .ccr_matrix import (  # noqa: F401
     lemma23_value,
     sgn_expectation,
     sgn_op,
-    sign_sum_extremes,
     sign_sum_norm,
     symmetric_triple,
     write_norm_study_csv,

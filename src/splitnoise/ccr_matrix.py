@@ -20,7 +20,9 @@ dense (q, p) from them: `build_pair` scales it by sqrt(2 t) and
 only the N/2-sized blocks it reads, from the same helpers, and unscaled,
 since positive scalings drop out of sgn.  `_grid_points` is the one
 check of a scheme and its dimensions, and the grid aliasing check reads
-only the grid points and t.
+only the grid points and t.  Every grid object uses one window, the
+balanced half width sqrt(pi N / 2) (`build_pair` also takes an explicit
+L): Q_t = sqrt(2 t) x only rescales the natural-unit grid.
 
 The zero-sum triple Q, P, R places three scaled coordinates at mutual
 120 degrees, Q = alpha q, P = alpha (q cos + p sin), R = -(P + Q) with
@@ -36,8 +38,16 @@ Pi = (1 + sgn)/2 obeys the operator identity
 whose norm converges to (3 + 1.2561)/2 = 2.1280, the "approximately
 2.1" constant; `sign_sum_norm` returns this projection normalization
 (that is what feeds the obstruction arithmetic, epsilon = 3 - 2.128),
-while `sign_sum_extremes` and `lemma23_value` expose the raw sign-sum
-spectrum.  Both are strictly below 3 at every truncation.
+while `lemma23_value` returns the raw sign-sum norm: at 2 pi / 3 the raw
+spectrum edge is exactly -+ that value.  Both are strictly below 3 at
+every truncation.
+
+One constant for every angle: for alpha in (pi/2, pi) the continuum
+sum is unitarily equivalent to the symmetric triple's, by the
+metaplectic representation (Folland, Harmonic Analysis in Phase Space,
+ch. 4), so norm-study rows at alpha = 2.9 check the same constant.  The
+truncations differ: the oscillator at N = 1024 gives 1.255549, 1.256078
+and 1.255052 at alpha = 1.7, 2 pi / 3 and 2.9.
 
 The sign-sum kernel.  With c = cos alpha, s = sin alpha, all three go
 through one kernel for S = sgn Q + sgn(c Q + s P) + sgn(c Q - s P).  It
@@ -88,7 +98,6 @@ __all__ = [
     "build_pair",
     "symmetric_triple",
     "sgn_op",
-    "sign_sum_extremes",
     "sign_sum_norm",
     "lemma23_value",
     "coherent_vector",
@@ -176,21 +185,15 @@ def _grid_vacuum(x: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def default_grid_halfwidth(t: float) -> float:
-    """Default natural-unit half width, 40 / sqrt(2 t)."""
-    return 40.0 / math.sqrt(2.0 * t)
-
-
 def balanced_grid_halfwidth(n: int) -> float:
     """Half width sqrt(pi n / 2): position and momentum cutoffs coincide."""
     return math.sqrt(math.pi * n / 2.0)
 
 
-def _grid_points(scheme: str, n: int, L: float | None,
-                 default_L: float) -> np.ndarray | None:
-    """Points x of the grid on [-L, L] (L = default_L when None), or None
-    for the oscillator; the one place where a scheme and its dimensions
-    are checked."""
+def _grid_points(scheme: str, n: int, L: float | None) -> np.ndarray | None:
+    """Points x of the grid on [-L, L] (the balanced half width when L is
+    None), or None for the oscillator; the one place where a scheme and
+    its dimensions are checked."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if scheme == "oscillator":
@@ -198,17 +201,17 @@ def _grid_points(scheme: str, n: int, L: float | None,
             raise ValueError("L applies to the grid scheme only")
         return None
     if scheme == "grid":
-        L = default_L if L is None else L
+        L = balanced_grid_halfwidth(n) if L is None else L
         if L <= 0.0:
             raise ValueError("L must be positive")
         return np.linspace(-L, L, n)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _natural_pair(scheme: str, n: int, L: float | None, default_L: float):
+def _natural_pair(scheme: str, n: int, L: float | None):
     """Dense natural-unit (q, p, x) of one scheme, x = None for the
     oscillator; the grid q is the real diagonal of the points x."""
-    x = _grid_points(scheme, n, L, default_L)
+    x = _grid_points(scheme, n, L)
     if x is None:
         q, p = position_momentum(n)
         return q, p, None
@@ -237,12 +240,13 @@ def build_pair(scheme: str, n: int, t: float, L: float | None = None) -> CcrTrip
     """Canonical pair at time scale t, [P, Q] = -2 t i up to the defect.
 
     Q = sqrt(2 t) q and P = sqrt(2 t) p in either discretization; the
-    grid default half width is 40/sqrt(2 t) natural units and the
-    vacuum-moment aliasing check warns above 1e-6.
+    grid half width L defaults to the balanced sqrt(pi n / 2) natural
+    units, the one window of every grid object, and the vacuum-moment
+    aliasing check warns above 1e-6.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    q, p, x = _natural_pair(scheme, n, L, default_grid_halfwidth(t))
+    q, p, x = _natural_pair(scheme, n, L)
     s = math.sqrt(2.0 * t)
     _warn_if_aliased(x, t)
     Q, P = s * q, s * p
@@ -253,11 +257,9 @@ def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
     """Zero-sum triple at mutual 120 degrees, pairwise commutators -i.
 
     alpha^2 = 2/sqrt(3) makes alpha^2 sin(2 pi / 3) = 1.  R is built as
-    -(P + Q), so P + Q + R = 0 holds exactly in floating point.  The
-    grid transcription uses the balanced half width sqrt(pi n/2), which
-    puts equal position and momentum cutoffs around the origin.
+    -(P + Q), so P + Q + R = 0 holds exactly in floating point.
     """
-    q, p, x = _natural_pair(scheme, n, None, balanced_grid_halfwidth(n))
+    q, p, x = _natural_pair(scheme, n, None)
     alpha = math.sqrt(2.0 / math.sqrt(3.0))
     c, s = math.cos(TWO_THIRDS_PI), math.sin(TWO_THIRDS_PI)
     Q = alpha * q
@@ -329,7 +331,7 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
             raise ValueError("alpha must lie in (pi/2, pi]")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    x = _grid_points(scheme, n, None, balanced_grid_halfwidth(n))
+    x = _grid_points(scheme, n, None)
     _warn_if_aliased(x, t, stacklevel=4)
     k = n // 2
     if x is None:
@@ -353,17 +355,6 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     return values
 
 
-def sign_sum_extremes(scheme: str, n: int) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue of sgn P + sgn Q + sgn R for the
-    symmetric triple; converges to about -+1.2561.
-
-    The spectrum is exactly parity-symmetric (see the module docstring),
-    so the two are negatives of each other.
-    """
-    hi = lemma23_value(TWO_THIRDS_PI, 0.5, n, scheme)
-    return -hi, hi
-
-
 def sign_sum_norm(scheme: str, n: int) -> float:
     """Norm of the sum of the three positive spectral projections.
 
@@ -372,8 +363,7 @@ def sign_sum_norm(scheme: str, n: int) -> float:
     3 at every truncation.  This is the reported-constant normalization
     consumed by the obstruction arithmetic.
     """
-    _, hi = sign_sum_extremes(scheme, n)
-    return (3.0 + hi) / 2.0
+    return (3.0 + lemma23_value(TWO_THIRDS_PI, 0.5, n, scheme)) / 2.0
 
 
 def lemma23_value(alpha: float, t: float, n: int,
@@ -387,8 +377,7 @@ def lemma23_value(alpha: float, t: float, n: int,
     three operators are the symmetric triple.
 
     The kernel builds natural-unit blocks, so the value is exactly
-    t-invariant; t only feeds the grid aliasing check.  The grid uses
-    the balanced, t-independent half width sqrt(pi n / 2).
+    t-invariant; t only feeds the grid aliasing check.
     """
     return _sign_sum_values(scheme, n, (alpha,), t)[0]
 
@@ -403,22 +392,21 @@ def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
     if t <= 0.0:
         raise ValueError("t must be positive")
     beta = complex(zeta) * math.sqrt(t)
-    b2 = abs(beta) ** 2
-    # Poisson(b2) tail mass beyond the truncation
-    logw = [-b2 + k * math.log(b2) - math.lgamma(k + 1) for k in range(1, n)] \
-        if b2 > 0 else []
-    tail = 1.0 - math.exp(-b2) - sum(math.exp(v) for v in logw)
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    tail = 0.0
+    if beta != 0.0:
+        k = np.arange(n)
+        logmag = k * math.log(abs(beta)) - 0.5 * np.array(
+            [math.lgamma(i + 1) for i in range(n)])
+        v = np.exp(logmag) * np.exp(1j * np.angle(beta) * k)
+        # Poisson(|beta|^2) tail mass beyond the truncation,
+        # 1 - exp(-|beta|^2) ||v||^2, summed in logs so it cannot overflow
+        tail = 1.0 - float(np.sum(np.exp(2.0 * logmag - abs(beta) ** 2)))
     if tail > 1e-10:
         raise ValueError(f"truncated tail mass {tail:.2e} exceeds 1e-10; "
                          "increase n")
-    k = np.arange(n)
-    if b2 == 0.0:
-        out = np.zeros(n, dtype=complex)
-        out[0] = 1.0
-        return out
-    mag = np.exp(k * math.log(abs(beta)) - 0.5 *
-                 np.array([math.lgamma(i + 1) for i in range(n)]))
-    return mag * np.exp(1j * np.angle(beta) * k)
+    return v
 
 
 def sgn_expectation(a: np.ndarray, v: np.ndarray) -> float:
@@ -464,7 +452,7 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     if not schemes or not n_list or not alphas:
         raise ValueError("schemes, n_list and alpha_list must be nonempty")
     for scheme in schemes:  # each name and the smallest N, before any kernel
-        _grid_points(scheme, n_list[0], None, 1.0)
+        _grid_points(scheme, n_list[0], None)
     rows: list[StudyRow] = []
     for scheme in schemes:
         per_n = []  # (values per angle, seconds per angle) for each N

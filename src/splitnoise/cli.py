@@ -8,7 +8,9 @@ written as 0 unless --wall-time is requested.
 Configuration precedence: flags, then --config file, then the defaults
 of _build_parser.  The config file is flat `key = value` text, keys
 matching the subcommand's long option names.  The library functions
-check their inputs before any work; their ValueError exits 2.
+check their inputs before any work; their ValueError exits 2, as does
+the ValueError this module raises for a bad config file, CSV input or
+--threads.
 SPLITNOISE_OUT_DIR, when set, is the default directory for relative
 output paths.
 """
@@ -24,10 +26,6 @@ from . import ccr_matrix, warren_sim
 from .ccr_matrix import TWO_THIRDS_PI
 from .gaussian_algebra import relation_suite
 from .warren_sim import Lemma43Row
-
-
-class CliError(Exception):
-    """Validation failure: exit code 2."""
 
 
 def _ints(text: str) -> list[int]:
@@ -47,11 +45,11 @@ def _read_config(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise CliError(f"bad config line: {line!r}")
+                    raise ValueError(f"bad config line: {line!r}")
                 key, value = line.split("=", 1)
                 conf[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return conf
 
 
@@ -176,17 +174,17 @@ def _read_csv(path: str, header: str, what: str) -> list[list[str]]:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)
                  if ln.strip()]
     if not lines or lines[0][1] != header:
-        raise CliError(f"{path} does not carry the {what} header")
+        raise ValueError(f"{path} does not carry the {what} header")
     width = header.count(",") + 1
     rows = []
     for no, ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) != width:
-            raise CliError(f"{path} line {no}: {len(fields)} fields, "
-                           f"expected {width}")
+            raise ValueError(f"{path} line {no}: {len(fields)} fields, "
+                             f"expected {width}")
         rows.append(fields)
     if not rows:
-        raise CliError(f"{path} has no rows")
+        raise ValueError(f"{path} has no rows")
     return rows
 
 
@@ -218,7 +216,8 @@ def _cmd_obstruction(args) -> str:
     out = _out_path(args.out)
     warren_sim.write_obstruction_json(report, out)
     return (f"obstruction: margin = {report.margin:.4f} "
-            f"(norm {report.norm_value:.4f}, m_hat {report.m_hat:.4f}) -> {out}")
+            f"(norm {report.norm_value:.4f}, m_hat {report.m_hat:.4f} from "
+            f"the edge-anchored estimate column) -> {out}")
 
 
 _HANDLERS = {
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.threads < 1:
-            raise CliError("threads must be at least 1")
+            raise ValueError("threads must be at least 1")
         if args.config:
             # entries for the subcommand's valued options (flags default
             # to False) become its defaults, which argparse parses by type
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
                                    .items() if own.get(k, False) is not False})
             args = parser.parse_args(argv)
         line = _HANDLERS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,8 +38,8 @@ Each replica draws its walk only up to the driver's reach: the last
 grid index that any of its columns reads, computed from the driver's
 own inputs.  lemma43_table reads up to m//2 plus its largest probe
 offset; quad_form_C reads up to one past the last nonzero weight, the
-probe times a, b of a WS profile and the reach its evaluator declares
-(evaluators without a declaration get the whole walk).  The prefix is
+probe times a, b of a WS profile and the reach its evaluator must
+declare.  The prefix is
 exact, not an approximation: Philox is a counter-based stream, and
 Generator.normal consumes it one element at a time, so the first h
 draws of a fill of size m are bit for bit the draws of a fill of size
@@ -238,9 +238,7 @@ class SuperchaosVector:
         """+-1 (or 0 on a tie) for WS profiles, 1 for deterministic ones."""
         if self.kind == "W":
             return 1.0
-        ia = _grid_index(self.a, path.m, "a")
-        ib = _grid_index(self.b, path.m, "b")
-        return float(np.sign(path.values[ib] - path.values[ia]))
+        return float(_endpoint_sign(path, self.a, self.b))
 
 
 def _grid_index(t: float, m: int, name: str) -> int:
@@ -250,24 +248,40 @@ def _grid_index(t: float, m: int, name: str) -> int:
     return int(j)
 
 
-def _profile_reach(f: SuperchaosVector, wp: np.ndarray) -> int:
-    """How far f reads a walk, given its weight wp on the grid: one past
-    the last index where wp is nonzero (so that every weighted minimum is
+def _endpoint_sign(path: WarrenPath, a: float, b: float):
+    """sgn(B_b - B_a) on the path; an exact tie gives 0."""
+    ia = _grid_index(a, path.m, "a")
+    ib = _grid_index(b, path.m, "b")
+    return np.sign(path.values[ib] - path.values[ia])
+
+
+def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int]:
+    """f's weight w on the 1/m grid and how far f reads a walk: one past
+    the last index where w is nonzero (so that every weighted minimum is
     found), and the probe indices a and b of a WS profile."""
-    m = len(wp) - 1
+    wp = f.weight_profile(m)
     nonzero = np.flatnonzero(wp)
     reach = int(nonzero[-1]) + 1 if len(nonzero) else 0
     if f.kind == "WS":
         reach = max(reach, _grid_index(f.a, m, "a"), _grid_index(f.b, m, "b"))
-    return reach
+    return wp, reach
 
 
-def _check_drawn(path: WarrenPath, reach: int) -> None:
-    """IndexError unless path is drawn far enough to hold every minimum
-    below reach: a shorter prefix would silently drop weighted terms."""
+def _amplitudes(f: SuperchaosVector, wp: np.ndarray, end: int,
+                path: WarrenPath) -> np.ndarray:
+    """g(t_j, path) = wp_j times f's sign factor at the minima j below
+    end, past which wp vanishes, in ascending order (a prefix of
+    path.minima).
+
+    IndexError unless path is drawn far enough to hold every minimum
+    below end: a shorter prefix would silently drop weighted terms.  The
+    terms do not depend on how far past end the walk was drawn, so every
+    sum over them agrees bit for bit on a prefix and on the whole walk."""
     drawn = len(path.values) - 1
-    if drawn < min(reach, path.m):
-        raise IndexError(f"walk drawn to index {drawn}, {reach} needed")
+    if drawn < min(end, path.m):
+        raise IndexError(f"walk drawn to index {drawn}, {end} needed")
+    keep = np.searchsorted(path.minima, end)
+    return wp[path.minima[:keep]] * f.sign_factor(path)
 
 
 def half_interval_profile() -> SuperchaosVector:
@@ -275,20 +289,14 @@ def half_interval_profile() -> SuperchaosVector:
     return SuperchaosVector.deterministic(StepFunction.indicator(0.0, 0.5, 1.0))
 
 
-def _amplitudes(f: SuperchaosVector, path: WarrenPath) -> np.ndarray:
-    """g(t_j, path) at every minimum: the weight times the sign factor."""
-    wp = f.weight_profile(path.m)
-    _check_drawn(path, _profile_reach(f, wp))
-    return wp[path.minima] * f.sign_factor(path)
-
-
 def _signed_amplitudes(f: SuperchaosVector, path: WarrenPath,
                        signs: np.ndarray) -> np.ndarray:
-    """eta_j g(t_j, path) at every minimum, for one sign per minimum."""
-    amp = _amplitudes(f, path)
-    if np.shape(signs) != amp.shape:
+    """eta_j g(t_j, path) at the minima below f's reach, for one sign per
+    minimum of path."""
+    if np.shape(signs) != path.minima.shape:
         raise ValueError("one sign per minimum required")
-    return signs * amp
+    amp = _amplitudes(f, *_weights(f, path.m), path)
+    return signs[:len(amp)] * amp
 
 
 def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> float:
@@ -299,14 +307,14 @@ def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> floa
 
 def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
     """Per-path contribution sum_j |g(t_j, path)|^2 to ||f||^2."""
-    amp = _amplitudes(f, path)
+    amp = _amplitudes(f, *_weights(f, path.m), path)
     return float(np.sum(amp * amp))
 
 
 # --- evaluators: callables path -> psi value per minimum, in order ------
-# Each factory's evaluator declares reach(m), the last grid index it
-# reads of a walk on the 1/m grid; quad_form_C draws no further than
-# that.  An evaluator without the attribute is given the whole walk.
+# An evaluator passed to quad_form_C must declare reach(m), the last grid
+# index it reads of a walk on the 1/m grid; quad_form_C draws no further
+# than that.  Every factory below declares it.
 
 def constant_evaluator(c: float):
     def psi(path: WarrenPath) -> np.ndarray:
@@ -318,10 +326,8 @@ def constant_evaluator(c: float):
 def endpoint_sign_evaluator(a: float, b: float):
     """psi(t, path) = sgn(B_b - B_a) for t < 1/2, else 0."""
     def psi(path: WarrenPath) -> np.ndarray:
-        ia = _grid_index(a, path.m, "a")
-        ib = _grid_index(b, path.m, "b")
-        s = np.sign(path.values[ib] - path.values[ia])
-        return np.where(path.minima < path.m / 2, s, 0.0)
+        return np.where(path.minima < path.m / 2, _endpoint_sign(path, a, b),
+                        0.0)
     psi.reach = lambda m: max(_grid_index(a, m, "a"), _grid_index(b, m, "b"))
     return psi
 
@@ -385,26 +391,12 @@ class McEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _integrand(wp: np.ndarray, end: int, s: float, path: WarrenPath,
-               probe: np.ndarray) -> float:
-    """sum_j wp_j^2 s^2 probe_j over the minima j below end, past which
-    wp vanishes, in one fixed evaluation order shared by
-    per_path_integrand and the quad_form_C engine.  The minima ascend, so
-    those below end are a prefix of the list; the sum does not depend on
-    how far past end the walk was drawn, so the two agree bit for bit on
-    a prefix and on the whole walk."""
-    _check_drawn(path, end)
-    keep = np.searchsorted(path.minima, end)
-    w = wp[path.minima[:keep]]
-    return float(np.sum((w * w) * (s * s) * probe[:keep]))
-
-
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
-    integrated out, exactly, so this is the whole per-path quantity."""
-    wp = f.weight_profile(path.m)
-    return _integrand(wp, _profile_reach(f, wp), f.sign_factor(path), path,
-                      psi(path))
+    integrated out, exactly, so this is the whole per-path quantity.
+    quad_form_C sums the same terms in the same order."""
+    amp = _amplitudes(f, *_weights(f, path.m), path)
+    return float(np.sum(amp * amp * psi(path)[:len(amp)]))
 
 
 def _check_run(samples: int, m: int, threads: int) -> None:
@@ -479,21 +471,21 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
                 m: int = DEFAULT_GRID_M, threads: int = 1) -> McEstimate:
     """Monte Carlo of the quadratic form <C_psi> on the profile vector f.
 
-    psi is an evaluator (path -> array over the path's minima).  With
+    psi is an evaluator (path -> array over the path's minima) that
+    declares psi.reach(m), as every evaluator factory's does.  With
     psi == 1 this estimates ||f||^2, the total mass identity.  Each path
     contributes per_path_integrand(psi, f, path), evaluated against the
     weight profile computed once for the run.  Walks are drawn up to one
     past the last nonzero weight, the probe times of a WS profile and
-    psi.reach(m) when psi declares it; otherwise in full.
+    psi.reach(m).
     """
     _check_run(samples, m, threads)
-    wp = f.weight_profile(m)
-    end = _profile_reach(f, wp)
-    declared = getattr(psi, "reach", None)
-    reach = max(end, m if declared is None else declared(m))
+    wp, end = _weights(f, m)
+    reach = max(end, psi.reach(m))
 
     def per_path(path: WarrenPath) -> float:
-        return _integrand(wp, end, f.sign_factor(path), path, psi(path))
+        amp = _amplitudes(f, wp, end, path)
+        return float(np.sum(amp * amp * psi(path)[:len(amp)]))
 
     vals = run_replicas(seed, samples, m, per_path, 1, threads, reach)
     mean, stderr = _mean_stderr(vals[:, 0])
@@ -540,11 +532,11 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
                for n in n_list]
     steps = [row[0][0] for row in aligned]
     offsets = [offset for _, offset in aligned[0]]
-    wp = f.weight_profile(m)
+    wp, end = _weights(f, m)
     if np.any(wp[m // 2:] != 0.0):
         raise ValueError("profile must be supported in (0, 1/2)")
     half = m // 2
-    reach = max(half + max(offsets), _profile_reach(f, wp))
+    reach = max(half + max(offsets), end)
     wp2 = wp ** 2
     # the probe is constant on a bucket: sum the weights per bucket and
     # evaluate the probe once per bucket, at the bucket's right edge
@@ -582,7 +574,8 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,
                            signs: np.ndarray, psi) -> float:
     """(C_psi f)(path, signs): term k picks up the factor psi(t_k, path)."""
-    return float(np.sum(_signed_amplitudes(f, path, signs) * psi(path)))
+    amp = _signed_amplitudes(f, path, signs)
+    return float(np.sum(amp * psi(path)[:len(amp)]))
 
 
 def apply_matched_sign_probe(f: SuperchaosVector) -> SuperchaosVector:

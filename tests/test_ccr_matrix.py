@@ -18,7 +18,6 @@ from splitnoise.ccr_matrix import (
     require_hermitian,
     sgn_expectation,
     sgn_op,
-    sign_sum_extremes,
     sign_sum_norm,
     symmetric_triple,
     write_norm_study_csv,
@@ -39,8 +38,7 @@ def phi(x):
 def _dense_lemma23(alpha, t, n, scheme):
     """Dense oracle for lemma23_value: three N x N sgn_op calls and the
     eigenvalues of their sum."""
-    L = balanced_grid_halfwidth(n) if scheme == "grid" else None
-    pair = build_pair(scheme, n, t, L)
+    pair = build_pair(scheme, n, t)
     c, s = math.cos(alpha), math.sin(alpha)
     total = (sgn_op(pair.Q)
              + sgn_op(c * pair.Q + s * pair.P)
@@ -117,9 +115,18 @@ def test_grid_vacuum_moment_within_aliasing_threshold():
     assert abs(moment - pair.t) <= 1e-6
 
 
-def test_grid_default_window_warns_when_too_coarse():
+def test_grid_default_window_is_the_balanced_window():
+    n = 64
+    L = balanced_grid_halfwidth(n)
+    for t in (0.25, 0.5, 2.0):
+        pair = build_pair("grid", n, t)
+        assert (pair.x[0], pair.x[-1]) == (-L, L)
+        assert np.array_equal(pair.Q, math.sqrt(2.0 * t) * np.diag(pair.x))
+
+
+def test_grid_too_coarse_window_warns():
     with pytest.warns(GridAliasingWarning):
-        build_pair("grid", 64, 0.5)  # default L = 40, h too large
+        build_pair("grid", 64, 0.5, L=40.0)  # h too large
 
 
 def test_lemma23_grid_aliasing_warning():
@@ -239,13 +246,8 @@ def test_sgn_rejects_non_hermitian():
 
 # --- norms --------------------------------------------------------------
 
-def test_sign_sum_extremes_parity_symmetric():
-    lo, hi = sign_sum_extremes("oscillator", 128)
-    assert lo == pytest.approx(-hi, abs=1e-9)
-
-
 def test_sign_sum_norm_is_projection_normalization():
-    _, hi = sign_sum_extremes("oscillator", 128)
+    hi = lemma23_value(2 * math.pi / 3, 0.5, 128)
     assert sign_sum_norm("oscillator", 128) == pytest.approx((3.0 + hi) / 2.0)
 
 
@@ -293,8 +295,9 @@ def test_lemma23_alpha_pi_collapses_to_one():
 def test_lemma23_at_symmetric_angle_matches_sign_sum():
     n = 128
     raw = lemma23_value(2 * math.pi / 3, 0.5, n)
-    _, hi = sign_sum_extremes("oscillator", n)
-    assert raw == pytest.approx(hi, abs=1e-6)
+    tri = symmetric_triple(n)
+    w = np.linalg.eigvalsh(sgn_op(tri.P) + sgn_op(tri.Q) + sgn_op(tri.R))
+    assert raw == pytest.approx(w[-1], abs=1e-6)
     # projection normalization ties it to the reported constant
     assert (3.0 + raw) / 2.0 == pytest.approx(sign_sum_norm("oscillator", n),
                                               abs=1e-6)
@@ -337,11 +340,11 @@ def test_lemma23_matches_dense_oracle(scheme):
 @pytest.mark.parametrize("scheme", ["oscillator", "grid"])
 def test_odd_n_parity_symmetry_and_degenerate_angle(scheme):
     for n in (63, 65, 129):
-        lo, hi = sign_sum_extremes(scheme, n)
-        assert abs(lo + hi) <= 1e-12
+        # the spectrum edge is exactly -+lemma23_value(2 pi / 3, ...)
+        hi = lemma23_value(2 * math.pi / 3, 0.5, n, scheme)
         tri = symmetric_triple(n, scheme)
         w = np.linalg.eigvalsh(sgn_op(tri.P) + sgn_op(tri.Q) + sgn_op(tri.R))
-        assert abs(w[0] - lo) <= 1e-12 and abs(w[-1] - hi) <= 1e-12
+        assert abs(w[0] + hi) <= 1e-12 and abs(w[-1] - hi) <= 1e-12
         for alpha in (2 * math.pi / 3, 2.9, math.pi):
             assert lemma23_value(alpha, 0.5, n, scheme) == pytest.approx(
                 _dense_lemma23(alpha, 0.5, n, scheme), abs=1e-12)
@@ -359,7 +362,7 @@ def test_kernel_blocks_equal_dense_pair_blocks(n):
     q, _ = position_momentum(n)
     assert np.array_equal(_oscillator_block(n), q[0::2, 1::2])
     # the grid block folds the top k rows of the sinc derivative -i p
-    _, p, x = _natural_pair("grid", n, None, balanced_grid_halfwidth(n))
+    _, p, x = _natural_pair("grid", n, None)
     k = n // 2
     top = -p.imag[:k]
     folded = top[:, :k] + top[:, ::-1][:, :k]
@@ -416,6 +419,15 @@ def test_coherent_position_expectation():
         v = v / np.linalg.norm(v)
         val = float(np.real(v.conj() @ (pair.Q @ v)))
         assert val == pytest.approx(2.0 * t * zeta.real, abs=1e-8)
+
+
+@pytest.mark.parametrize("zeta", [0.3, 0.9 + 0.4j, -1.1j])
+def test_coherent_vector_matches_factorial_formula(zeta):
+    n, t = 24, 0.7
+    beta = zeta * math.sqrt(t)
+    want = np.array([beta ** k / math.sqrt(math.factorial(k))
+                     for k in range(n)])
+    assert coherent_vector(zeta, t, n) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_coherent_tail_mass_guard():

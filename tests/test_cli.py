@@ -1,11 +1,13 @@
 import json
 import os
+import pathlib
+import shlex
 import warnings
 
 import pytest
 
 from splitnoise import ccr_matrix, gaussian_algebra, warren_sim
-from splitnoise.cli import main
+from splitnoise.cli import _build_parser, main
 from splitnoise.ccr_matrix import NORM_STUDY_HEADER
 from splitnoise.warren_sim import LEMMA43_HEADER
 
@@ -89,6 +91,27 @@ def test_lemma43_and_obstruction_pipeline(tmp_path, capsys):
     assert payload["margin"] == pytest.approx(
         3 * payload["m_hat"] - payload["norm_value"])
     assert "margin" in stdout
+    # m_hat comes from the edge-anchored estimate column, not u_mass/mass
+    assert (f"m_hat {payload['m_hat']:.4f} from the edge-anchored estimate "
+            f"column) -> {report}") in stdout
+
+
+def readme_commands():
+    """Each `splitnoise ...` example of the README's "Command line"
+    section, with its backslash continuation lines joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Command line\n", 1)[1].split("\n## ", 1)[0]
+    joined = section.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.strip().startswith("splitnoise ")]
+
+
+def test_readme_command_examples_parse():
+    # parsed only, never run: a renamed or removed flag fails here
+    parser, subparsers = _build_parser()
+    parsed = [parser.parse_args(argv).command for argv in readme_commands()]
+    assert set(parsed) == set(subparsers.choices)
 
 
 def test_lemma43_summary_reports_the_minimum_anchored_ratio(tmp_path, capsys):

@@ -686,21 +686,32 @@ def test_quad_form_on_prefixes_equals_whole_walk_loop(f, psi):
     assert (est.mean, est.stderr) == mean_stderr(loop)
 
 
-def test_undeclared_evaluator_gets_the_whole_walk(monkeypatch):
-    m, seed, samples = 128, 101, 20
-    f = half_interval_profile()
+@pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
+def test_signed_evaluations_on_the_profile_reach_match_the_whole_walk(f):
+    # the W weight ends below index 116 (t = 0.45); the WS probe reads 128
+    m, seed = 256, 107
+    h = 128 if f.kind == "WS" else 116
+    psi = endpoint_sign_evaluator(0.125, 0.375)  # reads up to index 96
+    for r in range(40):
+        full, signs = signed_path(m, seed, r)
+        part = sample_path(m, replica_rng(seed, r), reach=h)
+        part_signs = signs[:len(part.minima)]
+        assert chaos_eval(f, part, part_signs) == chaos_eval(f, full, signs)
+        assert chaos_eval_under_probe(f, part, part_signs, psi) == \
+            chaos_eval_under_probe(f, full, signs, psi)
+        short = sample_path(m, replica_rng(seed, r), reach=h - 1)
+        with pytest.raises(IndexError):
+            chaos_eval(f, short, signs[:len(short.minima)])
 
-    def psi(path):  # reads the walk's last value
-        return np.full(len(path.minima), np.sign(path.values[path.m]))
 
-    with pytest.raises(IndexError):
-        psi(sample_path(m, replica_rng(seed, 0), reach=m - 1))
-    loop = [per_path_integrand(psi, f, sample_path(m, replica_rng(seed, r)))
-            for r in range(samples)]
-    drawn = recorded_reaches(monkeypatch)
-    est = quad_form_C(psi, f, samples, seed, m=m)
-    assert drawn == [m] * samples
-    assert (est.mean, est.stderr) == mean_stderr(loop)
+@pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
+def test_mass_matches_the_exact_mean(f):
+    # increments are iid and symmetric, so each interior index is a strict
+    # minimum with probability exactly 1/4, and |sign factor| = 1 a.s.
+    m, samples = 256, 1000
+    exact = 0.25 * sum(f.w.value_at(j / m).real ** 2 for j in range(1, m))
+    est = quad_form_C(constant_evaluator(1.0), f, samples, 109, m=m)
+    assert abs(est.mean - exact) <= 4 * est.stderr
 
 
 @pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
