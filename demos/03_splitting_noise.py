@@ -28,7 +28,7 @@ path = sample_path(m, rng)
 signs = draw_signs(path, rng)  # one fair sign per minimum, after the walk
 print(f"grid m = {m}, minima found: {len(path.minima)}"
       f" (about one interior point in four)")
-print("first few minima times:", np.round(path.times()[:6], 4))
+print("first few minima times:", np.round(path.minima[:6] / m, 4))
 
 # Unit weight on (0, 1/2): the chaos value is a signed count of minima.
 f = half_interval_profile()

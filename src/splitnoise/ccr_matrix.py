@@ -21,8 +21,8 @@ only the N/2-sized blocks it reads, from the same helpers, and unscaled,
 since positive scalings drop out of sgn.  `_grid_points` is the one
 check of a scheme and its dimensions, and the grid aliasing check reads
 only the grid points and t.  Every grid object uses one window, the
-balanced half width sqrt(pi N / 2) (`build_pair` also takes an explicit
-L): Q_t = sqrt(2 t) x only rescales the natural-unit grid.
+balanced half width sqrt(pi N / 2): Q_t = sqrt(2 t) x only rescales the
+natural-unit grid.
 
 The zero-sum triple Q, P, R places three scaled coordinates at mutual
 120 degrees, Q = alpha q, P = alpha (q cos + p sin), R = -(P + Q) with
@@ -117,13 +117,14 @@ class GridAliasingWarning(UserWarning):
     """Grid too coarse or too narrow: vacuum moment off by more than 1e-6."""
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate the Hermitian-matrix contract, max-norm relative to entries."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate the Hermitian-matrix contract, max-norm relative to entries,
+    within 1e-12."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.conj().T).max() > tol * scale:
+    if scale > 0 and np.abs(a - a.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -190,28 +191,24 @@ def balanced_grid_halfwidth(n: int) -> float:
     return math.sqrt(math.pi * n / 2.0)
 
 
-def _grid_points(scheme: str, n: int, L: float | None) -> np.ndarray | None:
-    """Points x of the grid on [-L, L] (the balanced half width when L is
-    None), or None for the oscillator; the one place where a scheme and
-    its dimensions are checked."""
+def _grid_points(scheme: str, n: int) -> np.ndarray | None:
+    """Points x of the grid on [-L, L], L the balanced half width, or None
+    for the oscillator; the one place where a scheme and its dimensions
+    are checked."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if scheme == "oscillator":
-        if L is not None:
-            raise ValueError("L applies to the grid scheme only")
         return None
     if scheme == "grid":
-        L = balanced_grid_halfwidth(n) if L is None else L
-        if L <= 0.0:
-            raise ValueError("L must be positive")
+        L = balanced_grid_halfwidth(n)
         return np.linspace(-L, L, n)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _natural_pair(scheme: str, n: int, L: float | None):
+def _natural_pair(scheme: str, n: int):
     """Dense natural-unit (q, p, x) of one scheme, x = None for the
     oscillator; the grid q is the real diagonal of the points x."""
-    x = _grid_points(scheme, n, L)
+    x = _grid_points(scheme, n)
     if x is None:
         q, p = position_momentum(n)
         return q, p, None
@@ -232,21 +229,21 @@ def _warn_if_aliased(x: np.ndarray | None, t: float,
     if err > 1e-6 * max(t, 1.0):
         warnings.warn(
             f"grid vacuum moment off by {err:.2e} (N={len(x)}, L={x[-1]:.3g}); "
-            "increase N or adjust L", GridAliasingWarning,
+            "increase N", GridAliasingWarning,
             stacklevel=stacklevel)
 
 
-def build_pair(scheme: str, n: int, t: float, L: float | None = None) -> CcrTriple:
+def build_pair(scheme: str, n: int, t: float) -> CcrTriple:
     """Canonical pair at time scale t, [P, Q] = -2 t i up to the defect.
 
     Q = sqrt(2 t) q and P = sqrt(2 t) p in either discretization; the
-    grid half width L defaults to the balanced sqrt(pi n / 2) natural
-    units, the one window of every grid object, and the vacuum-moment
-    aliasing check warns above 1e-6.
+    grid has the balanced half width sqrt(pi n / 2) in natural units, the
+    one window of every grid object, and the vacuum-moment aliasing check
+    warns above 1e-6.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    q, p, x = _natural_pair(scheme, n, L)
+    q, p, x = _natural_pair(scheme, n)
     s = math.sqrt(2.0 * t)
     _warn_if_aliased(x, t)
     Q, P = s * q, s * p
@@ -259,7 +256,7 @@ def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
     alpha^2 = 2/sqrt(3) makes alpha^2 sin(2 pi / 3) = 1.  R is built as
     -(P + Q), so P + Q + R = 0 holds exactly in floating point.
     """
-    q, p, x = _natural_pair(scheme, n, None)
+    q, p, x = _natural_pair(scheme, n)
     alpha = math.sqrt(2.0 / math.sqrt(3.0))
     c, s = math.cos(TWO_THIRDS_PI), math.sin(TWO_THIRDS_PI)
     Q = alpha * q
@@ -331,7 +328,7 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
             raise ValueError("alpha must lie in (pi/2, pi]")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    x = _grid_points(scheme, n, None)
+    x = _grid_points(scheme, n)
     _warn_if_aliased(x, t, stacklevel=4)
     k = n // 2
     if x is None:
@@ -452,7 +449,7 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     if not schemes or not n_list or not alphas:
         raise ValueError("schemes, n_list and alpha_list must be nonempty")
     for scheme in schemes:  # each name and the smallest N, before any kernel
-        _grid_points(scheme, n_list[0], None)
+        _grid_points(scheme, n_list[0])
     rows: list[StudyRow] = []
     for scheme in schemes:
         per_n = []  # (values per angle, seconds per angle) for each N

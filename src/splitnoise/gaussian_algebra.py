@@ -107,8 +107,8 @@ class StepFunction:
         return cls((0.0, float(horizon)), (complex(value),))
 
     @classmethod
-    def indicator(cls, a, b, horizon, value=1.0) -> "StepFunction":
-        """value on (a, b), zero elsewhere on [0, horizon]."""
+    def indicator(cls, a, b, horizon) -> "StepFunction":
+        """1 on (a, b), zero elsewhere on [0, horizon]."""
         a, b, horizon = float(a), float(b), float(horizon)
         if not 0.0 <= a < b <= horizon:
             raise ValueError("need 0 <= a < b <= horizon")
@@ -118,7 +118,7 @@ class StepFunction:
             breaks.append(a)
             values.append(0.0 + 0.0j)
         breaks.append(b)
-        values.append(complex(value))
+        values.append(1.0 + 0.0j)
         if b < horizon:
             breaks.append(horizon)
             values.append(0.0 + 0.0j)
@@ -130,10 +130,6 @@ class StepFunction:
             raise ValueError("t outside horizon")
         j = bisect.bisect_right(self.breaks, t) - 1
         return complex(self.values[min(j, len(self.values) - 1)])
-
-    def integral(self) -> complex:
-        return sum(v * (b - a)
-                   for v, a, b in zip(self.values, self.breaks, self.breaks[1:]))
 
 
 def _common(*parts):
@@ -213,16 +209,11 @@ class ExpSpan:
         kept = np.unique(into)
         return ExpSpan(coef[kept], self.breaks, v[kept])
 
-    def _gram_form(self) -> tuple[float, np.ndarray]:
-        """(||v||^2, G): c^T G conj(c) over the Gram matrix G of the terms."""
-        g = np.exp(_inner(self.values, self.values, self.breaks))
-        return max(float((self.coef @ g @ self.coef.conj()).real), 0.0), g
-
-    def norm_squared(self) -> float:
-        return self._gram_form()[0]
-
     def norm(self) -> float:
-        value, g = self._gram_form()
+        """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
+        when G's condition number exceeds GRAM_CONDITION_LIMIT."""
+        g = np.exp(_inner(self.values, self.values, self.breaks))
+        value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
         if len(g) >= 2:
             cond = np.linalg.cond(g)
             if cond > GRAM_CONDITION_LIMIT:

@@ -23,7 +23,7 @@ makes every estimate reproducible independently of scheduling.
 
 Both Monte Carlo drivers, quad_form_C and lemma43_table, are per-path
 closures over one replica engine, run_replicas(seed, samples, m,
-per_path, width, threads, reach), which draws replica r with
+per_path, width, reach, threads), which draws replica r with
 sample_path.  The engine splits range(samples) into contiguous chunks
 of REPLICA_CHUNK replicas and runs them on at most `threads` workers of
 a thread pool (inline when one worker suffices); row r of its
@@ -165,9 +165,6 @@ class WarrenPath:
         if self.values[0] != 0.0:
             raise ValueError("path must start at 0")
         object.__setattr__(self, "minima", local_minima(self.values))
-
-    def times(self) -> np.ndarray:
-        return self.minima / self.m
 
 
 def sample_path(m: int, rng: np.random.Generator,
@@ -384,12 +381,6 @@ class McEstimate:
     samples: int
     seed: int
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
-
 
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
@@ -410,12 +401,12 @@ def _check_run(samples: int, m: int, threads: int) -> None:
 
 
 def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
-                 threads: int = 1, reach: int | None = None) -> np.ndarray:
+                 reach: int, threads: int = 1) -> np.ndarray:
     """(samples, width) array whose row r is per_path(path of replica r).
 
     Replica r is sample_path(m, replica_rng(seed, r), h), whatever worker
-    draws it: the walk up to h = reach clamped to [2, m], or the whole
-    walk when reach is None.  No signs are drawn.
+    draws it: the walk up to h = reach clamped to [2, m] (a zero weight
+    profile gives reach 0).  No signs are drawn.
     reach must be the last grid index per_path reads; reading past it
     raises IndexError.  Contiguous chunks of REPLICA_CHUNK replicas run on
     min(threads, chunks) pool workers, or inline when that is one; each
@@ -427,7 +418,7 @@ def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
     _check_run(samples, m, threads)
     out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
-    h = m if reach is None else min(m, max(2, int(reach)))
+    h = min(m, max(2, int(reach)))
 
     def run_chunk(lo: int) -> None:
         replicas = range(lo, min(lo + chunk, samples))
@@ -487,7 +478,7 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
         amp = _amplitudes(f, wp, end, path)
         return float(np.sum(amp * amp * psi(path)[:len(amp)]))
 
-    vals = run_replicas(seed, samples, m, per_path, 1, threads, reach)
+    vals = run_replicas(seed, samples, m, per_path, 1, reach, threads)
     mean, stderr = _mean_stderr(vals[:, 0])
     return McEstimate(mean, stderr, samples, int(seed))
 
@@ -537,17 +528,16 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
         raise ValueError("profile must be supported in (0, 1/2)")
     half = m // 2
     reach = max(half + max(offsets), end)
-    wp2 = wp ** 2
     # the probe is constant on a bucket: sum the weights per bucket and
     # evaluate the probe once per bucket, at the bucket's right edge
     edges = [np.arange(step, half + 1, step) for step in steps]
 
     # columns: mass, then u_mass per delta, then the estimate per (n, delta)
     def per_path(path: WarrenPath) -> list:
-        jj = path.minima[:np.searchsorted(path.minima, half)]
+        amp = _amplitudes(f, wp, half, path)
+        w2 = amp * amp
+        jj = path.minima[:len(amp)]
         B = path.values
-        s = f.sign_factor(path)
-        w2 = wp2[jj] * (s * s)
         at_min = B[jj]
         row = [w2.sum()]
         row += [w2 @ (B[jj + off] > at_min) for off in offsets]
@@ -558,7 +548,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 
     k = len(delta_list)
     acc = run_replicas(seed, samples, m, per_path,
-                       1 + k + len(n_list) * k, threads, reach)
+                       1 + k + len(n_list) * k, reach, threads)
     mass, mass_se = _mean_stderr(acc[:, 0])
     u = [_mean_stderr(acc[:, 1 + i]) for i in range(k)]
     ratio_se = [_ratio_stderr(acc[:, 1 + i], acc[:, 0]) for i in range(k)]

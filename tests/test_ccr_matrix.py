@@ -90,7 +90,7 @@ def test_commutator_defect_rank_one_oscillator():
 
 def test_grid_commutator_defect_rank_one_at_alternating_vector():
     n = 32
-    pair = build_pair("grid", n, 0.5, L=balanced_grid_halfwidth(n))
+    pair = build_pair("grid", n, 0.5)
     D = pair.P @ pair.Q - pair.Q @ pair.P + 2j * pair.t * np.eye(n)
     u = (-1.0) ** np.arange(n)
     # [p, q] = -i (I - u u^T) on the grid, so D = 2 t i u u^T exactly
@@ -101,7 +101,7 @@ def test_grid_commutator_defect_rank_one_at_alternating_vector():
 
 
 def test_grid_q_diagonal_and_sign_diagonal():
-    pair = build_pair("grid", 64, 0.5, L=10.0)
+    pair = build_pair("grid", 64, 0.5)
     assert np.abs(pair.Q - np.diag(np.diag(pair.Q))).max() == 0.0
     s = sgn_op(pair.Q)
     assert np.abs(s - np.diag(np.diag(s))).max() <= 1e-12
@@ -125,8 +125,10 @@ def test_grid_default_window_is_the_balanced_window():
 
 
 def test_grid_too_coarse_window_warns():
-    with pytest.warns(GridAliasingWarning):
-        build_pair("grid", 64, 0.5, L=40.0)  # h too large
+    # the one window is too coarse at N = 8; the warning names the caller
+    with pytest.warns(GridAliasingWarning) as record:
+        build_pair("grid", 8, 0.5)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_lemma23_grid_aliasing_warning():
@@ -147,8 +149,6 @@ def test_build_pair_validation():
         build_pair("oscillator", 1, 1.0)
     with pytest.raises(ValueError):
         build_pair("oscillator", 8, -1.0)
-    with pytest.raises(ValueError):
-        build_pair("grid", 8, 1.0, L=-3.0)
     with pytest.raises(ValueError):
         build_pair("hexagonal", 8, 1.0)
 
@@ -362,7 +362,7 @@ def test_kernel_blocks_equal_dense_pair_blocks(n):
     q, _ = position_momentum(n)
     assert np.array_equal(_oscillator_block(n), q[0::2, 1::2])
     # the grid block folds the top k rows of the sinc derivative -i p
-    _, p, x = _natural_pair("grid", n, None)
+    _, p, x = _natural_pair("grid", n)
     k = n // 2
     top = -p.imag[:k]
     folded = top[:, :k] + top[:, ::-1][:, :k]

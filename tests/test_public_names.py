@@ -48,3 +48,20 @@ def test_demo_runs_to_completion(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # demos write their artifacts to the cwd
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+SOURCES = sorted(p for p in (ROOT / "src" / "splitnoise").glob("*.py")
+                 if p.name != "__init__.py")  # __init__.py only re-exports
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.stem)
+def test_no_module_has_an_unused_import(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

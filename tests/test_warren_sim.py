@@ -390,6 +390,19 @@ def test_lemma43_rows_shared_mass_and_exact_u_mass_at_one_step():
         assert r.u_mass == r.mass and r.u_mass_stderr == r.mass_stderr
 
 
+@pytest.mark.parametrize("m,samples,seed,threads",
+                         [(256, 37, 5, 1), (1024, 200, 83, 2)])
+def test_warren_mass_and_the_table_mass_are_one_estimate(m, samples, seed,
+                                                          threads):
+    # both drivers weigh the minima below m/2 through the same amplitudes
+    # and draw replica r from the same stream, so they agree bit for bit
+    f = half_interval_profile()
+    est = quad_form_C(constant_evaluator(1.0), f, samples, seed, m=m,
+                      threads=threads)
+    row = lemma43_table(f, [2], [4 / m], m, samples, seed, threads=threads)[0]
+    assert (est.mean, est.stderr) == (row.mass, row.mass_stderr)
+
+
 def test_lemma43_u_mass_four_steps_matches_arctan_constant():
     # P(B_{j+4} > B_j | strict minimum at j) = E Phi(|Z|/sqrt(3)) = 2/3
     f = half_interval_profile()
@@ -458,7 +471,7 @@ def test_drivers_check_m_before_any_work(monkeypatch, m):
         warnings.simplefilter("error")  # m = 0 divided by zero in the profile
         for run in (lambda: quad_form_C(one, f, 2, 1, m=m),
                     lambda: lemma43_table(f, [2], [0.25], m, 2, 1),
-                    lambda: run_replicas(1, 2, m, lambda path: 0.0, 1)):
+                    lambda: run_replicas(1, 2, m, lambda path: 0.0, 1, reach=m)):
             with pytest.raises(ValueError, match="m must be at least 4"):
                 run()
     with pytest.raises(ValueError, match="m must be at least 4"):
@@ -747,7 +760,7 @@ def test_rekeyed_streams_reject_bad_seeds():
         with pytest.raises(ValueError):
             next(warren_sim._replica_streams(seed, range(3)))
         with pytest.raises(ValueError):
-            run_replicas(seed, 3, 64, zero, 1)
+            run_replicas(seed, 3, 64, zero, 1, reach=64)
 
 
 def test_engine_draws_no_signs(monkeypatch):
@@ -768,7 +781,7 @@ def test_engine_draws_no_signs(monkeypatch):
     def per_path(path):
         return [path.values[-1], len(path.minima)]
 
-    rows = run_replicas(5, 20, 64, per_path, 2, threads=2)
+    rows = run_replicas(5, 20, 64, per_path, 2, reach=64, threads=2)
     assert "normal" in used and "integers" not in used
     expected = [[p.values[-1], len(p.minima)]
                 for p in (sample_path(64, rng_of(5, r)) for r in range(20))]
@@ -810,7 +823,7 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = run_replicas(5, 24, 64, per_path, 2, threads=3)
+        rows = run_replicas(5, 24, 64, per_path, 2, reach=64, threads=3)
     finally:
         sys.setswitchinterval(interval)
     assert rows.shape == (24, 2)
@@ -820,16 +833,16 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
 def test_run_replicas_validation_and_worker_errors(monkeypatch):
     zero = lambda path: 0.0  # noqa: E731
     with pytest.raises(ValueError):
-        run_replicas(0, 0, 64, zero, 1)
+        run_replicas(0, 0, 64, zero, 1, reach=64)
     with pytest.raises(ValueError):
-        run_replicas(0, 4, 64, zero, 1, threads=0)
+        run_replicas(0, 4, 64, zero, 1, reach=64, threads=0)
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 2)
 
     def failing(path):
         raise RuntimeError("per-path failure")
 
     with pytest.raises(RuntimeError, match="per-path failure"):
-        run_replicas(0, 4, 64, failing, 1, threads=2)
+        run_replicas(0, 4, 64, failing, 1, reach=64, threads=2)
 
 
 # --- superchaos orthogonality -------------------------------------------
