@@ -14,7 +14,6 @@ from splitnoise.warren_sim import (
     SuperchaosVector,
     apply_matched_sign_probe,
     chaos_eval_under_probe,
-    chaos_norm_contribution,
     constant_evaluator,
     endpoint_sign_evaluator,
     half_interval_profile,
@@ -33,13 +32,11 @@ print("first few minima times:", np.round(path.minima[:6] / m, 4))
 # Unit weight on (0, 1/2): the chaos value is a signed count of minima.
 f = half_interval_profile()
 print("chaos_eval(f)        =", chaos_eval(f, path, signs))
-print("norm contribution    =", chaos_norm_contribution(f, path),
-      "= number of minima below 1/2")
-
-# Mass identity: with psi == 1 the per-path integrand IS the norm
+# Mass identity: with psi == 1 the per-path integrand is the norm
 # contribution, with no sign dependence at all.
 one = constant_evaluator(1.0)
-print("integrand(psi=1)     =", per_path_integrand(one, f, path))
+print("integrand(psi=1)     =", per_path_integrand(one, f, path),
+      "= number of minima below 1/2")
 
 est = quad_form_C(one, f, samples=400, seed=11, m=m)
 print(f"MC mass              = {est.mean:.2f} +- {est.stderr:.2f}"

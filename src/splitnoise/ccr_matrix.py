@@ -90,6 +90,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_algebra import _positive_horizon
+
 __all__ = [
     "CcrTriple",
     "GridAliasingWarning",
@@ -241,13 +243,12 @@ def build_pair(scheme: str, n: int, t: float) -> CcrTriple:
     one window of every grid object, and the vacuum-moment aliasing check
     warns above 1e-6.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    t = _positive_horizon(t)
     q, p, x = _natural_pair(scheme, n)
     s = math.sqrt(2.0 * t)
     _warn_if_aliased(x, t)
     Q, P = s * q, s * p
-    return CcrTriple(scheme, n, float(t), Q, P, -(P + Q), x=x)
+    return CcrTriple(scheme, n, t, Q, P, -(P + Q), x=x)
 
 
 def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
@@ -326,8 +327,7 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     for alpha in alphas:
         if not (math.pi / 2.0 < alpha <= math.pi):
             raise ValueError("alpha must lie in (pi/2, pi]")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    t = _positive_horizon(t)
     x = _grid_points(scheme, n)
     _warn_if_aliased(x, t, stacklevel=4)
     k = n // 2
@@ -386,8 +386,7 @@ def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
     exponential-vector inner product.  Requires the truncated tail mass
     exp(-|beta|^2) sum_{k>=n} |beta|^{2k}/k! to be at most 1e-10.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    t = _positive_horizon(t)
     beta = complex(zeta) * math.sqrt(t)
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0

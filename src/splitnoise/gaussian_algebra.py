@@ -10,10 +10,14 @@ inner product puts the conjugation on the second slot:
 (linear in f, conjugate-linear in g).  That single convention is fixed
 here and used everywhere else in the package.
 
-A span is held as arrays: coefficients c (k,), one partition
-0 = s_0 < ... < s_m = T of every term, and the values V (k, m) of the f_i
-on its intervals.  The Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one
-matrix product; spans on two partitions are first read on their merge.
+A step function is two arrays: a partition 0 = s_0 < ... < s_m = T and
+its m values.  A span is held the same way: coefficients c (k,), one
+partition of every term, and the values V (k, m) of the f_i on its
+intervals.  Both are read by one rule, _read: at time t, the value on
+the interval [s_j, s_j+1) holding t, and the last interval's at T.  The
+Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one matrix product; step
+functions and spans on different partitions are first read on their
+merge.
 
 The one-parameter automorphism family acts on these spans by
 
@@ -27,8 +31,8 @@ splitting of the horizon); the tests check the closed form against it.
 
 from __future__ import annotations
 
-import bisect
 import cmath
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,36 +79,50 @@ class GramConditionWarning(UserWarning):
     """Norm computed through a Gram matrix with condition number > 1e12."""
 
 
-@dataclass(frozen=True)
+def _read(breaks: np.ndarray, values: np.ndarray, t):
+    """values (..., m) on the intervals of breaks, read at the times t in
+    [0, T]: the value on [breaks[j], breaks[j+1]) holding t, the last
+    interval's at T."""
+    j = np.searchsorted(breaks, t, side="right") - 1
+    return values[..., np.minimum(j, values.shape[-1] - 1)]
+
+
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant complex function on [0, T].
 
-    breaks: strictly increasing, breaks[0] == 0, breaks[-1] == T.
-    values: value on the open interval (breaks[j], breaks[j+1]).
+    breaks: float64 (m + 1,), strictly increasing, breaks[0] == 0 and
+    breaks[-1] == T.  values: complex128 (m,), values[j] on the interval
+    [breaks[j], breaks[j+1]).  Both arrays are read-only copies of the
+    arguments.
     """
 
-    breaks: tuple[float, ...]
-    values: tuple[complex, ...]
+    breaks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.breaks) < 2 or len(self.values) != len(self.breaks) - 1:
+        breaks = np.array(self.breaks, dtype=float)
+        values = np.array(self.values, dtype=complex)
+        if (breaks.ndim != 1 or len(breaks) < 2
+                or values.shape != (len(breaks) - 1,)):
             raise ValueError("need m >= 1 intervals and m + 1 breakpoints")
-        if self.breaks[0] != 0.0:
+        if breaks[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must be strictly increasing")
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
-                   for v in map(complex, self.values)):
+        if not (breaks[1:] > breaks[:-1]).all():
+            raise ValueError("breakpoints must be strictly increasing")
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
+        for name, array in (("breaks", breaks), ("values", values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def horizon(self) -> float:
-        return self.breaks[-1]
+        return float(self.breaks[-1])
 
     @classmethod
     def constant(cls, value, horizon) -> "StepFunction":
-        return cls((0.0, float(horizon)), (complex(value),))
+        return cls([0.0, horizon], [value])
 
     @classmethod
     def indicator(cls, a, b, horizon) -> "StepFunction":
@@ -112,39 +130,27 @@ class StepFunction:
         a, b, horizon = float(a), float(b), float(horizon)
         if not 0.0 <= a < b <= horizon:
             raise ValueError("need 0 <= a < b <= horizon")
-        breaks = [0.0]
-        values = []
-        if a > 0.0:
-            breaks.append(a)
-            values.append(0.0 + 0.0j)
-        breaks.append(b)
-        values.append(1.0 + 0.0j)
-        if b < horizon:
-            breaks.append(horizon)
-            values.append(0.0 + 0.0j)
-        return cls(tuple(breaks), tuple(values))
+        breaks = np.array(sorted({0.0, a, b, horizon}))
+        return cls(breaks, (breaks[:-1] >= a) & (breaks[1:] <= b))
 
-    def value_at(self, t: float) -> complex:
-        """Value on the interval [breaks[j], breaks[j+1]) containing t."""
-        if not 0.0 <= t <= self.horizon:
+    def value_at(self, t):
+        """The value at t (one time, or an array of times) by _read;
+        ValueError for a time outside [0, T]."""
+        times = np.asarray(t, dtype=float)
+        if not np.all((0.0 <= times) & (times <= self.horizon)):
             raise ValueError("t outside horizon")
-        j = bisect.bisect_right(self.breaks, t) - 1
-        return complex(self.values[min(j, len(self.values) - 1)])
+        out = _read(self.breaks, self.values, times)
+        return out if times.ndim else complex(out)
 
 
-def _common(*parts):
-    """Merged cuts of (breaks, values) pairs on one horizon, and each values
-    array read at the merged midpoints as StepFunction.value_at reads it."""
-    if len({float(breaks[-1]) for breaks, _ in parts}) > 1:
+def _common(*fns):
+    """Merged cuts of step functions or spans on one horizon, and the
+    values of each read by _read at the merged midpoints."""
+    if len({f.horizon for f in fns}) > 1:
         raise ValueError("horizon mismatch")
-    cuts = np.unique(np.concatenate([breaks for breaks, _ in parts]))
+    cuts = np.unique(np.concatenate([f.breaks for f in fns]))
     mids = (cuts[:-1] + cuts[1:]) / 2.0
-    read = []
-    for breaks, values in parts:
-        values = np.asarray(values, dtype=complex)
-        j = np.searchsorted(breaks, mids, side="right") - 1
-        read.append(values[..., np.minimum(j, values.shape[-1] - 1)])
-    return cuts, read
+    return cuts, [_read(f.breaks, f.values, mids) for f in fns]
 
 
 def _inner(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
@@ -154,14 +160,14 @@ def _inner(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
 
 def step_inner(f: StepFunction, g: StepFunction) -> complex:
     """integral_0^T f(s) conj(g(s)) ds over the merged partition."""
-    cuts, (a, b) = _common((f.breaks, f.values), (g.breaks, g.values))
+    cuts, (a, b) = _common(f, g)
     return complex(_inner(a, b, cuts))
 
 
 def step_product(f: StepFunction, g: StepFunction) -> StepFunction:
     """Pointwise product on the merged partition (no conjugation)."""
-    cuts, (a, b) = _common((f.breaks, f.values), (g.breaks, g.values))
-    return StepFunction(tuple(cuts.tolist()), tuple((a * b).tolist()))
+    cuts, (a, b) = _common(f, g)
+    return StepFunction(cuts, a * b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +188,7 @@ class ExpSpan:
         return float(self.breaks[-1])
 
     def __add__(self, other: "ExpSpan") -> "ExpSpan":
-        cuts, (a, b) = _common((self.breaks, self.values),
-                              (other.breaks, other.values))
+        cuts, (a, b) = _common(self, other)
         return ExpSpan(np.concatenate([self.coef, other.coef]), cuts,
                        np.concatenate([a, b]))
 
@@ -232,8 +237,7 @@ def _positive_horizon(t) -> float:
 
 def exponential(f: StepFunction) -> ExpSpan:
     """The single exponential vector Exp(f)."""
-    return ExpSpan(np.ones(1, dtype=complex), np.array(f.breaks),
-                   np.array([f.values], dtype=complex))
+    return ExpSpan(np.ones(1, dtype=complex), f.breaks, f.values[None])
 
 
 def unit(a, zeta, t) -> ExpSpan:
@@ -245,13 +249,13 @@ def unit(a, zeta, t) -> ExpSpan:
 
 def span_inner(v: ExpSpan, w: ExpSpan) -> complex:
     """sum_ij c_i conj(d_j) exp(<f_i, g_j>)."""
-    cuts, (a, b) = _common((v.breaks, v.values), (w.breaks, w.values))
+    cuts, (a, b) = _common(v, w)
     return complex(v.coef @ np.exp(_inner(a, b, cuts)) @ w.coef.conj())
 
 
 def gram_matrix(fns) -> np.ndarray:
     """[exp(<f_i, f_j>)] for a family of step functions on one horizon."""
-    cuts, values = _common(*((f.breaks, f.values) for f in fns))
+    cuts, values = _common(*fns)
     v = np.array(values)
     return np.exp(_inner(v, v, cuts))
 
@@ -323,10 +327,9 @@ def random_step_function(rng: np.random.Generator, horizon: float) -> StepFuncti
     """Seeded random step function, used by the relation checks."""
     m = int(rng.integers(1, RANDOM_MAX_PIECES + 1))
     cuts = np.sort(rng.uniform(0.0, horizon, size=m - 1))
-    breaks = (0.0, *map(float, cuts), horizon)
     vals = RANDOM_AMPLITUDE * (rng.standard_normal(m)
                                + 1j * rng.standard_normal(m)) / 2.0
-    return StepFunction(tuple(breaks), tuple(map(complex, vals)))
+    return StepFunction(np.concatenate([[0.0], cuts, [horizon]]), vals)
 
 
 def random_unit_span(rng: np.random.Generator, t: float,
@@ -364,6 +367,20 @@ class RelationReport:
         return max(self.residuals.values())
 
 
+@contextlib.contextmanager
+def _naming_warnings(relation: str, trial: int):
+    """Re-emit each warning raised in the block, such as a
+    GramConditionWarning, with the relation and the trial index in front
+    of its message, attributed to relation_suite's caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        # frames: this generator, contextlib's __exit__, relation_suite
+        warnings.warn(f"{relation}, trial {trial}: {w.message}", w.category,
+                      stacklevel=4)
+
+
 def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationReport:
     """Check the composition relations of rotations and shifts numerically.
 
@@ -384,7 +401,8 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
     for trial in range(trials):
         # alternate between pure unit spans and general step exponentials
         v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
-        nv = v.norm()
+        with _naming_warnings("span norm", trial):
+            nv = v.norm()
         if nv < 1e-6:
             continue
         phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -401,14 +419,19 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
             "shift_additivity": ([shift(1j * mu), shift(1j * lam)],
                                  [shift(1j * (lam + mu))]),
         }
-        found = {name: (_compose_apply(a, v) - _compose_apply(b, v))
-                 .dedup().norm() / nv for name, (a, b) in relations.items()}
+        found = {}
+        for name, (a, b) in relations.items():
+            with _naming_warnings(name, trial):
+                found[name] = (_compose_apply(a, v) - _compose_apply(b, v)
+                               ).dedup().norm() / nv
         w = random_span(rng, t)
         p = AutomorphismParams(rng.uniform(-2.0, 2.0), xi, U)
-        lhs = span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
-        found["gram_preservation"] = (abs(lhs - span_inner(v, w))
-                                      / (nv * w.norm() + 1e-300))
-        found["weyl_phase"] = ccr_phase_residual(lam, mu, v)
+        with _naming_warnings("gram_preservation", trial):
+            lhs = span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
+            found["gram_preservation"] = (abs(lhs - span_inner(v, w))
+                                          / (nv * w.norm() + 1e-300))
+        with _naming_warnings("weyl_phase", trial):
+            found["weyl_phase"] = ccr_phase_residual(lam, mu, v)
         for name, value in found.items():
             worst[name] = max(worst[name], value)
 

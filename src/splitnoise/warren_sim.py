@@ -64,7 +64,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .gaussian_algebra import StepFunction, step_product
+from .gaussian_algebra import StepFunction, _positive_horizon, step_product
 
 __all__ = [
     "WarrenPath",
@@ -83,7 +83,6 @@ __all__ = [
     "draw_signs",
     "half_interval_profile",
     "chaos_eval",
-    "chaos_norm_contribution",
     "per_path_integrand",
     "run_replicas",
     "constant_evaluator",
@@ -208,7 +207,7 @@ class SuperchaosVector:
             raise ValueError("kind must be 'W' or 'WS'")
         if self.w.horizon != 1.0:
             raise ValueError("profile lives on [0, 1]")
-        if any(complex(v).imag != 0.0 for v in self.w.values):
+        if np.any(self.w.values.imag != 0.0):
             raise ValueError("profile weight must be real")
         if self.kind == "WS":
             if self.a is None or self.b is None or not 0.0 <= self.a < self.b <= 1.0:
@@ -224,12 +223,7 @@ class SuperchaosVector:
 
     def weight_profile(self, m: int) -> np.ndarray:
         """w at every grid time j/m (sign factor excluded)."""
-        breaks = np.asarray(self.w.breaks)
-        vals = np.asarray([complex(v).real for v in self.w.values])
-        t = np.arange(m + 1) / m
-        idx = np.clip(np.searchsorted(breaks, t, side="right") - 1,
-                      0, len(vals) - 1)
-        return vals[idx]
+        return self.w.value_at(np.arange(m + 1) / m).real
 
     def sign_factor(self, path: WarrenPath) -> float:
         """+-1 (or 0 on a tie) for WS profiles, 1 for deterministic ones."""
@@ -245,11 +239,16 @@ def _grid_index(t: float, m: int, name: str) -> int:
     return int(j)
 
 
+def _increment_sign(values: np.ndarray, j, d: int):
+    """sgn(B[j + d] - B[j]) at a grid index j (or an index array); an
+    exact tie gives 0."""
+    return np.sign(values[j + d] - values[j])
+
+
 def _endpoint_sign(path: WarrenPath, a: float, b: float):
-    """sgn(B_b - B_a) on the path; an exact tie gives 0."""
+    """sgn(B_b - B_a) on the path, by _increment_sign."""
     ia = _grid_index(a, path.m, "a")
-    ib = _grid_index(b, path.m, "b")
-    return np.sign(path.values[ib] - path.values[ia])
+    return _increment_sign(path.values, ia, _grid_index(b, path.m, "b") - ia)
 
 
 def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int]:
@@ -302,12 +301,6 @@ def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> floa
     return float(np.sum(_signed_amplitudes(f, path, signs)))
 
 
-def chaos_norm_contribution(f: SuperchaosVector, path: WarrenPath) -> float:
-    """Per-path contribution sum_j |g(t_j, path)|^2 to ||f||^2."""
-    amp = _amplitudes(f, *_weights(f, path.m), path)
-    return float(np.sum(amp * amp))
-
-
 # --- evaluators: callables path -> psi value per minimum, in order ------
 # An evaluator passed to quad_form_C must declare reach(m), the last grid
 # index it reads of a walk on the 1/m grid; quad_form_C draws no further
@@ -353,21 +346,17 @@ class PsiSpec:
         return m // (2 * self.n), d
 
 
-def _bucket_probe(values: np.ndarray, edge, offset: int):
-    """sgn(B[edge + offset] - B[edge]) at a bucket's right edge (an index
-    or an index array); exact ties give 0.  The bucket of width step
-    holding grid index j has its right edge at (j // step + 1) * step."""
-    return np.sign(values[edge + offset] - values[edge])
-
-
 def bucket_probe_evaluator(spec: PsiSpec):
+    """psi(t_j, path) = the increment sign over [edge, edge + delta] at the
+    right edge (j // step + 1) * step of the bucket of width step holding
+    the minimum j < m/2, else 0."""
     def psi(path: WarrenPath) -> np.ndarray:
         step, d = spec.alignment(path.m)
         jj = path.minima
         out = np.zeros(len(jj))
         mask = jj < path.m // 2
         edge = (jj[mask] // step + 1) * step
-        out[mask] = _bucket_probe(path.values, edge, d)
+        out[mask] = _increment_sign(path.values, edge, d)
         return out
     # the last bucket's right edge is m // 2, probed d steps further on
     psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
@@ -543,7 +532,8 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
         row += [w2 @ (B[jj + off] > at_min) for off in offsets]
         for step, edge in zip(steps, edges):
             bucket_w2 = np.bincount(jj // step, w2, len(edge))
-            row += [bucket_w2 @ _bucket_probe(B, edge, off) for off in offsets]
+            row += [bucket_w2 @ _increment_sign(B, edge, off)
+                    for off in offsets]
         return row
 
     k = len(delta_list)
@@ -588,8 +578,7 @@ def mc_coherent_sign_probe(zeta: float, t: float, samples: int,
     directly and reweighted by exp(2 Re(zeta) B_t); the ratio estimator
     targets 2 Phi(2 Re(zeta) sqrt(t)) - 1.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    t = _positive_horizon(t)
     if samples < 2:
         raise ValueError("need at least two samples")
     g = replica_rng(seed, 0)
@@ -644,8 +633,8 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
         raise ValueError("need at least one refinement row")
     best = min(rows, key=lambda r: (r.delta, -r.n))
     denom = float(f_mass) if f_mass is not None else best.mass
-    if denom <= 0.0:
-        raise ValueError("mass must be positive")
+    if not 0.0 < denom < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {denom!r}")
     m_hat = best.estimate / denom
     return ObstructionReport(
         norm_value=float(norm_value), scheme=scheme, N=int(n_dim),

@@ -153,6 +153,20 @@ def test_build_pair_validation():
         build_pair("hexagonal", 8, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_time_scale_must_be_positive_and_finite(t, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before t was checked")
+    monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    calls = [lambda: build_pair("oscillator", 8, t),
+             lambda: lemma23_value(2 * math.pi / 3, t, 8),
+             lambda: convergence_study("grid", [8], t=t),
+             lambda: coherent_vector(0.5, t, 8)]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            call()
+
+
 # --- symmetric triple ---------------------------------------------------
 
 def test_triple_sums_to_zero_exactly():

@@ -284,6 +284,11 @@ BAD_INPUTS = {
     "norm-dims-1": ["norm-study", "--dims", "1,2"],
     "norm-alpha": ["norm-study", "--dims", "16", "--alpha", "0.3"],
     "norm-t-0": ["norm-study", "--dims", "16", "--t", "0"],
+    "norm-t-nan": ["norm-study", "--dims", "16", "--t", "nan"],
+    "norm-t-inf": ["norm-study", "--dims", "16", "--t", "inf"],
+    "obstruction-f-mass-nan": ["obstruction", "--norm-from", "{norm}",
+                               "--lemma43-from", "{table}",
+                               "--f-mass", "nan"],
     "samples-0": ["warren-mass", "--m", "64", "--samples", "0"],
     "n-list-3": ["lemma43", "--m", "256", "--n-list", "3",
                  "--delta-list", "0.00390625"],
@@ -300,16 +305,23 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
     monkeypatch.chdir(tmp_path)
-    conf = tmp_path / "bad.conf"
-    conf.write_text("t = abc\n", encoding="utf-8")
+    inputs = {"conf": tmp_path / "bad.conf", "norm": tmp_path / "norm.csv",
+              "table": tmp_path / "table.csv"}
+    inputs["conf"].write_text("t = abc\n", encoding="utf-8")
+    inputs["norm"].write_text(f"{NORM_STUDY_HEADER}\n"
+                              "oscillator,16,2.09439510239,0.5,2.1,0\n",
+                              encoding="utf-8")
+    inputs["table"].write_text(f"{LEMMA43_HEADER}\n"
+                               "4,0.00390625,256,40,0.1,0.01,1,0.1,3\n",
+                               encoding="utf-8")
     try:
-        code = main([a.format(conf=conf) for a in argv])
+        code = main([a.format(**inputs) for a in argv])
     except SystemExit as exc:  # argparse's own errors
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == [conf]
+    assert sorted(tmp_path.iterdir()) == sorted(inputs.values())
 
 
 def test_config_file_equals_flags(tmp_path, capsys):

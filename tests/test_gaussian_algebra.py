@@ -66,6 +66,47 @@ def test_step_function_validation():
         StepFunction((0.0, 0.5, 0.5), (1.0, 2.0))  # not strictly increasing
     with pytest.raises(ValueError):
         StepFunction((0.0, 1.0), (float("nan"),))
+    with pytest.raises(ValueError):
+        StepFunction((0.0, 0.5, 1.0), (1.0,))  # one value for two intervals
+    with pytest.raises(ValueError):
+        StepFunction((0.0,), ())               # no interval
+
+
+def test_step_function_holds_read_only_array_copies():
+    breaks, values = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0])
+    f = StepFunction(breaks, values)
+    assert f.breaks.dtype == np.float64 and f.values.dtype == np.complex128
+    breaks[1] = 0.7  # the caller's array is copied, not shared
+    assert f.breaks[1] == 0.5
+    for array in (f.breaks, f.values):
+        with pytest.raises(ValueError):
+            array[0] = 0.25
+
+
+def test_value_at_reads_an_array_of_times_as_single_times():
+    f = StepFunction((0.0, 0.3, 0.5, 1.0), (1.0, 2.0 - 1j, 3.0))
+    times = np.array([0.0, 0.1, 0.3, 0.4, 0.5, 0.99, 1.0])
+    got = f.value_at(times)
+    assert got.dtype == np.complex128 and got.shape == times.shape
+    assert got.tolist() == [f.value_at(float(s)) for s in times]
+    # a break opens the interval to its right; T reads the last interval
+    assert isinstance(f.value_at(0.3), complex)
+    assert (f.value_at(0.3), f.value_at(0.5), f.value_at(1.0)) == (2 - 1j, 3, 3)
+    for outside in (-0.1, 1.1, math.nan, np.array([0.5, 1.5])):
+        with pytest.raises(ValueError):
+            f.value_at(outside)
+
+
+@pytest.mark.parametrize("a,b,breaks,values", [
+    (0.25, 0.5, [0.0, 0.25, 0.5, 1.0], [0, 1, 0]),
+    (0.0, 0.5, [0.0, 0.5, 1.0], [1, 0]),
+    (0.25, 1.0, [0.0, 0.25, 1.0], [0, 1]),
+    (0.0, 1.0, [0.0, 1.0], [1]),
+], ids=["interior", "a=0", "b=T", "a=0,b=T"])
+def test_indicator_breaks_and_values(a, b, breaks, values):
+    f = StepFunction.indicator(a, b, 1.0)
+    assert f.breaks.tolist() == breaks
+    assert f.values.tolist() == values
 
 
 def test_step_product_pointwise():
@@ -369,6 +410,16 @@ def test_dedup_adds_each_term_to_its_first_match():
     assert d.values[:, 0].tolist() == [0.5, 0.5 + 10 * tol, 3.0,
                                        3.0 + 30 * tol]
     assert d.coef.tolist() == [1.0, 2.0, 7.0, 5.0]
+
+
+def test_relation_suite_names_the_source_of_a_gram_warning():
+    with pytest.warns(GramConditionWarning) as record:
+        report = relation_suite(100, trials=50)
+    assert len(record) == 1
+    assert str(record[0].message).startswith(
+        "shift_additivity, trial 46: Gram condition number ")
+    assert record[0].filename == __file__
+    assert report.max_residual <= 1e-9
 
 
 def test_norm_warns_on_ill_conditioned_gram():

@@ -20,7 +20,6 @@ from splitnoise.warren_sim import (
     bucket_probe_evaluator,
     chaos_eval,
     chaos_eval_under_probe,
-    chaos_norm_contribution,
     constant_evaluator,
     draw_signs,
     endpoint_sign_evaluator,
@@ -206,6 +205,16 @@ def test_profile_validation():
         SuperchaosVector.sign_modulated(w, 0.7, 0.2)
 
 
+def test_weight_profile_reads_w_at_the_grid_times():
+    # breaks off the 1/64 grid, and one on it (0.25 = 16/64), which opens
+    # the interval to its right
+    w = StepFunction((0.0, 0.13, 0.25, 0.377, 1.0), (0.7, -1.3, 2.0, 0.0))
+    m = 64
+    wp = SuperchaosVector.deterministic(w).weight_profile(m)
+    assert wp.tolist() == [w.value_at(j / m).real for j in range(m + 1)]
+    assert (wp[8], wp[9], wp[16], wp[24], wp[25]) == (0.7, -1.3, 2.0, 2.0, 0.0)
+
+
 def test_chaos_eval_no_minima_in_support():
     f = SuperchaosVector.deterministic(StepFunction.indicator(0.5, 1.0, 1.0))
     path = make_path([0.0, -1.0, 1.0, 0.5, 1.0])  # minima at 1/4, 3/4... check
@@ -248,14 +257,6 @@ def test_ws_misaligned_probe_raises():
 
 # --- quadratic forms -----------------------------------------------------
 
-def test_mass_identity_per_path_bitwise():
-    f = half_interval_profile()
-    one = constant_evaluator(1.0)
-    for r in range(20):
-        path = sample_path(512, replica_rng(11, r))
-        assert per_path_integrand(one, f, path) == chaos_norm_contribution(f, path)
-
-
 def test_quad_form_zero_evaluator():
     f = half_interval_profile()
     est = quad_form_C(constant_evaluator(0.0), f, 10, 1, m=128)
@@ -280,7 +281,9 @@ def test_matched_probe_strips_sign_factor_per_path():
     f_ws = SuperchaosVector.sign_modulated(w, 0.5, 1.0)
     f_w = apply_matched_sign_probe(f_ws)
     assert f_w.kind == "W"
-    assert f_w.w == StepFunction.indicator(0.0, 0.5, 1.0)
+    half = StepFunction.indicator(0.0, 0.5, 1.0)
+    assert np.array_equal(f_w.w.breaks, half.breaks)
+    assert np.array_equal(f_w.w.values, half.values)
     psi = endpoint_sign_evaluator(0.5, 1.0)
     hits = 0
     for r in range(10):
@@ -306,7 +309,8 @@ def test_matched_probe_quadratic_form_mean_zero():
         path = sample_path(256, replica_rng(29, r))
         if f_ws.sign_factor(path) != 0.0:
             assert per_path_integrand(psi2, f_ws, path) == \
-                chaos_norm_contribution(apply_matched_sign_probe(f_ws), path)
+                per_path_integrand(constant_evaluator(1.0),
+                                   apply_matched_sign_probe(f_ws), path)
 
 
 def test_matched_probe_rejects_plain_profile():
@@ -874,6 +878,9 @@ def test_mc_coherent_sign_probe_validation():
         mc_coherent_sign_probe(0.5, -1.0, 100, 0)
     with pytest.raises(ValueError):
         mc_coherent_sign_probe(0.5, 1.0, 1, 0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            mc_coherent_sign_probe(0.5, t, 100, 0)
 
 
 # --- obstruction report and artifacts ------------------------------------
@@ -905,6 +912,13 @@ def test_obstruction_requires_rows_and_mass():
         obstruction_report(2.1, [])
     with pytest.raises(ValueError):
         obstruction_report(2.1, [synthetic_row(4, 0.25, 0.0, 0.0)])
+    # a NaN m_hat would write NaN literals, which are not JSON
+    rows = [synthetic_row(16, 1 / 256, est=0.9, mass=1.0)]
+    for mass in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            obstruction_report(2.1, rows, mass)
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            obstruction_report(2.1, [synthetic_row(16, 1 / 256, 0.9, mass)])
 
 
 def test_obstruction_report_bit_reproducible(tmp_path):
