@@ -164,20 +164,22 @@ def _toeplitz(g: np.ndarray, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CcrTriple:
-    """Hermitian triple with R = -(P + Q) held exactly, plus its scale data."""
+    """Hermitian triple with R = -(P + Q) held exactly.
 
-    scheme: str
-    n: int
+    Fields: the time scale t, the N x N matrices Q, P and R, and the grid
+    points x (None for the oscillator); N is len(Q).
+    """
+
     t: float
     Q: np.ndarray
     P: np.ndarray
     R: np.ndarray
-    x: np.ndarray | None = None  # grid points, grid scheme only
+    x: np.ndarray | None = None
 
     def vacuum(self) -> np.ndarray:
         """Ground-state vector of the underlying oscillator, unit norm."""
         if self.x is None:
-            e0 = np.zeros(self.n)
+            e0 = np.zeros(len(self.Q))
             e0[0] = 1.0
             return e0
         return _grid_vacuum(self.x)
@@ -248,7 +250,7 @@ def build_pair(scheme: str, n: int, t: float) -> CcrTriple:
     s = math.sqrt(2.0 * t)
     _warn_if_aliased(x, t)
     Q, P = s * q, s * p
-    return CcrTriple(scheme, n, t, Q, P, -(P + Q), x=x)
+    return CcrTriple(t, Q, P, -(P + Q), x=x)
 
 
 def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
@@ -262,7 +264,7 @@ def symmetric_triple(n: int, scheme: str = "oscillator") -> CcrTriple:
     c, s = math.cos(TWO_THIRDS_PI), math.sin(TWO_THIRDS_PI)
     Q = alpha * q
     P = alpha * (c * q + s * p)
-    return CcrTriple(scheme, n, 0.5, Q, P, -(P + Q), x=x)
+    return CcrTriple(0.5, Q, P, -(P + Q), x=x)
 
 
 def sgn_op(a: np.ndarray) -> np.ndarray:

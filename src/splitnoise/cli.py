@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -160,7 +161,7 @@ def _cmd_lemma43(args) -> str:
                                     threads=args.threads)
     out = _out_path(args.out)
     warren_sim.write_lemma43_csv(rows, out)
-    best = min(rows, key=lambda r: (r.delta, -r.n))
+    best = warren_sim.best_row(rows)
     return (f"lemma43: {len(rows)} rows; best row (n={best.n}, "
             f"delta={best.delta:.6g}): estimate/mass "
             f"{best.estimate / best.mass:.4f}, u_mass/mass "
@@ -168,48 +169,55 @@ def _cmd_lemma43(args) -> str:
             f"-> {out}")
 
 
-def _read_csv(path: str, header: str, what: str) -> list[list[str]]:
-    """The fields of each row of a CSV artifact below its header line."""
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
+    """Each row of a CSV artifact below its header line, its fields
+    converted by types (one callable per column).  A row of the wrong
+    width or with a field that does not convert raises ValueError naming
+    the file and the line."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)
                  if ln.strip()]
     if not lines or lines[0][1] != header:
         raise ValueError(f"{path} does not carry the {what} header")
-    width = header.count(",") + 1
     rows = []
     for no, ln in lines[1:]:
         fields = ln.split(",")
-        if len(fields) != width:
-            raise ValueError(f"{path} line {no}: {len(fields)} fields, "
-                             f"expected {width}")
-        rows.append(fields)
+        try:
+            if len(fields) != len(types):
+                raise ValueError(f"{len(fields)} fields, expected {len(types)}")
+            rows.append(tuple(f(x) for f, x in zip(types, fields)))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {no}: {exc}") from None
     if not rows:
         raise ValueError(f"{path} has no rows")
     return rows
 
 
-def _read_norm_row(path: str):
-    rows = [(scheme, int(n), float(alpha), float(t), float(value))
-            for scheme, n, alpha, t, value, _sec
-            in _read_csv(path, ccr_matrix.NORM_STUDY_HEADER, "norm-study")]
-    top_n = max(r[1] for r in rows)
-    at_top = [r for r in rows if r[1] == top_n]
-    best_alpha = min((abs(r[2] - TWO_THIRDS_PI) for r in at_top))
-    candidates = [r for r in at_top if abs(r[2] - TWO_THIRDS_PI) == best_alpha]
-    # several schemes at the top: take the largest (most conservative) norm
-    return max(candidates, key=lambda r: r[4])
+def _read_norm_row(path: str) -> tuple:
+    """The row (scheme, N, alpha, t, value, seconds) at the largest N,
+    then the angle nearest 2 pi/3, then the largest (most conservative)
+    value; ties go to the first such row."""
+    rows = _read_csv(path, ccr_matrix.NORM_STUDY_HEADER, "norm-study",
+                     (str, int, _finite, _finite, _finite, _finite))
+    return max(rows, key=lambda r: (r[1], -abs(r[2] - TWO_THIRDS_PI), r[4]))
 
 
 def _read_lemma43_rows(path: str) -> list[Lemma43Row]:
-    return [Lemma43Row(int(n), float(delta), int(m), int(samples), float(est),
-                       float(se), float(mass), float(mass_se), 0.0, 0.0,
-                       int(seed))
-            for n, delta, m, samples, est, se, mass, mass_se, seed
-            in _read_csv(path, warren_sim.LEMMA43_HEADER, "lemma43")]
+    # the CSV carries no u_mass columns: they read back as 0.0
+    types = (int, _finite, int, int, _finite, _finite, _finite, _finite, int)
+    return [Lemma43Row(*r[:8], 0.0, 0.0, r[8]) for r in
+            _read_csv(path, warren_sim.LEMMA43_HEADER, "lemma43", types)]
 
 
 def _cmd_obstruction(args) -> str:
-    scheme, n_dim, _alpha, _t, norm_value = _read_norm_row(args.norm_from)
+    scheme, n_dim, _, _, norm_value, _ = _read_norm_row(args.norm_from)
     rows = _read_lemma43_rows(args.lemma43_from)
     report = warren_sim.obstruction_report(norm_value, rows, args.f_mass,
                                            scheme=scheme, n_dim=n_dim)

@@ -235,6 +235,14 @@ def _positive_horizon(t) -> float:
     return float(t)
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; ValueError outside [0, 2**63), the range of
+    both the relation checks and the Philox replica streams."""
+    if not 0 <= int(seed) < 2 ** 63:
+        raise ValueError("seed must lie in [0, 2**63)")
+    return int(seed)
+
+
 def exponential(f: StepFunction) -> ExpSpan:
     """The single exponential vector Exp(f)."""
     return ExpSpan(np.ones(1, dtype=complex), f.breaks, f.values[None])
@@ -391,10 +399,9 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 0 <= int(seed) < 2 ** 63:  # the seeds replica_rng accepts
-        raise ValueError("seed must lie in [0, 2**63)")
+    seed = _check_seed(seed)
     t = _positive_horizon(t)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     worst = dict.fromkeys(("rotation_composition", "rotated_shift",
                            "shift_additivity", "gram_preservation",
                            "weyl_phase"), 0.0)
@@ -435,4 +442,4 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
         for name, value in found.items():
             worst[name] = max(worst[name], value)
 
-    return RelationReport(seed=int(seed), trials=trials, residuals=worst)
+    return RelationReport(seed=seed, trials=trials, residuals=worst)

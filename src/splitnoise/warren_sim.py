@@ -64,7 +64,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .gaussian_algebra import StepFunction, _positive_horizon, step_product
+from .gaussian_algebra import (StepFunction, _check_seed, _positive_horizon,
+                               step_product)
 
 __all__ = [
     "WarrenPath",
@@ -93,6 +94,7 @@ __all__ = [
     "chaos_eval_under_probe",
     "apply_matched_sign_probe",
     "mc_coherent_sign_probe",
+    "best_row",
     "obstruction_report",
     "write_lemma43_csv",
     "write_obstruction_json",
@@ -107,10 +109,8 @@ LEMMA43_HEADER = "n,delta,m,samples,estimate,stderr,mass,mass_stderr,seed"
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     """Philox stream keyed (master_seed, replica)."""
-    if not 0 <= int(master_seed) < 2 ** 63:
-        raise ValueError("master seed must fit in a signed 64-bit integer")
-    return np.random.Generator(
-        np.random.Philox(key=np.array([master_seed, replica], dtype=np.uint64)))
+    key = np.array([_check_seed(master_seed), replica], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _replica_streams(master_seed: int, replicas: range):
@@ -613,15 +613,20 @@ def _environment_versions() -> dict:
             "splitnoise": __version__}
 
 
+def best_row(rows):
+    """The refinement row with the smallest delta, then the largest n."""
+    return min(rows, key=lambda r: (r.delta, -r.n))
+
+
 def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = None,
                        *, scheme: str = "oscillator", n_dim: int = 0)\
         -> ObstructionReport:
     """Combine the two measurements into the non-extension margin.
 
-    m_hat is the normalized estimate of the (smallest delta, largest n)
-    row, divided by f_mass when given and by that row's own mass estimate
-    otherwise; margin = 3 m_hat - norm_value.  A positive margin is the
-    quantitative contradiction.  The rows' estimate column is the
+    m_hat is the normalized estimate of the best_row (smallest delta,
+    largest n), divided by f_mass when given and by that row's own mass
+    estimate otherwise; margin = 3 m_hat - norm_value.  A positive margin
+    is the quantitative contradiction.  The rows' estimate column is the
     edge-anchored bucket probe, whose mean is exactly zero on any grid;
     for the paper's margin pass rows whose estimate and stderr are the
     minimum-anchored u_mass and u_mass_stderr (dataclasses.replace), as
@@ -631,7 +636,7 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
     rows = list(lemma43_rows)
     if not rows:
         raise ValueError("need at least one refinement row")
-    best = min(rows, key=lambda r: (r.delta, -r.n))
+    best = best_row(rows)
     denom = float(f_mass) if f_mass is not None else best.mass
     if not 0.0 < denom < math.inf:
         raise ValueError(f"mass must be positive and finite, got {denom!r}")

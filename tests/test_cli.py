@@ -8,7 +8,7 @@ import pytest
 
 from splitnoise import ccr_matrix, gaussian_algebra, warren_sim
 from splitnoise.cli import _build_parser, main
-from splitnoise.ccr_matrix import NORM_STUDY_HEADER
+from splitnoise.ccr_matrix import NORM_STUDY_HEADER, TWO_THIRDS_PI
 from splitnoise.warren_sim import LEMMA43_HEADER
 
 SMALL_LEMMA43 = ["--m", "256", "--samples", "40", "--n-list", "4,8",
@@ -132,12 +132,18 @@ def test_lemma43_summary_reports_the_minimum_anchored_ratio(tmp_path, capsys):
             f"-> ") in stdout
 
 
-@pytest.mark.parametrize("header,row", [
-    (NORM_STUDY_HEADER, "oscillator,16"),
-    (LEMMA43_HEADER, "4,0.00390625,256,40,0.1,0.01,1.0,0.1"),
-], ids=["norm", "lemma43"])
-def test_obstruction_names_file_and_line_of_a_short_row(tmp_path, capsys,
-                                                        header, row):
+@pytest.mark.parametrize("header,row,message", [
+    (NORM_STUDY_HEADER, "oscillator,16", "2 fields, expected 6"),
+    (LEMMA43_HEADER, "4,0.00390625,256,40,0.1,0.01,1.0,0.1",
+     "8 fields, expected 9"),
+    # a nan or inf would reach obstruction.json, which is then not JSON
+    (NORM_STUDY_HEADER, "oscillator,16,2.0943951,0.5,nan,0",
+     "'nan' is not a finite number"),
+    (LEMMA43_HEADER, "4,0.00390625,256,40,inf,0.01,1.0,0.1,3",
+     "'inf' is not a finite number"),
+], ids=["norm", "lemma43", "norm-nan-value", "lemma43-inf-estimate"])
+def test_obstruction_names_file_and_line_of_a_bad_row(tmp_path, capsys,
+                                                      header, row, message):
     norm, table = tmp_path / "norm.csv", tmp_path / "table.csv"
     assert run(["norm-study", "--dims", "16", "--out", str(norm)],
                capsys)[0] == 0
@@ -152,7 +158,7 @@ def test_obstruction_names_file_and_line_of_a_short_row(tmp_path, capsys,
                         "--lemma43-from", str(sources[LEMMA43_HEADER]),
                         "--out", str(tmp_path / "o.json")], capsys)
     assert code == 2
-    assert f"{bad} line 3:" in err and "Traceback" not in err
+    assert f"{bad} line 3: {message}" in err and "Traceback" not in err
 
 
 def test_single_sample_runs_write_zero_stderr_without_warnings(tmp_path, capsys):
@@ -293,6 +299,31 @@ BAD_INPUTS = {
     "n-list-3": ["lemma43", "--m", "256", "--n-list", "3",
                  "--delta-list", "0.00390625"],
     "config-t-abc": ["--config", "{conf}", "norm-study", "--dims", "16"],
+    "config-line-without-equals": ["--config", "{conf_no_equals}",
+                                   "norm-study", "--dims", "16"],
+    "obstruction-norm-nan": ["obstruction", "--norm-from", "{norm_nan}",
+                             "--lemma43-from", "{table}"],
+    "obstruction-estimate-inf": ["obstruction", "--norm-from", "{norm}",
+                                 "--lemma43-from", "{table_inf}"],
+    "obstruction-norm-without-header": ["obstruction",
+                                        "--norm-from", "{norm_headless}",
+                                        "--lemma43-from", "{table}"],
+    "obstruction-table-header-only": ["obstruction", "--norm-from", "{norm}",
+                                      "--lemma43-from", "{table_header_only}"],
+}
+
+NORM_ROW = "oscillator,16,2.09439510239,0.5,2.1,0"
+TABLE_ROW = "4,0.00390625,256,40,0.1,0.01,1,0.1,3"
+# the input files that BAD_INPUTS names, by placeholder
+INPUT_FILES = {
+    "conf": "t = abc\n",
+    "conf_no_equals": "dims 16\n",
+    "norm": f"{NORM_STUDY_HEADER}\n{NORM_ROW}\n",
+    "norm_nan": f"{NORM_STUDY_HEADER}\noscillator,16,2.09439510239,0.5,nan,0\n",
+    "norm_headless": f"{NORM_ROW}\n",
+    "table": f"{LEMMA43_HEADER}\n{TABLE_ROW}\n",
+    "table_inf": f"{LEMMA43_HEADER}\n4,0.00390625,256,40,inf,0.01,1,0.1,3\n",
+    "table_header_only": f"{LEMMA43_HEADER}\n",
 }
 
 
@@ -305,15 +336,9 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
     monkeypatch.chdir(tmp_path)
-    inputs = {"conf": tmp_path / "bad.conf", "norm": tmp_path / "norm.csv",
-              "table": tmp_path / "table.csv"}
-    inputs["conf"].write_text("t = abc\n", encoding="utf-8")
-    inputs["norm"].write_text(f"{NORM_STUDY_HEADER}\n"
-                              "oscillator,16,2.09439510239,0.5,2.1,0\n",
-                              encoding="utf-8")
-    inputs["table"].write_text(f"{LEMMA43_HEADER}\n"
-                               "4,0.00390625,256,40,0.1,0.01,1,0.1,3\n",
-                               encoding="utf-8")
+    inputs = {name: tmp_path / f"{name}.txt" for name in INPUT_FILES}
+    for name, text in INPUT_FILES.items():
+        inputs[name].write_text(text, encoding="utf-8")
     try:
         code = main([a.format(**inputs) for a in argv])
     except SystemExit as exc:  # argparse's own errors
@@ -322,6 +347,27 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
     assert code == 2
     assert "error" in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == sorted(inputs.values())
+
+
+def test_obstruction_takes_the_norm_row_at_top_n_then_angle_then_value(
+        tmp_path, capsys):
+    alpha = repr(TWO_THIRDS_PI)
+    norm = tmp_path / "norm.csv"
+    norm.write_text(f"{NORM_STUDY_HEADER}\n"
+                    f"grid,32,{alpha},0.5,9.0,0\n"        # below the top N
+                    f"oscillator,64,{alpha},0.5,2.1,0\n"
+                    f"grid,64,{alpha},0.5,2.2,0\n"        # the largest value
+                    f"oscillator,64,{alpha},0.5,2.2,0\n"  # a tie: first wins
+                    "grid,64,2.9,0.5,5.0,0\n",            # farther angle
+                    encoding="utf-8")
+    table, report = tmp_path / "table.csv", tmp_path / "o.json"
+    table.write_text(f"{LEMMA43_HEADER}\n{TABLE_ROW}\n", encoding="utf-8")
+    assert run(["obstruction", "--norm-from", str(norm),
+                "--lemma43-from", str(table), "--out", str(report)],
+               capsys)[0] == 0
+    payload = json.loads(report.read_text())
+    assert (payload["scheme"], payload["N"], payload["norm_value"]) \
+        == ("grid", 64, 2.2)
 
 
 def test_config_file_equals_flags(tmp_path, capsys):

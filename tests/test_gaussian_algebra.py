@@ -70,6 +70,17 @@ def test_step_function_validation():
         StepFunction((0.0, 0.5, 1.0), (1.0,))  # one value for two intervals
     with pytest.raises(ValueError):
         StepFunction((0.0,), ())               # no interval
+    for a, b in ((0.5, 0.5), (0.75, 0.25)):    # an empty indicator interval
+        with pytest.raises(ValueError, match="need 0 <= a < b <= horizon"):
+            StepFunction.indicator(a, b, 1.0)
+
+
+def test_exp_span_rejects_values_of_the_wrong_shape():
+    coef, breaks = np.ones(1, dtype=complex), np.array([0.0, 0.5, 1.0])
+    ExpSpan(coef, breaks, np.ones((1, 2)))  # one term, two intervals
+    for values in (np.ones((2, 2)), np.ones((1, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="values must be"):
+            ExpSpan(coef, breaks, values)
 
 
 def test_step_function_holds_read_only_array_copies():

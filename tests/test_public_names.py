@@ -1,12 +1,16 @@
-"""Every public name resolves, every name the benchmark traces exists, and
-every demo runs to completion."""
+"""The package exports exactly its modules' public names, every public name
+resolves, every name the benchmark traces exists, and every demo runs to
+completion."""
 
 import ast
 import importlib
 import pathlib
 import runpy
+import sys
 
 import pytest
+
+import splitnoise
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = ("gaussian_algebra", "ccr_matrix", "warren_sim")
@@ -31,6 +35,19 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"splitnoise.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_package_exports_exactly_the_modules_all():
+    # each module's __all__ is the one list of public names: a second,
+    # hand-kept list in __init__.py would add or drop a name here
+    public = {n for n in vars(splitnoise) if not n.startswith("_")}
+    # the import system binds each loaded submodule, cli among them once a
+    # test has imported it
+    loaded = {n for n in public if f"splitnoise.{n}" in sys.modules}
+    assert set(MODULES) <= loaded <= set(MODULES) | {"cli"}
+    exported = set().union(*(importlib.import_module(f"splitnoise.{m}").__all__
+                             for m in MODULES))
+    assert public - loaded == exported
 
 
 @pytest.mark.parametrize("module,qualname", traced_names())

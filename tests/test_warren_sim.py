@@ -355,6 +355,11 @@ def test_psi_eval_alignment_errors():
         bucket_probe_evaluator(PsiSpec(4, 1 / 100))(path)  # delta off grid
     with pytest.raises(ValueError):
         PsiSpec(4, 0.7)                                    # delta outside (0, 1/2)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        PsiSpec(0, 1 / 64)
+    # 1e-12 is on the 1/256 grid within its tolerance, but rounds to 0 steps
+    with pytest.raises(ValueError, match="at least one grid step"):
+        PsiSpec(4, 1e-12).alignment(256)
 
 
 def test_psi_decomposition_identity_exact():
@@ -480,6 +485,17 @@ def test_drivers_check_m_before_any_work(monkeypatch, m):
                 run()
     with pytest.raises(ValueError, match="m must be at least 4"):
         sample_path(m, replica_rng(1, 0))
+
+
+def test_zero_profile_gives_zero_ratio_stderr_without_warnings():
+    # mass is 0 on every path: the ratio u_mass / mass has no delta-method
+    # standard error, reported as 0.0 rather than a division by zero
+    f = SuperchaosVector.deterministic(StepFunction.constant(0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = lemma43_table(f, [2], [1 / 64], 64, 8, 0)
+    assert rows[0].mass == rows[0].u_mass == 0.0
+    assert rows[0].u_ratio_stderr == 0.0
 
 
 def test_single_sample_stderr_is_zero():
@@ -947,5 +963,7 @@ def test_lemma43_csv_format(tmp_path):
 
 
 def test_replica_rng_rejects_bad_seed():
-    with pytest.raises(ValueError):
-        replica_rng(-1, 0)
+    # the seed range and message that relation_suite shares
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\)"):
+            replica_rng(seed, 0)
