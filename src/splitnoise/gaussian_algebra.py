@@ -235,12 +235,18 @@ def _positive_horizon(t) -> float:
     return float(t)
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int; ValueError outside [0, 2**63), the range of
-    both the relation checks and the Philox replica streams."""
-    if not 0 <= int(seed) < 2 ** 63:
-        raise ValueError("seed must lie in [0, 2**63)")
-    return int(seed)
+def _check_seed(seed, name: str = "seed") -> int:
+    """The seed (or a replica index, by name) as an int; ValueError
+    unless it is a whole number in [0, 2**63), the range of both the
+    relation checks and the Philox replica streams."""
+    try:
+        value = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != seed or not 0 <= value < 2 ** 63:
+        raise ValueError(f"{name} must lie in [0, 2**63) and be a whole "
+                         f"number, got {seed!r}")
+    return value
 
 
 def exponential(f: StepFunction) -> ExpSpan:

@@ -21,37 +21,54 @@ psi(t_j, path), so only the walks are sampled and no signs are drawn.
 Replica r draws from the Philox stream keyed (master_seed, r), which
 makes every estimate reproducible independently of scheduling.
 
-Both Monte Carlo drivers, quad_form_C and lemma43_table, are per-path
-closures over one replica engine, run_replicas(seed, samples, m,
-per_path, width, reach, threads), which draws replica r with
-sample_path.  The engine splits range(samples) into contiguous chunks
-of REPLICA_CHUNK replicas and runs them on at most `threads` workers of
-a thread pool (inline when one worker suffices); row r of its
-(samples, width) result is per_path of replica r.  The drivers check
-their inputs and compute the weight profile once per run, before the
-engine starts, and reduce each column to a mean and a standard error in
+Everything is computed on blocks of walks, one walk per row: draw_walks
+fills a (rows, h + 1) array from one generator per row, and the minima
+are a strict-minimum mask over the grid.  An evaluator psi returns psi
+on the grid for a block, and every sum over a profile's minima runs
+over the fixed grid range [0, end) of the profile (column 0 is never a
+minimum), never up to the drawn reach, so a prefix and the whole walk
+give the same bits.  sample_path, per_path_integrand and the chaos
+evaluations are the one-row case of the same code.
+
+Both Monte Carlo drivers, quad_form_C and lemma43_table, are block
+reductions run by one replica engine, run_replicas(seed, samples, m,
+per_block, width, reach, threads).  The engine splits range(samples)
+into contiguous chunks of REPLICA_CHUNK replicas and runs them on at
+most `threads` workers of a thread pool (inline when one worker
+suffices).  A worker draws a chunk a block of about 0.5 MB of walks at
+a time into one reusable buffer, re-keying one Philox generator to
+(master_seed, r), counter 0 and an empty buffer, for each row r: the
+state replica_rng(master_seed, r) starts from.  One cumsum builds the
+block's walks and the driver's reduction turns them into rows
+r..r+rows-1 of the (samples, width) result.  The drivers check their
+inputs and compute the weight profile once per run, before the engine
+starts, and reduce each column to a mean and a standard error in
 replica order afterwards, so every estimate is bit-identical for any
-thread count.  numpy's normal fills and ufunc loops release the
-interpreter lock, which is what lets the threads overlap.
+thread count.
+
+The threads overlap because a worker holds the interpreter lock only
+between numpy calls, and a block makes a few of those (one normal fill
+per row, then a few whole-block passes) where a walk at a time made
+about twenty small ones per replica.  The normal fills and the ufunc
+loops release the lock.  At m = 16384 and 2500 replicas, on a 2-vCPU
+x86-64 VM (medians of five alternating runs), quad_form_C with psi == 1
+took 0.86 s on one thread and 0.64 s on two as a walk at a time, and
+0.72 s and 0.49 s as blocks; lemma43_table took 1.09 s and 0.97 s
+before, and 0.84 s and 0.57 s as blocks.
 
 Each replica draws its walk only up to the driver's reach: the last
 grid index that any of its columns reads, computed from the driver's
 own inputs.  lemma43_table reads up to m//2 plus its largest probe
-offset; quad_form_C reads up to one past the last nonzero weight, the
+offset; quad_form_C reads up to the end of the weight profile, the
 probe times a, b of a WS profile and the reach its evaluator must
-declare.  The prefix is
-exact, not an approximation: Philox is a counter-based stream, and
-Generator.normal consumes it one element at a time, so the first h
-draws of a fill of size m are bit for bit the draws of a fill of size
-h.  The prefix therefore holds the same values[0..h] and the same minima
-below h as the whole walk.  An index past the prefix raises IndexError.
-
-A replica costs little beyond its normal fill.  Each worker builds one
-Philox generator with replica_rng and re-keys it to (master_seed, r),
-counter 0 and an empty buffer, for every replica r, which is exactly the
-state replica_rng(master_seed, r) starts from.  lemma43_table sums the
-weights per bucket and evaluates each bucket's sign probe once, at the
-bucket's edge, instead of once per minimum.
+declare.  The prefix is exact, not an approximation: Philox is a
+counter-based stream, and a normal fill consumes it one element at a
+time, so the first h draws of a fill of size m are bit for bit the
+draws of a fill of size h.  The prefix therefore holds the same
+values[0..h] and the same minima below h as the whole walk.  An index
+past the prefix raises IndexError.  lemma43_table sums the weights per
+bucket and evaluates each bucket's sign probe once, at the bucket's
+edge, instead of once per minimum.
 """
 
 from __future__ import annotations
@@ -79,6 +96,7 @@ __all__ = [
     "LEMMA43_HEADER",
     "REPLICA_CHUNK",
     "replica_rng",
+    "draw_walks",
     "local_minima",
     "sample_path",
     "draw_signs",
@@ -103,18 +121,22 @@ __all__ = [
 DEFAULT_GRID_M = 2 ** 14
 DEFAULT_SAMPLES = 10 ** 4
 REPLICA_CHUNK = 64  # replicas per work item of run_replicas
+# walk values per block of run_replicas: at most 512 KiB, 7 walks at h = 8196
+_WALK_BLOCK = 2 ** 16
 
 LEMMA43_HEADER = "n,delta,m,samples,estimate,stderr,mass,mass_stderr,seed"
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
-    """Philox stream keyed (master_seed, replica)."""
-    key = np.array([_check_seed(master_seed), replica], dtype=np.uint64)
+    """Philox stream keyed (master_seed, replica), both integers in
+    [0, 2**63)."""
+    key = np.array([_check_seed(master_seed),
+                    _check_seed(replica, "replica")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _replica_streams(master_seed: int, replicas: range):
-    """Yield (r, rng) for each replica r of a nonempty range, where rng
+    """Yield, for each replica r of a nonempty range, a generator that
     draws bit for bit what replica_rng(master_seed, r) draws.
 
     One generator serves the whole range: built by replica_rng (which
@@ -128,7 +150,43 @@ def _replica_streams(master_seed: int, replicas: range):
     for r in replicas:
         key[1] = r
         bitgen.state = fresh
-        yield r, rng
+        yield rng
+
+
+def draw_walks(m: int, rngs, walks: np.ndarray) -> np.ndarray:
+    """Fill each row of walks, a (rows, h + 1) float array, with a walk
+    on the 1/m grid drawn to index h from the next generator of rngs, and
+    return walks.
+
+    A row is 0 followed by the running sum of h N(0, 1/m) increments,
+    bit for bit rng.normal(0.0, sqrt(1/m), size=h) and its cumsum: the
+    normal fill draws the same standard normals and scales them by the
+    same factor, and one cumsum over the block adds along each row in
+    order.  rngs must yield at least one generator per row; the rest is
+    not touched.
+    """
+    for row, rng in zip(walks, rngs):
+        rng.standard_normal(out=row[1:])
+    steps = walks[:, 1:]
+    np.multiply(steps, math.sqrt(1.0 / m), out=steps)
+    walks[:, 0] = 0.0
+    np.cumsum(walks, axis=1, out=walks)
+    return walks
+
+
+def _minima_mask(walks: np.ndarray, end: int) -> np.ndarray:
+    """(rows, end) bool: column j marks walks[:, j-1] > walks[:, j] <
+    walks[:, j+1], strict on both sides, for 0 < j < end; column 0 is
+    False.  IndexError unless the walks are drawn to index end."""
+    if walks.shape[1] <= end:
+        raise IndexError(f"walk drawn to index {walks.shape[1] - 1}, "
+                         f"{end} needed")
+    mask = np.empty((len(walks), end), dtype=bool)
+    mask[:, 0] = False
+    mid = walks[:, 1:end]
+    np.less(mid, walks[:, :end - 1], out=mask[:, 1:])
+    mask[:, 1:] &= mid < walks[:, 2:end + 1]
+    return mask
 
 
 def local_minima(values) -> np.ndarray:
@@ -139,8 +197,7 @@ def local_minima(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise ValueError("need at least three values")
-    inner = v[1:-1]
-    return np.flatnonzero((inner < v[:-2]) & (inner < v[2:])) + 1
+    return np.flatnonzero(_minima_mask(v[None, :], len(v) - 1)[0])
 
 
 @dataclass(frozen=True)
@@ -169,7 +226,8 @@ class WarrenPath:
 def sample_path(m: int, rng: np.random.Generator,
                 reach: int | None = None) -> WarrenPath:
     """Walk with N(0, 1/m) increments on the 1/m grid, drawn up to index
-    h = reach (2 <= h <= m; the whole walk, h = m, by default).
+    h = reach (2 <= h <= m; the whole walk, h = m, by default): the
+    one-row block of draw_walks.
 
     values[0..h] and the minima below h are bit for bit those of the
     whole walk, because the stream is consumed one draw at a time.
@@ -180,11 +238,7 @@ def sample_path(m: int, rng: np.random.Generator,
     h = m if reach is None else int(reach)
     if not 2 <= h <= m:
         raise ValueError("reach must lie in [2, m]")
-    steps = rng.normal(0.0, math.sqrt(1.0 / m), size=h)
-    values = np.empty(h + 1)
-    values[0] = 0.0
-    np.cumsum(steps, out=values[1:])
-    return WarrenPath(m, values)
+    return WarrenPath(m, draw_walks(m, [rng], np.empty((1, h + 1)))[0])
 
 
 def draw_signs(path: WarrenPath, rng: np.random.Generator) -> np.ndarray:
@@ -229,7 +283,7 @@ class SuperchaosVector:
         """+-1 (or 0 on a tie) for WS profiles, 1 for deterministic ones."""
         if self.kind == "W":
             return 1.0
-        return float(_endpoint_sign(path, self.a, self.b))
+        return float(_endpoint_sign(path.values, path.m, self.a, self.b))
 
 
 def _grid_index(t: float, m: int, name: str) -> int:
@@ -240,44 +294,64 @@ def _grid_index(t: float, m: int, name: str) -> int:
 
 
 def _increment_sign(values: np.ndarray, j, d: int):
-    """sgn(B[j + d] - B[j]) at a grid index j (or an index array); an
-    exact tie gives 0."""
-    return np.sign(values[j + d] - values[j])
+    """sgn(B[j + d] - B[j]) at a grid index j (or an index array) of a
+    walk or, along the last axis, of a block of walks; an exact tie
+    gives 0."""
+    return np.sign(values[..., j + d] - values[..., j])
 
 
-def _endpoint_sign(path: WarrenPath, a: float, b: float):
-    """sgn(B_b - B_a) on the path, by _increment_sign."""
-    ia = _grid_index(a, path.m, "a")
-    return _increment_sign(path.values, ia, _grid_index(b, path.m, "b") - ia)
+def _endpoint_sign(values: np.ndarray, m: int, a: float, b: float):
+    """sgn(B_b - B_a) on a walk or each walk of a block, by
+    _increment_sign."""
+    ia = _grid_index(a, m, "a")
+    return _increment_sign(values, ia, _grid_index(b, m, "b") - ia)
 
 
-def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int]:
-    """f's weight w on the 1/m grid and how far f reads a walk: one past
-    the last index where w is nonzero (so that every weighted minimum is
-    found), and the probe indices a and b of a WS profile."""
+def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int, int]:
+    """f's weight w on the 1/m grid, the end of its sums and how far it
+    reads a walk.  Sums over f's minima run over the grid range
+    [0, end): end is one past the last nonzero weight, at most m (minima
+    are interior) and 1 for a zero profile.  f reads a walk up to end,
+    which finds every weighted minimum, and up to the probe indices a
+    and b of a WS profile."""
     wp = f.weight_profile(m)
     nonzero = np.flatnonzero(wp)
-    reach = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    end = min(int(nonzero[-1]) + 1, m) if len(nonzero) else 1
+    reach = end
     if f.kind == "WS":
         reach = max(reach, _grid_index(f.a, m, "a"), _grid_index(f.b, m, "b"))
-    return wp, reach
+    return wp, end, reach
 
 
-def _amplitudes(f: SuperchaosVector, wp: np.ndarray, end: int,
-                path: WarrenPath) -> np.ndarray:
-    """g(t_j, path) = wp_j times f's sign factor at the minima j below
-    end, past which wp vanishes, in ascending order (a prefix of
-    path.minima).
+def _weigh(chosen: np.ndarray, weights: np.ndarray,
+           walks: np.ndarray) -> np.ndarray:
+    """weights[j] where chosen[:, j] holds and 0 elsewhere, written over
+    the first chosen.shape[1] columns of walks.  Copying the bool array
+    in and then scaling it needs no cast buffer, as a mixed bool and
+    float product would."""
+    terms = walks[:, :chosen.shape[1]]
+    np.copyto(terms, chosen)
+    terms *= weights[:chosen.shape[1]]
+    return terms
 
-    IndexError unless path is drawn far enough to hold every minimum
-    below end: a shorter prefix would silently drop weighted terms.  The
-    terms do not depend on how far past end the walk was drawn, so every
-    sum over them agrees bit for bit on a prefix and on the whole walk."""
-    drawn = len(path.values) - 1
-    if drawn < min(end, path.m):
-        raise IndexError(f"walk drawn to index {drawn}, {end} needed")
-    keep = np.searchsorted(path.minima, end)
-    return wp[path.minima[:keep]] * f.sign_factor(path)
+
+def _grid_terms(f: SuperchaosVector, weights: np.ndarray, power: int,
+                end: int, walks: np.ndarray, m: int, psi) -> np.ndarray:
+    """(rows, end) terms weights[j] * s**power * psi(t_j) at the strict
+    minima j < end of each walk, 0 elsewhere, where s is f's sign factor
+    on the walk (1 for a W profile).
+
+    The terms overwrite walks[:, :end], after everything is read from
+    the walks.  They do not depend on how far past end the walks are
+    drawn, so every sum over them agrees bit for bit on a prefix and on
+    the whole walk; IndexError unless the walks reach end."""
+    p = np.broadcast_to(psi(walks, m), walks.shape)[:, :end]
+    s = _endpoint_sign(walks, m, f.a, f.b) if f.kind == "WS" else None
+    terms = _weigh(_minima_mask(walks, end), weights, walks)
+    if s is not None:
+        terms *= (s ** power)[:, None]
+    terms *= p
+    return terms
 
 
 def half_interval_profile() -> SuperchaosVector:
@@ -285,39 +359,34 @@ def half_interval_profile() -> SuperchaosVector:
     return SuperchaosVector.deterministic(StepFunction.indicator(0.0, 0.5, 1.0))
 
 
-def _signed_amplitudes(f: SuperchaosVector, path: WarrenPath,
-                       signs: np.ndarray) -> np.ndarray:
-    """eta_j g(t_j, path) at the minima below f's reach, for one sign per
-    minimum of path."""
-    if np.shape(signs) != path.minima.shape:
-        raise ValueError("one sign per minimum required")
-    amp = _amplitudes(f, *_weights(f, path.m), path)
-    return signs[:len(amp)] * amp
-
-
 def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> float:
     """sum over minima of eta_j g(t_j, path), with signs eta drawn by
     draw_signs(path, rng); odd in the signs."""
-    return float(np.sum(_signed_amplitudes(f, path, signs)))
+    return chaos_eval_under_probe(f, path, signs, constant_evaluator(1.0))
 
 
-# --- evaluators: callables path -> psi value per minimum, in order ------
-# An evaluator passed to quad_form_C must declare reach(m), the last grid
-# index it reads of a walk on the 1/m grid; quad_form_C draws no further
-# than that.  Every factory below declares it.
+# --- evaluators: callables (walks, m) -> psi on the grid ----------------
+# An evaluator takes a (rows, h + 1) block of walks on the 1/m grid and
+# returns psi(t_j, walk) at every grid index j <= h of every walk, as a
+# new array or a scalar that broadcasts to the block's shape.  An
+# evaluator passed to quad_form_C must declare reach(m), the last grid
+# index it reads of a walk; quad_form_C draws no further than that.
+# Every factory below declares it.
 
 def constant_evaluator(c: float):
-    def psi(path: WarrenPath) -> np.ndarray:
-        return np.full(len(path.minima), float(c))
+    value = float(c)
+
+    def psi(walks: np.ndarray, m: int) -> float:
+        return value
     psi.reach = lambda m: 0
     return psi
 
 
 def endpoint_sign_evaluator(a: float, b: float):
     """psi(t, path) = sgn(B_b - B_a) for t < 1/2, else 0."""
-    def psi(path: WarrenPath) -> np.ndarray:
-        return np.where(path.minima < path.m / 2, _endpoint_sign(path, a, b),
-                        0.0)
+    def psi(walks: np.ndarray, m: int) -> np.ndarray:
+        sign = _endpoint_sign(walks, m, a, b)
+        return np.where(np.arange(walks.shape[1]) < m / 2, sign[:, None], 0.0)
     psi.reach = lambda m: max(_grid_index(a, m, "a"), _grid_index(b, m, "b"))
     return psi
 
@@ -349,14 +418,13 @@ class PsiSpec:
 def bucket_probe_evaluator(spec: PsiSpec):
     """psi(t_j, path) = the increment sign over [edge, edge + delta] at the
     right edge (j // step + 1) * step of the bucket of width step holding
-    the minimum j < m/2, else 0."""
-    def psi(path: WarrenPath) -> np.ndarray:
-        step, d = spec.alignment(path.m)
-        jj = path.minima
-        out = np.zeros(len(jj))
-        mask = jj < path.m // 2
-        edge = (jj[mask] // step + 1) * step
-        out[mask] = _increment_sign(path.values, edge, d)
+    the grid index j < m/2, else 0."""
+    def psi(walks: np.ndarray, m: int) -> np.ndarray:
+        step, d = spec.alignment(m)
+        half = m // 2
+        signs = _increment_sign(walks, np.arange(step, half + 1, step), d)
+        out = np.zeros(walks.shape)
+        out[:, :half] = np.repeat(signs, step, axis=1)
         return out
     # the last bucket's right edge is m // 2, probed d steps further on
     psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
@@ -374,9 +442,12 @@ class McEstimate:
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
     integrated out, exactly, so this is the whole per-path quantity.
-    quad_form_C sums the same terms in the same order."""
-    amp = _amplitudes(f, *_weights(f, path.m), path)
-    return float(np.sum(amp * amp * psi(path)[:len(amp)]))
+    The one-row case of quad_form_C's reduction, so it agrees bit for
+    bit with quad_form_C's replica values."""
+    wp, end, _ = _weights(f, path.m)
+    walks = np.array(path.values, ndmin=2)  # a copy: the terms overwrite it
+    return float(_grid_terms(f, wp * wp, 2, end, walks, path.m,
+                             psi).sum(axis=1)[0])
 
 
 def _check_run(samples: int, m: int, threads: int) -> None:
@@ -389,33 +460,50 @@ def _check_run(samples: int, m: int, threads: int) -> None:
         raise ValueError("m must be at least 4")
 
 
-def run_replicas(seed: int, samples: int, m: int, per_path, width: int,
+def run_replicas(seed: int, samples: int, m: int, per_block, width: int,
                  reach: int, threads: int = 1) -> np.ndarray:
-    """(samples, width) array whose row r is per_path(path of replica r).
+    """(samples, width) array whose rows r..r+k-1 are per_block(walks)
+    for a block holding the walks of replicas r..r+k-1, one per row.
 
-    Replica r is sample_path(m, replica_rng(seed, r), h), whatever worker
-    draws it: the walk up to h = reach clamped to [2, m] (a zero weight
-    profile gives reach 0).  No signs are drawn.
-    reach must be the last grid index per_path reads; reading past it
-    raises IndexError.  Contiguous chunks of REPLICA_CHUNK replicas run on
-    min(threads, chunks) pool workers, or inline when that is one; each
-    worker re-keys one generator per replica, holds one path at a time
-    and writes only its own rows, so the array does not depend on the
-    thread count.  per_path must be safe to call from several threads at
-    once.
+    The walk of replica r is sample_path(m, replica_rng(seed, r), h)'s,
+    whatever worker draws it and whatever block holds it: the walk up to
+    h = reach clamped to [2, m] (a zero weight profile gives reach 1).
+    No signs are drawn.  reach must be the last grid index per_block
+    reads; reading past it raises IndexError.  per_block returns a
+    (rows, width) array and may overwrite the walks it is given; it
+    must be safe to call from several threads at once.
+
+    Contiguous chunks of REPLICA_CHUNK replicas run on min(threads,
+    chunks) pool workers, or inline when that is one.  A worker draws a
+    chunk in blocks of about 512 KiB of walks, with draw_walks, into one
+    buffer that it reuses for the whole run, and writes only its own
+    rows, so the array does not depend on the thread count.  Blocks
+    give the threads room to overlap: the lock-free normal fills and
+    whole-block numpy passes dominate, not the interpreter's share.
     """
     _check_run(samples, m, threads)
+    _check_seed(seed)
     out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
     h = min(m, max(2, int(reach)))
-
-    def run_chunk(lo: int) -> None:
-        replicas = range(lo, min(lo + chunk, samples))
-        for r, rng in _replica_streams(seed, replicas):
-            out[r] = per_path(sample_path(m, rng, h))
-
+    rows = min(chunk, max(1, _WALK_BLOCK // (h + 1)))
     starts = range(0, samples, chunk)
     workers = min(threads, len(starts))
+    # a free list of walk buffers: at most `workers` chunks run at once,
+    # and list.pop and list.append are atomic, so each holds its own
+    buffers = [np.empty((rows, h + 1)) for _ in range(workers)]
+
+    def run_chunk(lo: int) -> None:
+        hi = min(lo + chunk, samples)
+        buffer = buffers.pop()
+        try:
+            rngs = _replica_streams(seed, range(lo, hi))
+            for r in range(lo, hi, rows):
+                walks = draw_walks(m, rngs, buffer[:min(rows, hi - r)])
+                out[r:r + len(walks)] = per_block(walks)
+        finally:
+            buffers.append(buffer)
+
     if workers == 1:
         for lo in starts:
             run_chunk(lo)
@@ -451,23 +539,23 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
                 m: int = DEFAULT_GRID_M, threads: int = 1) -> McEstimate:
     """Monte Carlo of the quadratic form <C_psi> on the profile vector f.
 
-    psi is an evaluator (path -> array over the path's minima) that
+    psi is an evaluator (a block of walks -> psi on the grid) that
     declares psi.reach(m), as every evaluator factory's does.  With
     psi == 1 this estimates ||f||^2, the total mass identity.  Each path
-    contributes per_path_integrand(psi, f, path), evaluated against the
-    weight profile computed once for the run.  Walks are drawn up to one
-    past the last nonzero weight, the probe times of a WS profile and
-    psi.reach(m).
+    contributes per_path_integrand(psi, f, path), bit for bit, evaluated
+    a block of walks at a time against the weight profile computed once
+    for the run.  Walks are drawn up to the end of the weight profile,
+    the probe times of a WS profile and psi.reach(m).
     """
     _check_run(samples, m, threads)
-    wp, end = _weights(f, m)
-    reach = max(end, psi.reach(m))
+    wp, end, reach = _weights(f, m)
+    w2 = wp * wp
+    reach = max(reach, psi.reach(m))
 
-    def per_path(path: WarrenPath) -> float:
-        amp = _amplitudes(f, wp, end, path)
-        return float(np.sum(amp * amp * psi(path)[:len(amp)]))
+    def per_block(walks: np.ndarray) -> np.ndarray:
+        return _grid_terms(f, w2, 2, end, walks, m, psi).sum(axis=1)[:, None]
 
-    vals = run_replicas(seed, samples, m, per_path, 1, reach, threads)
+    vals = run_replicas(seed, samples, m, per_block, 1, reach, threads)
     mean, stderr = _mean_stderr(vals[:, 0])
     return McEstimate(mean, stderr, samples, int(seed))
 
@@ -497,7 +585,8 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     Rows carry the bucket-probe estimate, the mass estimate (psi == 1)
     and the minimum-anchored set mass u_mass of {B_{t+delta} > B_t},
     all from the same paths (common random numbers), with the
-    delta-method standard error of the ratio u_mass / mass.  The profile
+    delta-method standard error of the ratio u_mass / mass.  The mass
+    column is quad_form_C's with psi == 1, bit for bit.  The profile
     must vanish on [1/2, 1].  Walks are drawn up to m // 2 plus the
     largest probe offset (and the probe times of a WS profile), the last
     grid index that any column reads.  Every (n, delta) pair is checked
@@ -512,33 +601,52 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
                for n in n_list]
     steps = [row[0][0] for row in aligned]
     offsets = [offset for _, offset in aligned[0]]
-    wp, end = _weights(f, m)
-    if np.any(wp[m // 2:] != 0.0):
-        raise ValueError("profile must be supported in (0, 1/2)")
+    wp, end, reach = _weights(f, m)
     half = m // 2
-    reach = max(half + max(offsets), end)
+    if np.any(wp[half:] != 0.0):
+        raise ValueError("profile must be supported in (0, 1/2)")
+    w2 = wp[:half] ** 2
+    reach = max(half + max(offsets), reach)
     # the probe is constant on a bucket: sum the weights per bucket and
     # evaluate the probe once per bucket, at the bucket's right edge
     edges = [np.arange(step, half + 1, step) for step in steps]
+    k = len(delta_list)
 
     # columns: mass, then u_mass per delta, then the estimate per (n, delta)
-    def per_path(path: WarrenPath) -> list:
-        amp = _amplitudes(f, wp, half, path)
-        w2 = amp * amp
-        jj = path.minima[:len(amp)]
-        B = path.values
-        at_min = B[jj]
-        row = [w2.sum()]
-        row += [w2 @ (B[jj + off] > at_min) for off in offsets]
-        for step, edge in zip(steps, edges):
-            bucket_w2 = np.bincount(jj // step, w2, len(edge))
-            row += [bucket_w2 @ _increment_sign(B, edge, off)
-                    for off in offsets]
-        return row
+    def per_block(walks: np.ndarray) -> np.ndarray:
+        s = _endpoint_sign(walks, m, f.a, f.b) if f.kind == "WS" else None
+        mask = _minima_mask(walks, half)
+        rising = []
+        for off in offsets:
+            up = walks[:, off:half + off] > walks[:, :half]
+            up &= mask
+            rising.append(up)
+        probes = [[_increment_sign(walks, edge, off) for off in offsets]
+                  for edge in edges]
+        # every read of the walks is done: from here on their first half
+        # columns hold the weight terms of one column at a time
 
-    k = len(delta_list)
-    acc = run_replicas(seed, samples, m, per_path,
-                       1 + k + len(n_list) * k, reach, threads)
+        def weigh(chosen: np.ndarray) -> np.ndarray:
+            terms = _weigh(chosen, w2, walks)
+            if s is not None:
+                terms *= (s * s)[:, None]
+            return terms
+
+        out = np.empty((len(walks), 1 + k + len(n_list) * k))
+        terms = weigh(mask)
+        out[:, 0] = terms[:, :end].sum(axis=1)
+        col = 1 + k
+        for step, row in zip(steps, probes):
+            bucket = terms.reshape(len(walks), -1, step).sum(axis=2)
+            for probe in row:
+                out[:, col] = (bucket * probe).sum(axis=1)
+                col += 1
+        for i, up in enumerate(rising, 1):
+            out[:, i] = weigh(up)[:, :end].sum(axis=1)
+        return out
+
+    acc = run_replicas(seed, samples, m, per_block, 1 + k + len(n_list) * k,
+                       reach, threads)
     mass, mass_se = _mean_stderr(acc[:, 0])
     u = [_mean_stderr(acc[:, 1 + i]) for i in range(k)]
     ratio_se = [_ratio_stderr(acc[:, 1 + i], acc[:, 0]) for i in range(k)]
@@ -553,9 +661,17 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,
                            signs: np.ndarray, psi) -> float:
-    """(C_psi f)(path, signs): term k picks up the factor psi(t_k, path)."""
-    amp = _signed_amplitudes(f, path, signs)
-    return float(np.sum(amp * psi(path)[:len(amp)]))
+    """(C_psi f)(path, signs): term k picks up the factor psi(t_k, path).
+    The one-row case of the grid terms that quad_form_C sums, with f's
+    weight and sign factor to the first power and one sign per minimum."""
+    if np.shape(signs) != path.minima.shape:
+        raise ValueError("one sign per minimum required")
+    wp, end, _ = _weights(f, path.m)
+    walks = np.array(path.values, ndmin=2)  # a copy: the terms overwrite it
+    terms = _grid_terms(f, wp, 1, end, walks, path.m, psi)[0]
+    keep = np.searchsorted(path.minima, end)
+    terms[path.minima[:keep]] *= signs[:keep]
+    return float(terms.sum())
 
 
 def apply_matched_sign_probe(f: SuperchaosVector) -> SuperchaosVector:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -226,6 +227,32 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert n1.read_bytes() == n2.read_bytes()
 
 
+# sha256 of the Monte Carlo artifacts at a small configuration, as the
+# engine wrote them when it drew and reduced one walk at a time; drawing
+# and reducing blocks of walks must write the same bytes on any number of
+# threads (300 replicas are five chunks, which two or three workers share)
+PINNED_ARTIFACTS = {
+    "warren-mass": (["--m", "1024", "--samples", "300", "--seed", "4"],
+                    "0cf1aece96a8a2e96c04faa35137f6b2"
+                    "48a0b3c57b9632377347a060bb8b3fb3"),
+    "lemma43": (["--m", "1024", "--samples", "300", "--n-list", "4,16",
+                 "--delta-list", "0.0078125,0.0009765625", "--seed", "4"],
+                "6cd0e1e188aedf5db89abf851f21c2d8"
+                "b57dda2672c281dc258a9af7d2408b9f"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("command", PINNED_ARTIFACTS)
+def test_monte_carlo_artifacts_keep_their_pinned_bytes(command, threads,
+                                                       tmp_path, capsys):
+    args, digest = PINNED_ARTIFACTS[command]
+    out = tmp_path / "artifact"
+    assert run(["--threads", threads, command, *args, "--out", str(out)],
+               capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_config_file_precedence(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("# defaults for the small study\n"
@@ -332,6 +359,7 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
                                              monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the inputs were checked")
+    monkeypatch.setattr(warren_sim, "draw_walks", no_work)
     monkeypatch.setattr(warren_sim, "sample_path", no_work)
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)

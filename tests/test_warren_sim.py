@@ -47,6 +47,13 @@ def make_path(values):
     return WarrenPath(m=len(values) - 1, values=values)
 
 
+def on_minima(psi, path):
+    """psi at the minima of one path, read off psi on the grid of the
+    path's one-row block."""
+    walks = path.values[None, :]
+    return np.broadcast_to(psi(walks, path.m), walks.shape)[0, path.minima]
+
+
 def signed_path(m, seed, r):
     """A sampled path and its signs, drawn from one replica stream."""
     rng = replica_rng(seed, r)
@@ -304,7 +311,7 @@ def test_matched_probe_quadratic_form_mean_zero():
     est = quad_form_C(psi, f_ws, 400, 23, m=256)
     assert abs(est.mean) <= 5 * est.stderr
     # while psi^2 restores the half-interval mass exactly per path
-    psi2 = lambda path: psi(path) ** 2  # noqa: E731
+    psi2 = lambda walks, m: psi(walks, m) ** 2  # noqa: E731
     for r in range(5):
         path = sample_path(256, replica_rng(29, r))
         if f_ws.sign_factor(path) != 0.0:
@@ -325,7 +332,8 @@ def test_psi_eval_zero_past_half():
     path = sample_path(64, replica_rng(31, 0))
     past_half = path.minima >= 32
     assert past_half.any()
-    assert np.all(bucket_probe_evaluator(spec)(path)[past_half] == 0.0)
+    assert np.all(on_minima(bucket_probe_evaluator(spec), path)[past_half]
+                  == 0.0)
 
 
 def test_psi_eval_rising_path_probe_positive():
@@ -334,13 +342,13 @@ def test_psi_eval_rising_path_probe_positive():
     path = make_path(values)
     spec = PsiSpec(4, 1 / 64)
     assert path.minima.tolist() == [1]
-    assert bucket_probe_evaluator(spec)(path).tolist() == [1.0]
+    assert on_minima(bucket_probe_evaluator(spec), path).tolist() == [1.0]
 
 
 def test_psi_eval_range_and_tie():
     path = make_path([0.0, -1.0, 1.0, 1.0, 2.0, 0.0, 1.0, 2.0, 3.0])
     spec = PsiSpec(2, 1 / 8)
-    vals = bucket_probe_evaluator(spec)(path)
+    vals = on_minima(bucket_probe_evaluator(spec), path)
     assert path.minima.tolist() == [1, 5]
     assert set(vals.tolist()) <= {-1.0, 0.0, 1.0}
     # the minimum at 1/8 is probed over [2/8, 3/8], an exact tie -> 0
@@ -350,9 +358,11 @@ def test_psi_eval_range_and_tie():
 def test_psi_eval_alignment_errors():
     path = sample_path(64, replica_rng(37, 0))
     with pytest.raises(ValueError):
-        bucket_probe_evaluator(PsiSpec(3, 1 / 64))(path)   # 6 does not divide 64
+        # 6 does not divide 64
+        on_minima(bucket_probe_evaluator(PsiSpec(3, 1 / 64)), path)
     with pytest.raises(ValueError):
-        bucket_probe_evaluator(PsiSpec(4, 1 / 100))(path)  # delta off grid
+        # delta off grid
+        on_minima(bucket_probe_evaluator(PsiSpec(4, 1 / 100)), path)
     with pytest.raises(ValueError):
         PsiSpec(4, 0.7)                                    # delta outside (0, 1/2)
     with pytest.raises(ValueError, match="n must be at least 1"):
@@ -370,7 +380,7 @@ def test_psi_decomposition_identity_exact():
     path = sample_path(m, replica_rng(41, 0))
     d = round(delta * m)
     step = m // (2 * n)
-    vals = bucket_probe_evaluator(spec)(path)
+    vals = on_minima(bucket_probe_evaluator(spec), path)
     assert len(vals) == len(path.minima) > 0
     for j, val in zip(path.minima, vals):
         t = j / m
@@ -451,9 +461,10 @@ def test_lemma43_rejects_no_samples():
 
 
 def refuse_to_draw(monkeypatch):
-    def no_walk(m, rng, reach=None):
+    def no_walk(*args):
         raise AssertionError("a walk was drawn before the inputs were checked")
-    monkeypatch.setattr(warren_sim, "sample_path", no_walk)
+    for drawer in ("draw_walks", "sample_path"):
+        monkeypatch.setattr(warren_sim, drawer, no_walk)
 
 
 def test_lemma43_checks_every_pair_before_drawing(monkeypatch):
@@ -480,7 +491,7 @@ def test_drivers_check_m_before_any_work(monkeypatch, m):
         warnings.simplefilter("error")  # m = 0 divided by zero in the profile
         for run in (lambda: quad_form_C(one, f, 2, 1, m=m),
                     lambda: lemma43_table(f, [2], [0.25], m, 2, 1),
-                    lambda: run_replicas(1, 2, m, lambda path: 0.0, 1, reach=m)):
+                    lambda: run_replicas(1, 2, m, zeros, 1, reach=m)):
             with pytest.raises(ValueError, match="m must be at least 4"):
                 run()
     with pytest.raises(ValueError, match="m must be at least 4"):
@@ -510,6 +521,16 @@ def test_single_sample_stderr_is_zero():
 
 
 # --- replica engine ------------------------------------------------------
+
+def zeros(walks):
+    """A block reduction of width 1 that reads nothing."""
+    return np.zeros((len(walks), 1))
+
+
+def ends_and_minima(walks):
+    """Per walk of a block: its last value and its number of strict
+    minima, from the public one-walk local_minima."""
+    return [[w[-1], len(local_minima(w))] for w in walks]
 
 def ws_half_profile():
     return SuperchaosVector.sign_modulated(
@@ -544,7 +565,8 @@ def lemma43_columns(f, n_list, delta_list, m, samples, seed):
             off = round(d * m)
             cols.setdefault(("u", d), []).append(w2 @ (B[jj + off] > B[jj]))
             for n in n_list:
-                probe = bucket_probe_evaluator(PsiSpec(n, d))(path)[keep]
+                probe = on_minima(bucket_probe_evaluator(PsiSpec(n, d)),
+                                  path)[keep]
                 cols.setdefault((n, d), []).append(w2 @ probe)
     return cols
 
@@ -606,15 +628,15 @@ def test_lemma43_ratio_stderr_is_the_delta_method_on_the_replica_columns():
 
 
 def recorded_reaches(monkeypatch, cut=0):
-    """Record the reach each drawn walk is given, drawing `cut` fewer
-    increments than that."""
-    drawn = []
+    """Record the reach of each walk the engine draws, one entry per row
+    of each block, drawing `cut` fewer increments than that."""
+    drawn, draw_walks = [], warren_sim.draw_walks
 
-    def short_walk(m, rng, h):
-        drawn.append(h)
-        return sample_path(m, rng, h - cut)
+    def short_walks(m, rngs, walks):
+        drawn.extend([walks.shape[1] - 1] * len(walks))
+        return draw_walks(m, rngs, walks[:, :walks.shape[1] - cut])
 
-    monkeypatch.setattr(warren_sim, "sample_path", short_walk)
+    monkeypatch.setattr(warren_sim, "draw_walks", short_walks)
     return drawn
 
 
@@ -648,15 +670,18 @@ def test_drivers_draw_each_walk_to_their_reach(monkeypatch):
 
 
 def test_drivers_draw_through_the_public_sampler_once_per_replica(monkeypatch):
-    # the engine draws every replica through the public sample_path, and a
-    # path finds its minima through the public local_minima; the
-    # benchmark's traced layers wrap these two names
+    # the engine draws every replica, a block of rows at a time, through
+    # the public draw_walks, which a benchmark can trace; it never goes
+    # through the one-walk sample_path and local_minima
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
-    calls = {"sample_path": [], "local_minima": []}
+    calls = {"draw_walks": [], "sample_path": [], "local_minima": []}
     for name, seen in calls.items():
-        def counted(*args, _fn=getattr(warren_sim, name), _seen=seen):
-            _seen.append(None)  # list.append is atomic across threads
-            return _fn(*args)
+        def counted(*args, _fn=getattr(warren_sim, name), _seen=seen,
+                    _rows=name == "draw_walks"):
+            out = _fn(*args)
+            # rows drawn, or 1 per one-walk call; list.append is atomic
+            _seen.append(len(out) if _rows else 1)
+            return out
         monkeypatch.setattr(warren_sim, name, counted)
     f, m, samples = half_interval_profile(), 128, 37
     for run in (
@@ -669,8 +694,8 @@ def test_drivers_draw_through_the_public_sampler_once_per_replica(monkeypatch):
         for seen in calls.values():
             seen.clear()
         run()
-        assert {name: len(seen) for name, seen in calls.items()} == \
-            {"sample_path": samples, "local_minima": samples}
+        assert {name: sum(seen) for name, seen in calls.items()} == \
+            {"draw_walks": samples, "sample_path": 0, "local_minima": 0}
 
 
 def test_driver_reading_past_a_short_reach_raises(monkeypatch):
@@ -694,7 +719,8 @@ def test_evaluator_on_its_declared_reach_matches_the_whole_walk(m, psi):
     for r in range(50):
         full = sample_path(m, replica_rng(89, r))
         part = sample_path(m, replica_rng(89, r), reach=h)
-        assert np.array_equal(psi(part), psi(full)[full.minima < h])
+        assert np.array_equal(on_minima(psi, part),
+                              on_minima(psi, full)[full.minima < h])
 
 
 def fractional_profiles():
@@ -747,6 +773,56 @@ def test_mass_matches_the_exact_mean(f):
     assert abs(est.mean - exact) <= 4 * est.stderr
 
 
+def closed_form_mass(f, m):
+    """Mean and variance of one replica's mass sum_j a_j 1{j is a strict
+    minimum}, a_j = w(j/m)^2: each interior index is a minimum with
+    probability 1/4, neighbours never both are, and minima two or more
+    apart draw on disjoint increments."""
+    a = f.weight_profile(m)[1:m] ** 2
+    return a.sum() / 4, 3 / 16 * (a @ a) - (a[:-1] @ a[1:]) / 8
+
+
+def test_closed_form_mass_at_the_default_grid():
+    mean, var = closed_form_mass(half_interval_profile(), 2 ** 14)
+    assert mean == 2047.75 and var == pytest.approx(512.0625)
+
+
+@pytest.mark.parametrize("f", [half_interval_profile(),
+                               fractional_profiles()[0]],
+                         ids=["half", "fractional"])
+def test_mass_rows_have_the_closed_form_mean_and_variance(f):
+    m, samples = 256, 4000
+    mean, var = closed_form_mass(f, m)
+    est = quad_form_C(constant_evaluator(1.0), f, samples, 113, m=m)
+    assert abs(est.mean - mean) <= 5 * math.sqrt(var / samples)
+    # the mass is a sum of many weakly dependent terms, close to normal:
+    # its sample variance has standard error about var sqrt(2 / (n - 1))
+    sample_var = est.stderr ** 2 * samples
+    assert abs(sample_var - var) <= 5 * var * math.sqrt(2 / (samples - 1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block_minima_counts_equal_local_minima_per_replica(monkeypatch,
+                                                            threads):
+    # blocks of 7 rows in chunks of 24: a chunk is cut into 7 + 7 + 7 + 3
+    # rows, so blocks restart at every chunk boundary, and the 200
+    # replicas end in a short chunk of 8 rows, 7 + 1
+    m, h, seed, samples = 256, 133, 127, 200
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 24)
+    monkeypatch.setattr(warren_sim, "_WALK_BLOCK", 7 * (h + 1))
+    blocks = []
+
+    def counts(walks):
+        blocks.append(len(walks))
+        return warren_sim._minima_mask(walks, h).sum(axis=1)[:, None]
+
+    rows = run_replicas(seed, samples, m, counts, 1, reach=h, threads=threads)
+    assert sorted(blocks) == sorted([7, 7, 7, 3] * 8 + [7, 1])
+    walks = [sample_path(m, replica_rng(seed, r), h).values
+             for r in range(samples)]
+    assert rows[:, 0].tolist() == [len(local_minima(w)) for w in walks]
+
+
 @pytest.mark.parametrize("f", fractional_profiles(), ids=["W", "WS"])
 def test_lemma43_with_fractional_weights_matches_the_plain_loop(f):
     # per-bucket weight sums group the fractional terms differently from
@@ -763,7 +839,9 @@ def test_lemma43_with_fractional_weights_matches_the_plain_loop(f):
 @pytest.mark.parametrize("h", [5, 257, 16384 // 2 + 4])
 def test_rekeyed_generator_draws_what_replica_rng_draws(seed, h):
     ended_mid_buffer = left_a_spare_word = 0
-    for r, rng in warren_sim._replica_streams(seed, range(64, 264)):
+    replicas = range(64, 264)
+    for r, rng in zip(replicas, warren_sim._replica_streams(seed, replicas),
+                      strict=True):
         fill = rng.normal(0.0, 1 / 128, size=h)
         fresh = replica_rng(seed, r).normal(0.0, 1 / 128, size=h)
         assert fill.tobytes() == fresh.tobytes()
@@ -775,8 +853,8 @@ def test_rekeyed_generator_draws_what_replica_rng_draws(seed, h):
 
 
 def test_rekeyed_streams_reject_bad_seeds():
-    zero = lambda path: 0.0  # noqa: E731
-    for seed in (-1, 2 ** 63):
+    zero = zeros
+    for seed in (-1, 2 ** 63, 1.5):
         with pytest.raises(ValueError):
             next(warren_sim._replica_streams(seed, range(3)))
         with pytest.raises(ValueError):
@@ -798,13 +876,10 @@ def test_engine_draws_no_signs(monkeypatch):
     monkeypatch.setattr(warren_sim, "replica_rng",
                         lambda seed, r: Spy(rng_of(seed, r)))
 
-    def per_path(path):
-        return [path.values[-1], len(path.minima)]
-
-    rows = run_replicas(5, 20, 64, per_path, 2, reach=64, threads=2)
-    assert "normal" in used and "integers" not in used
-    expected = [[p.values[-1], len(p.minima)]
-                for p in (sample_path(64, rng_of(5, r)) for r in range(20))]
+    rows = run_replicas(5, 20, 64, ends_and_minima, 2, reach=64, threads=2)
+    assert "standard_normal" in used and "integers" not in used
+    expected = ends_and_minima([sample_path(64, rng_of(5, r)).values
+                                for r in range(20)])
     assert rows.tolist() == expected
 
 
@@ -835,15 +910,13 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
     # interpreter switching threads as often as it can: a row written
     # from the wrong replica or lost would break the equality
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 1)
-
-    def per_path(path):
-        return [path.values[-1], len(path.minima)]
-
-    expected = [per_path(sample_path(64, replica_rng(5, r))) for r in range(24)]
+    expected = ends_and_minima([sample_path(64, replica_rng(5, r)).values
+                                for r in range(24)])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = run_replicas(5, 24, 64, per_path, 2, reach=64, threads=3)
+        rows = run_replicas(5, 24, 64, ends_and_minima, 2, reach=64,
+                            threads=3)
     finally:
         sys.setswitchinterval(interval)
     assert rows.shape == (24, 2)
@@ -851,17 +924,17 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
 
 
 def test_run_replicas_validation_and_worker_errors(monkeypatch):
-    zero = lambda path: 0.0  # noqa: E731
+    zero = zeros
     with pytest.raises(ValueError):
         run_replicas(0, 0, 64, zero, 1, reach=64)
     with pytest.raises(ValueError):
         run_replicas(0, 4, 64, zero, 1, reach=64, threads=0)
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 2)
 
-    def failing(path):
-        raise RuntimeError("per-path failure")
+    def failing(walks):
+        raise RuntimeError("per-block failure")
 
-    with pytest.raises(RuntimeError, match="per-path failure"):
+    with pytest.raises(RuntimeError, match="per-block failure"):
         run_replicas(0, 4, 64, failing, 1, reach=64, threads=2)
 
 
@@ -963,7 +1036,17 @@ def test_lemma43_csv_format(tmp_path):
 
 
 def test_replica_rng_rejects_bad_seed():
-    # the seed range and message that relation_suite shares
-    for seed in (-1, 2 ** 63):
+    # the seed range and message that relation_suite shares; one check
+    # refuses a seed or a replica index that is not a whole number rather
+    # than truncating it, and a negative index rather than overflowing
+    for seed in (-1, 2 ** 63, 1.5, math.nan, math.inf, "3"):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\)"):
             replica_rng(seed, 0)
+    for replica in (-1, 2 ** 63, 1.5):
+        with pytest.raises(ValueError,
+                           match=r"replica must lie in \[0, 2\*\*63\)"):
+            replica_rng(3, replica)
+    # a whole number of any integer type keys the same stream
+    for seed, replica in ((np.int64(3), np.uint64(1)), (3.0, 1.0)):
+        assert replica_rng(seed, replica).normal(size=4).tobytes() == \
+            replica_rng(3, 1).normal(size=4).tobytes()
