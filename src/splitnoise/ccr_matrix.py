@@ -56,29 +56,41 @@ so its spectrum is +-(singular values of the real block M), padded with
 zeros for odd N, and the value is the top singular value of M.  The sign
 of a bipartite [[0, B], [B^*, 0]] is [[0, U], [U^*, 0]] with U = W V^*
 the polar factor of B = W Sigma V^* (Higham, Functions of Matrices,
-SIAM 2008), taken from the thin SVD of an N/2-sized block.  The top
-singular value of M is the square root of the top eigenvalue of the
-smaller of M^T M and M M^T.  What does not depend on the angle is built
-once per N, so a study at several angles shares it.
+SIAM 2008).  The top singular value of M is the square root of the top
+eigenvalue of the smaller of M^T M and M M^T, found by Lanczos with full
+reorthogonalization (Golub & Van Loan, Matrix Computations, ch. 10) from
+the start vector cos(1.234 j + 0.5), until the Ritz residual is at most
+1e-15 times the Ritz value.  The top is isolated (1.256 against 1.171 at
+N = 1024), so that takes about 10 steps.  What does not depend on the
+angle is built once per N, so a study at several angles shares it.
 
 * oscillator: e^{i theta N} q e^{-i theta N} = q cos theta + p sin theta
   holds exactly in the truncation, so S = sgn q o [1 + 2 cos(alpha (j - l))]
   entrywise, which is real.  q couples even levels to odd levels only,
-  so M = polar(B_q) o [1 + 2 cos(alpha (even - odd))], with B_q the
-  bidiagonal even-row/odd-column block of q.  B_q and its polar factor
-  are built once per N; only the weight depends on alpha.
+  so M = U_q o [1 + 2 cos(alpha (even - odd))], with U_q the polar
+  factor of the bidiagonal even-row/odd-column block B_q of q.  The
+  truncation is the N-point Gauss-Hermite rule (Golub & Welsch, Math.
+  Comp. 23, 1969): the eigenvalues of q are the zeros of the degree-N
+  Hermite polynomial, and the eigenvector at a node x has the components
+  v_j(x) of the orthonormal three-term recurrence.  Parity gives
+  v_j(-x) = (-1)^j v_j(x), so U_q = 2 Psi_even Psi_odd^T, with Psi the
+  normalized eigenvectors at the positive nodes.  The nodes are
+  sqrt(eigvalsh(B_q^T B_q)), each refined by one Newton step on the
+  recurrence for det(x - q); no SVD is taken.  U_q is built once per N;
+  only the weight depends on alpha.
 * grid: Q is real diagonal and P imaginary, so sgn(c Q - s P) is the
   complex conjugate of sgn(c Q + s P) and S = sgn Q + 2 Re sgn(c Q + s P).
   Both Q and P are odd under the reflection x -> -x, so in the basis of
   reflection-odd and reflection-even vectors M = 2 Re polar(B) - [I | 0],
   with B the block of c Q + s P and -[I | 0] that of sgn Q.  Only the
   top N/2 rows of the derivative enter B = c diag(x_j) - i s E: E, the
-  folded top rows, is built once per N, and B and its polar factor once
-  per angle.
+  folded top rows, is built once per N, and B and its polar factor,
+  from a thin SVD, once per angle.
 
 For odd N the block is (N+1)/2 x (N-1)/2 or its transpose.  Its polar
-factor vanishes on the kernel vector, so sgn(0) = 0 holds without a
-tolerance, and the spectrum stays parity-symmetric.
+factor vanishes on the kernel vector (the oscillator's sum over nodes
+leaves out the zero node), so sgn(0) = 0 holds without a tolerance, and
+the spectrum stays parity-symmetric.
 """
 
 from __future__ import annotations
@@ -287,10 +299,38 @@ def _polar(b: np.ndarray) -> np.ndarray:
 
 
 def _top_singular_value(m: np.ndarray) -> float:
-    """Largest singular value of a real matrix, from its smaller Gram
-    matrix."""
-    gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
-    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    """Largest singular value of a real matrix: Lanczos on the smaller of
+    the Gram matrices m^T m and m m^T, applied as two products and never
+    formed (Golub & Van Loan, Matrix Computations, ch. 10).
+
+    Every step is reorthogonalized against all earlier ones, twice.  The
+    start vector is cos(1.234 j + 0.5), so reruns repeat bit for bit.  The
+    iteration stops once the top Ritz pair (theta, y) has residual
+    beta |y_last| <= 1e-15 theta, at a breakdown beta = 0 (the Krylov
+    space is invariant, so theta is exact), or after as many steps as the
+    Gram matrix has rows.
+    """
+    a = m.T if m.shape[0] > m.shape[1] else m  # the Gram matrix is a a^T
+    q = np.cos(1.234 * np.arange(a.shape[0]) + 0.5)
+    basis = [q / math.sqrt(q @ q)]
+    alphas, betas = [], []
+    while True:
+        qs = np.array(basis)
+        w = a @ (a.T @ basis[-1])
+        h = qs @ w
+        w -= qs.T @ h
+        w -= qs.T @ (qs @ w)
+        alphas.append(h[-1])
+        beta = math.sqrt(w @ w)
+        steps = len(alphas)
+        t = np.diag(alphas)  # the Lanczos tridiagonal
+        t.flat[1::steps + 1] = t.flat[steps::steps + 1] = betas
+        theta, y = np.linalg.eigh(t)
+        if (beta == 0.0 or beta * abs(y[-1, -1]) <= 1e-15 * theta[-1]
+                or steps == a.shape[0]):
+            return math.sqrt(max(theta[-1], 0.0))
+        betas.append(beta)
+        basis.append(w / beta)
 
 
 def _oscillator_block(n: int) -> np.ndarray:
@@ -302,6 +342,84 @@ def _oscillator_block(n: int) -> np.ndarray:
     b.flat[0::k + 1] = e[0::2]  # b[l, l] = q[2l, 2l + 1]
     b.flat[k::k + 1] = e[1::2]  # b[l + 1, l] = q[2l + 2, 2l + 1]
     return b
+
+
+# Recurrences over the nodes divide out a power of two every 32 levels:
+# over 32 levels the monic p_j grows by at most 2^231 at n = 8192, and
+# unscaled it overflows from n = 256 up.
+_RESCALE_LEVELS = 32
+
+
+def _rescale(*arrays) -> np.ndarray:
+    """Divide the arrays, in place and exactly, by a power of two per
+    node that brings the larger of the first two to [0.5, 1); returns
+    the exponents."""
+    shift = np.frexp(np.maximum(abs(arrays[0]), abs(arrays[1])))[1]
+    for a in arrays:
+        np.ldexp(a, -shift, out=a)
+    return shift
+
+
+def _hermite_nodes(n: int) -> np.ndarray:
+    """The n // 2 positive eigenvalues of q, ascending: the positive zeros
+    of the degree-n Hermite polynomial.
+
+    sqrt(eigvalsh(B^T B)) with B the even/odd block, then one Newton step
+    on p_n = det(x - q) by the monic recurrence
+    p_{j+1} = x p_j - q[j - 1, j]^2 p_{j-1}, q[j - 1, j]^2 = j / 2, run
+    with its derivative.  The square root alone misses a small node x by
+    up to about eps ||q||^2 / (2 x).
+    """
+    b = _oscillator_block(n)
+    x = np.sqrt(np.linalg.eigvalsh(b.T @ b))
+    p_prev, p = np.ones_like(x), x.copy()
+    d_prev, d = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n):
+        p, p_prev = x * p - (0.5 * j) * p_prev, p
+        d, d_prev = p_prev + x * d - (0.5 * j) * d_prev, d
+        if j % _RESCALE_LEVELS == 0:
+            _rescale(p, p_prev, d, d_prev)
+    return x - p / d
+
+
+def _oscillator_sign_block(n: int) -> np.ndarray:
+    """sgn(q)[0::2, 1::2], q's sign coupling even levels to odd ones.
+
+    The eigenvector of q at the node x has components v_j(x), the
+    orthonormal Hermite recurrence
+    v_{j+1} = (x v_j - q[j - 1, j] v_{j-1}) / q[j, j + 1], v_0 = 1
+    (Golub & Welsch, Math. Comp. 23, 1969).  Parity gives
+    v_j(-x) = (-1)^j v_j(x), so with columns normalized (the Christoffel
+    weights) the block is 2 Psi_even Psi_odd^T over the positive nodes.
+    For odd n the zero node drops out, so sgn(0) = 0 holds exactly.
+    """
+    x = _hermite_nodes(n)
+    k = n // 2
+    # beta[j] = q[j - 1, j] = sqrt(j / 2), rounded once to match the
+    # Newton step's exact j / 2; the ladder entries sqrt(j) / sqrt 2 put
+    # the block 4x further from the SVD's at N = 1024
+    beta = np.sqrt(np.arange(n) / 2.0)
+    levels = (np.empty((n - k, k)), np.empty((k, k)))  # even, odd rows
+    prev, cur = np.zeros(k), levels[0][0]
+    cur[:] = 1.0
+    taken = np.zeros(k, dtype=int)  # exponents divided out so far
+    marks = [(0, taken)]  # (first level, exponents taken) per stretch
+    for j in range(1, n):
+        nxt = levels[j % 2][j // 2]
+        np.multiply(x, cur, out=nxt)
+        nxt -= beta[j - 1] * prev
+        nxt /= beta[j]
+        prev, cur = cur, nxt
+        if j % _RESCALE_LEVELS == 0:
+            taken = taken + _rescale(cur, prev)
+            marks.append((j - 1, taken))
+    # bring each stretch of levels to the scale of the last one
+    for (lo, before), (hi, _) in zip(marks, marks[1:]):
+        for parity, rows in enumerate(levels):
+            part = rows[(lo + 1 - parity) // 2:(hi + 1 - parity) // 2]
+            np.ldexp(part, before - taken, out=part)
+    weights = 2.0 / sum(np.einsum("ij,ij->j", rows, rows) for rows in levels)
+    return (levels[0] * weights) @ levels[1].T
 
 
 def _grid_block(x: np.ndarray) -> np.ndarray:
@@ -321,10 +439,10 @@ def _grid_block(x: np.ndarray) -> np.ndarray:
 def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     """Raw sign-sum norm of the angle-alpha triple for each alpha, one N.
 
-    The block that does not depend on the angle is built once: the polar
-    factor of q's even/odd block (oscillator), or the folded sinc block E
-    (grid).  Every angle is checked before any work; t feeds only the grid
-    aliasing check.
+    The block that does not depend on the angle is built once: the sign
+    of q's even/odd block from the Gauss-Hermite nodes (oscillator), or
+    the folded sinc block E (grid).  Every angle is checked before any
+    work; t feeds only the grid aliasing check.
     """
     for alpha in alphas:
         if not (math.pi / 2.0 < alpha <= math.pi):
@@ -334,7 +452,7 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     _warn_if_aliased(x, t, stacklevel=4)
     k = n // 2
     if x is None:
-        u = _polar(_oscillator_block(n))
+        u = _oscillator_sign_block(n)
         # u[r, l] couples level 2r to level 2l + 1: r - l + k - 1 indexes
         # the level differences 1 - 2k, 3 - 2k, ..., 2n - 2k - 3
         diffs = np.arange(1 - 2 * k, 2 * (n - k) - 2, 2.0)

@@ -26,6 +26,8 @@ from splitnoise.ccr_matrix import (
     _grid_block,
     _natural_pair,
     _oscillator_block,
+    _oscillator_sign_block,
+    _polar,
     _top_singular_value,
 )
 from splitnoise.gaussian_algebra import span_inner, unit
@@ -158,6 +160,7 @@ def test_time_scale_must_be_positive_and_finite(t, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before t was checked")
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(ccr_matrix, "_hermite_nodes", no_work)
     calls = [lambda: build_pair("oscillator", 8, t),
              lambda: lemma23_value(2 * math.pi / 3, t, 8),
              lambda: convergence_study("grid", [8], t=t),
@@ -393,6 +396,66 @@ def test_gram_top_singular_value_matches_two_norm(shape):
                                                    rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 65, 1024])
+def test_node_sign_block_equals_polar_factor(n):
+    # Gauss-Hermite nodes, one Newton step and the recurrence give the
+    # polar factor of q's even/odd block without an SVD
+    gap = np.abs(_oscillator_sign_block(n)
+                 - _polar(_oscillator_block(n))).max()
+    assert gap <= 1e-13
+
+
+def test_node_sign_block_annihilates_odd_n_kernel():
+    # the zero node is left out, so sgn(0) = 0 holds without a tolerance
+    for n in (3, 17, 65, 129):
+        z = _odd_kernel_vector(n)[0::2]  # zero on the odd levels
+        assert np.linalg.norm(_oscillator_block(n).T @ z) <= 1e-12
+        assert np.linalg.norm(_oscillator_sign_block(n).T @ z) <= 1e-13
+
+
+def test_oscillator_path_calls_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the oscillator kernel took an SVD")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(ccr_matrix, "_polar", no_svd)
+    for n in (16, 17, 64):
+        assert lemma23_value(2.9, 0.5, n, "oscillator") == pytest.approx(
+            _dense_lemma23(2.9, 0.5, n, "oscillator"), abs=1e-12)
+
+
+def _orthogonal(n, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+LANCZOS_CASES = {
+    "zero": (np.zeros((5, 3)), 0.0),
+    # the start vector spans the Krylov space: breakdown at step 1
+    "rank_one_start": (np.outer(np.cos(1.234 * np.arange(3) + 0.5),
+                                [1.0, -2.0, 0.5, 3.0]),
+                       np.linalg.norm(np.cos(1.234 * np.arange(3) + 0.5))
+                       * math.sqrt(14.25)),
+    # a two-dimensional Krylov space: breakdown at step 2
+    "rank_one": (np.outer([1.0, -2.0, 0.5, 3.0, 0.25], [0.3, 0.4, -1.2]),
+                 math.sqrt(14.3125) * 1.3),
+    "repeated_top": (_orthogonal(6, 5)[:, :4] @ np.diag([3.0, 3.0, 2.0, 1.0])
+                     @ _orthogonal(4, 6).T, 3.0),
+    "one_by_one": (np.array([[-2.5]]), 2.5),
+    "one_row": (np.array([[3.0, 0.0, -4.0]]), 5.0),
+    "one_column": (np.array([[3.0], [0.0], [-4.0]]), 5.0),
+}
+
+
+@pytest.mark.parametrize("m, expected", LANCZOS_CASES.values(),
+                         ids=LANCZOS_CASES)
+def test_lanczos_top_singular_value_edge_cases(m, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _top_singular_value(m)
+    assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert value == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("scheme, bound_mib",
                          [("oscillator", 16), ("grid", 30)])
 def test_lemma23_peak_memory(scheme, bound_mib):
@@ -518,18 +581,20 @@ def test_convergence_study_equals_single_angle_lemma23():
 
 
 def test_convergence_study_checks_every_angle_before_any_work(monkeypatch):
-    def no_work(b):
+    def no_work(*args):
         raise AssertionError("kernel ran before the angles were checked")
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(ccr_matrix, "_hermite_nodes", no_work)
     for scheme in ("oscillator", "grid"):
         with pytest.raises(ValueError, match="alpha"):
             convergence_study(scheme, [16, 64], [2.0, 2.9, 0.5])
 
 
 def test_convergence_study_checks_every_scheme_before_any_work(monkeypatch):
-    def no_work(b):
+    def no_work(*args):
         raise AssertionError("kernel ran before the schemes were checked")
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(ccr_matrix, "_hermite_nodes", no_work)
     with pytest.raises(ValueError, match="bogus"):
         convergence_study(("oscillator", "bogus"), [16, 64])
 

@@ -362,6 +362,7 @@ def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
     monkeypatch.setattr(warren_sim, "draw_walks", no_work)
     monkeypatch.setattr(warren_sim, "sample_path", no_work)
     monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(ccr_matrix, "_hermite_nodes", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
     monkeypatch.chdir(tmp_path)
     inputs = {name: tmp_path / f"{name}.txt" for name in INPUT_FILES}
