@@ -17,8 +17,9 @@ number-basis q[j, j + 1] = sqrt(j + 1)/sqrt 2, and `_sinc_diagonals` the
 grid derivative (-1)^(j-l) / (h (j - l)).  `_natural_pair` builds the
 dense (q, p) from them: `build_pair` scales it by sqrt(2 t) and
 `symmetric_triple` rotates it by 2 pi / 3.  The sign-sum kernel builds
-only the N/2-sized blocks it reads, from the same helpers, and unscaled,
-since positive scalings drop out of sgn.  `_grid_points` is the one
+only N/2-sized blocks, unscaled, since positive scalings drop out of
+sgn: the grid's from `_sinc_diagonals`, the oscillator's from the
+Hermite recurrence `_hermite_levels`.  `_grid_points` is the one
 check of a scheme and its dimensions, and the grid aliasing check reads
 only the grid points and t.  Every grid object uses one window, the
 balanced half width sqrt(pi N / 2): Q_t = sqrt(2 t) x only rescales the
@@ -75,9 +76,16 @@ angle is built once per N, so a study at several angles shares it.
   v_j(x) of the orthonormal three-term recurrence.  Parity gives
   v_j(-x) = (-1)^j v_j(x), so U_q = 2 Psi_even Psi_odd^T, with Psi the
   normalized eigenvectors at the positive nodes.  The nodes are
-  sqrt(eigvalsh(B_q^T B_q)), each refined by one Newton step on the
-  recurrence for det(x - q); no SVD is taken.  U_q is built once per N;
-  only the weight depends on alpha.
+  sqrt(eigvalsh(B_q^T B_q)), with the tridiagonal B_q^T B_q in closed
+  form, each refined by one Newton step on v_N; no SVD is taken.  One
+  rescaled recurrence does both jobs: run at the eigvalsh nodes it gives
+  the Newton step, whose derivative v_N' the Christoffel-Darboux
+  identity sum_{j<N} v_j^2 = beta_N v_N' v_{N-1} (at v_N = 0; Szego,
+  Orthogonal Polynomials, Thm 3.2.2) takes from sums it already forms,
+  and run at the refined nodes it gives Psi.  It divides out a power of
+  two every 32 levels: unscaled, v_j reaches about 1.6e214 at N = 512,
+  so its squared norms overflow.  U_q is built once per N; only the
+  weight depends on alpha.
 * grid: Q is real diagonal and P imaginary, so sgn(c Q - s P) is the
   complex conjugate of sgn(c Q + s P) and S = sgn Q + 2 Re sgn(c Q + s P).
   Both Q and P are odd under the reflection x -> -x, so in the basis of
@@ -333,93 +341,83 @@ def _top_singular_value(m: np.ndarray) -> float:
         basis.append(w / beta)
 
 
-def _oscillator_block(n: int) -> np.ndarray:
-    """q[0::2, 1::2], the bidiagonal block of q with even-level rows and
-    odd-level columns."""
-    k = n // 2
-    e = _ladder_entries(n)
-    b = np.zeros((n - k, k))
-    b.flat[0::k + 1] = e[0::2]  # b[l, l] = q[2l, 2l + 1]
-    b.flat[k::k + 1] = e[1::2]  # b[l + 1, l] = q[2l + 2, 2l + 1]
-    return b
-
-
-# Recurrences over the nodes divide out a power of two every 32 levels:
-# over 32 levels the monic p_j grows by at most 2^231 at n = 8192, and
-# unscaled it overflows from n = 256 up.
+# The recurrence over the nodes divides out a power of two every 32
+# levels: over 32 levels v_j grows by at most 2^181 at n = 8192, and
+# unscaled it reaches about 1.6e214 at n = 512, where its squared norms
+# overflow.
 _RESCALE_LEVELS = 32
 
 
-def _rescale(*arrays) -> np.ndarray:
-    """Divide the arrays, in place and exactly, by a power of two per
-    node that brings the larger of the first two to [0.5, 1); returns
-    the exponents."""
-    shift = np.frexp(np.maximum(abs(arrays[0]), abs(arrays[1])))[1]
-    for a in arrays:
-        np.ldexp(a, -shift, out=a)
-    return shift
+def _hermite_levels(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Levels 0..n-1 of the orthonormal Hermite recurrence at the nodes x,
+    their squared column norms, and the Newton step towards a zero of v_n.
+
+    v_j = (x v_{j-1} - beta_{j-1} v_{j-2}) / beta_j, v_0 = 1, with
+    beta_j = q[j - 1, j] = sqrt(j / 2) (Golub & Welsch, Math. Comp. 23,
+    1969); row j of the (n, len(x)) array holds v_j.  Every
+    _RESCALE_LEVELS levels each column is divided by an exact power of two
+    that brings its last two levels to [0.5, 1); a last pass brings the
+    earlier stretches to the scale of the last one.  The
+    Christoffel-Darboux identity (Szego, Orthogonal Polynomials, Thm
+    3.2.2) gives sum_{j<n} v_j^2 = beta_n v_n' v_{n-1} at v_n = 0, so
+    Newton's step -v_n / v_n' is
+    (beta_{n-1} v_{n-2} - x v_{n-1}) v_{n-1} / sum_{j<n} v_j^2, up to a
+    term of second order in v_n; it does not depend on the scale.
+    """
+    beta = np.sqrt(np.arange(n) / 2.0)
+    v = np.empty((n, len(x)))
+    v[0] = 1.0
+    v[1] = x / beta[1]
+    taken = np.zeros(len(x), dtype=int)  # exponents divided out so far
+    marks = [(0, taken)]  # (first level, exponents taken) per stretch
+    for j in range(2, n):
+        np.multiply(x, v[j - 1], out=v[j])
+        v[j] -= beta[j - 1] * v[j - 2]
+        v[j] /= beta[j]
+        if j % _RESCALE_LEVELS == 0:
+            shift = np.frexp(np.maximum(abs(v[j - 1]), abs(v[j])))[1]
+            np.ldexp(v[j - 1:j + 1], -shift, out=v[j - 1:j + 1])
+            taken = taken + shift
+            marks.append((j - 1, taken))
+    for (lo, before), (hi, _) in zip(marks, marks[1:]):
+        np.ldexp(v[lo:hi], before - taken, out=v[lo:hi])
+    norms = np.einsum("ij,ij->j", v, v)
+    step = (beta[n - 1] * v[n - 2] - x * v[n - 1]) * v[n - 1] / norms
+    return v, norms, step
 
 
 def _hermite_nodes(n: int) -> np.ndarray:
     """The n // 2 positive eigenvalues of q, ascending: the positive zeros
     of the degree-n Hermite polynomial.
 
-    sqrt(eigvalsh(B^T B)) with B the even/odd block, then one Newton step
-    on p_n = det(x - q) by the monic recurrence
-    p_{j+1} = x p_j - q[j - 1, j]^2 p_{j-1}, q[j - 1, j]^2 = j / 2, run
-    with its derivative.  The square root alone misses a small node x by
-    up to about eps ||q||^2 / (2 x).
+    sqrt(eigvalsh(T)) with T = B^T B, B = q[0::2, 1::2] the even/odd
+    block, in closed form: T is tridiagonal with diagonal 2l + 3/2
+    (l + 1/2 in the last row for even n) and off-diagonal
+    sqrt(2l (2l + 1)) / 2 for l = 1..k-1.  Then one Newton step from
+    _hermite_levels: the square root alone misses a small node x by up
+    to about eps ||q||^2 / (2 x).
     """
-    b = _oscillator_block(n)
-    x = np.sqrt(np.linalg.eigvalsh(b.T @ b))
-    p_prev, p = np.ones_like(x), x.copy()
-    d_prev, d = np.zeros_like(x), np.ones_like(x)
-    for j in range(1, n):
-        p, p_prev = x * p - (0.5 * j) * p_prev, p
-        d, d_prev = p_prev + x * d - (0.5 * j) * d_prev, d
-        if j % _RESCALE_LEVELS == 0:
-            _rescale(p, p_prev, d, d_prev)
-    return x - p / d
+    k = n // 2
+    t = np.diag(2.0 * np.arange(k) + 1.5)
+    if n % 2 == 0:
+        t[-1, -1] = k - 0.5
+    even = 2.0 * np.arange(1, k)  # 2l
+    t.flat[1::k + 1] = t.flat[k::k + 1] = np.sqrt(even * (even + 1.0)) / 2.0
+    x = np.sqrt(np.linalg.eigvalsh(t))
+    return x + _hermite_levels(x, n)[2]
 
 
 def _oscillator_sign_block(n: int) -> np.ndarray:
     """sgn(q)[0::2, 1::2], q's sign coupling even levels to odd ones.
 
-    The eigenvector of q at the node x has components v_j(x), the
-    orthonormal Hermite recurrence
-    v_{j+1} = (x v_j - q[j - 1, j] v_{j-1}) / q[j, j + 1], v_0 = 1
-    (Golub & Welsch, Math. Comp. 23, 1969).  Parity gives
-    v_j(-x) = (-1)^j v_j(x), so with columns normalized (the Christoffel
-    weights) the block is 2 Psi_even Psi_odd^T over the positive nodes.
-    For odd n the zero node drops out, so sgn(0) = 0 holds exactly.
+    The eigenvector of q at the node x has components v_j(x), the levels
+    of _hermite_levels.  Parity gives v_j(-x) = (-1)^j v_j(x), so with
+    columns normalized (the Christoffel weights) the block is
+    2 Psi_even Psi_odd^T over the positive nodes.  For odd n the zero
+    node drops out, so sgn(0) = 0 holds exactly.
     """
-    x = _hermite_nodes(n)
-    k = n // 2
-    # beta[j] = q[j - 1, j] = sqrt(j / 2), rounded once to match the
-    # Newton step's exact j / 2; the ladder entries sqrt(j) / sqrt 2 put
-    # the block 4x further from the SVD's at N = 1024
-    beta = np.sqrt(np.arange(n) / 2.0)
-    levels = (np.empty((n - k, k)), np.empty((k, k)))  # even, odd rows
-    prev, cur = np.zeros(k), levels[0][0]
-    cur[:] = 1.0
-    taken = np.zeros(k, dtype=int)  # exponents divided out so far
-    marks = [(0, taken)]  # (first level, exponents taken) per stretch
-    for j in range(1, n):
-        nxt = levels[j % 2][j // 2]
-        np.multiply(x, cur, out=nxt)
-        nxt -= beta[j - 1] * prev
-        nxt /= beta[j]
-        prev, cur = cur, nxt
-        if j % _RESCALE_LEVELS == 0:
-            taken = taken + _rescale(cur, prev)
-            marks.append((j - 1, taken))
-    # bring each stretch of levels to the scale of the last one
-    for (lo, before), (hi, _) in zip(marks, marks[1:]):
-        for parity, rows in enumerate(levels):
-            part = rows[(lo + 1 - parity) // 2:(hi + 1 - parity) // 2]
-            np.ldexp(part, before - taken, out=part)
-    weights = 2.0 / sum(np.einsum("ij,ij->j", rows, rows) for rows in levels)
-    return (levels[0] * weights) @ levels[1].T
+    v, norms, _ = _hermite_levels(_hermite_nodes(n), n)
+    return (v[0::2] * (2.0 / norms)) @ v[1::2].T
 
 
 def _grid_block(x: np.ndarray) -> np.ndarray:

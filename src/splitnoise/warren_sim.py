@@ -287,9 +287,13 @@ class SuperchaosVector:
 
 
 def _grid_index(t: float, m: int, name: str) -> int:
+    """Index j = t m of a grid time t in [0, 1] on the 1/m grid; ValueError
+    naming the parameter when t is off the grid or outside [0, 1]."""
     j = round(t * m)
     if abs(t * m - j) > 1e-9:
         raise ValueError(f"{name} = {t} is not aligned to the 1/{m} grid")
+    if not 0 <= j <= m:
+        raise ValueError(f"{name} = {t} lies outside [0, 1]")
     return int(j)
 
 
@@ -324,14 +328,17 @@ def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int, int]:
 
 
 def _weigh(chosen: np.ndarray, weights: np.ndarray,
-           walks: np.ndarray) -> np.ndarray:
-    """weights[j] where chosen[:, j] holds and 0 elsewhere, written over
-    the first chosen.shape[1] columns of walks.  Copying the bool array
-    in and then scaling it needs no cast buffer, as a mixed bool and
-    float product would."""
+           factor: np.ndarray | None, walks: np.ndarray) -> np.ndarray:
+    """weights[j] * factor[r] where chosen[r, j] holds and 0 elsewhere,
+    written over the first chosen.shape[1] columns of walks; factor is a
+    per-walk sign factor s**power, or None for a W profile.  Copying the
+    bool array in and then scaling it needs no cast buffer, as a mixed
+    bool and float product would."""
     terms = walks[:, :chosen.shape[1]]
     np.copyto(terms, chosen)
     terms *= weights[:chosen.shape[1]]
+    if factor is not None:
+        terms *= factor[:, None]
     return terms
 
 
@@ -346,10 +353,9 @@ def _grid_terms(f: SuperchaosVector, weights: np.ndarray, power: int,
     drawn, so every sum over them agrees bit for bit on a prefix and on
     the whole walk; IndexError unless the walks reach end."""
     p = np.broadcast_to(psi(walks, m), walks.shape)[:, :end]
-    s = _endpoint_sign(walks, m, f.a, f.b) if f.kind == "WS" else None
-    terms = _weigh(_minima_mask(walks, end), weights, walks)
-    if s is not None:
-        terms *= (s ** power)[:, None]
+    factor = (_endpoint_sign(walks, m, f.a, f.b) ** power
+              if f.kind == "WS" else None)
+    terms = _weigh(_minima_mask(walks, end), weights, factor, walks)
     terms *= p
     return terms
 
@@ -415,6 +421,12 @@ class PsiSpec:
         return m // (2 * self.n), d
 
 
+def _bucket_signs(walks: np.ndarray, m: int, step: int, d: int) -> np.ndarray:
+    """Increment sign over d grid steps at each right bucket edge step,
+    2 step, ..., m // 2, one column per bucket of width step."""
+    return _increment_sign(walks, np.arange(step, m // 2 + 1, step), d)
+
+
 def bucket_probe_evaluator(spec: PsiSpec):
     """psi(t_j, path) = the increment sign over [edge, edge + delta] at the
     right edge (j // step + 1) * step of the bucket of width step holding
@@ -422,7 +434,7 @@ def bucket_probe_evaluator(spec: PsiSpec):
     def psi(walks: np.ndarray, m: int) -> np.ndarray:
         step, d = spec.alignment(m)
         half = m // 2
-        signs = _increment_sign(walks, np.arange(step, half + 1, step), d)
+        signs = _bucket_signs(walks, m, step, d)
         out = np.zeros(walks.shape)
         out[:, :half] = np.repeat(signs, step, axis=1)
         return out
@@ -607,33 +619,26 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
         raise ValueError("profile must be supported in (0, 1/2)")
     w2 = wp[:half] ** 2
     reach = max(half + max(offsets), reach)
-    # the probe is constant on a bucket: sum the weights per bucket and
-    # evaluate the probe once per bucket, at the bucket's right edge
-    edges = [np.arange(step, half + 1, step) for step in steps]
     k = len(delta_list)
 
     # columns: mass, then u_mass per delta, then the estimate per (n, delta)
     def per_block(walks: np.ndarray) -> np.ndarray:
-        s = _endpoint_sign(walks, m, f.a, f.b) if f.kind == "WS" else None
+        factor = (_endpoint_sign(walks, m, f.a, f.b) ** 2
+                  if f.kind == "WS" else None)
         mask = _minima_mask(walks, half)
         rising = []
         for off in offsets:
             up = walks[:, off:half + off] > walks[:, :half]
             up &= mask
             rising.append(up)
-        probes = [[_increment_sign(walks, edge, off) for off in offsets]
-                  for edge in edges]
+        # the probe is constant on a bucket: sum the weights per bucket
+        # and evaluate the probe once per bucket, at its right edge
+        probes = [[_bucket_signs(walks, m, step, off) for off in offsets]
+                  for step in steps]
         # every read of the walks is done: from here on their first half
         # columns hold the weight terms of one column at a time
-
-        def weigh(chosen: np.ndarray) -> np.ndarray:
-            terms = _weigh(chosen, w2, walks)
-            if s is not None:
-                terms *= (s * s)[:, None]
-            return terms
-
         out = np.empty((len(walks), 1 + k + len(n_list) * k))
-        terms = weigh(mask)
+        terms = _weigh(mask, w2, factor, walks)
         out[:, 0] = terms[:, :end].sum(axis=1)
         col = 1 + k
         for step, row in zip(steps, probes):
@@ -642,7 +647,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
                 out[:, col] = (bucket * probe).sum(axis=1)
                 col += 1
         for i, up in enumerate(rising, 1):
-            out[:, i] = weigh(up)[:, :end].sum(axis=1)
+            out[:, i] = _weigh(up, w2, factor, walks)[:, :end].sum(axis=1)
         return out
 
     acc = run_replicas(seed, samples, m, per_block, 1 + k + len(n_list) * k,

@@ -24,8 +24,8 @@ from splitnoise.ccr_matrix import (
 )
 from splitnoise.ccr_matrix import (
     _grid_block,
+    _hermite_nodes,
     _natural_pair,
-    _oscillator_block,
     _oscillator_sign_block,
     _polar,
     _top_singular_value,
@@ -376,8 +376,6 @@ def test_lemma23_rejects_bad_alpha():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
 def test_kernel_blocks_equal_dense_pair_blocks(n):
-    q, _ = position_momentum(n)
-    assert np.array_equal(_oscillator_block(n), q[0::2, 1::2])
     # the grid block folds the top k rows of the sinc derivative -i p
     _, p, x = _natural_pair("grid", n)
     k = n // 2
@@ -400,16 +398,25 @@ def test_gram_top_singular_value_matches_two_norm(shape):
 def test_node_sign_block_equals_polar_factor(n):
     # Gauss-Hermite nodes, one Newton step and the recurrence give the
     # polar factor of q's even/odd block without an SVD
-    gap = np.abs(_oscillator_sign_block(n)
-                 - _polar(_oscillator_block(n))).max()
+    q, _ = position_momentum(n)
+    gap = np.abs(_oscillator_sign_block(n) - _polar(q[0::2, 1::2])).max()
     assert gap <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65, 128, 255, 256])
+def test_hermite_nodes_match_hermgauss(n):
+    # numpy's Gauss-Hermite rule is an independent oracle for the nodes;
+    # for odd n its middle node is the zero node, which is left out
+    ref = np.polynomial.hermite.hermgauss(n)[0][n - n // 2:]
+    assert np.all(np.abs(_hermite_nodes(n) - ref) <= 2e-15 * ref)
 
 
 def test_node_sign_block_annihilates_odd_n_kernel():
     # the zero node is left out, so sgn(0) = 0 holds without a tolerance
     for n in (3, 17, 65, 129):
         z = _odd_kernel_vector(n)[0::2]  # zero on the odd levels
-        assert np.linalg.norm(_oscillator_block(n).T @ z) <= 1e-12
+        q, _ = position_momentum(n)
+        assert np.linalg.norm(q[0::2, 1::2].T @ z) <= 1e-12
         assert np.linalg.norm(_oscillator_sign_block(n).T @ z) <= 1e-13
 
 

@@ -82,3 +82,28 @@ def test_no_module_has_an_unused_import(source):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # a private module-level name that only tests reach is dead code kept
+    # alive for its tests: the tests should use the public names instead
+    defined, used = set(), set()
+    for source in (ROOT / "src" / "splitnoise").glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = {n for n in defined
+               if n.startswith("_") and not n.endswith("__")}
+    assert private
+    assert sorted(private - used) == []

@@ -355,7 +355,7 @@ def test_psi_eval_range_and_tie():
     assert vals[0] == 0.0
 
 
-def test_psi_eval_alignment_errors():
+def test_psi_eval_alignment_errors(monkeypatch):
     path = sample_path(64, replica_rng(37, 0))
     with pytest.raises(ValueError):
         # 6 does not divide 64
@@ -370,6 +370,19 @@ def test_psi_eval_alignment_errors():
     # 1e-12 is on the 1/256 grid within its tolerance, but rounds to 0 steps
     with pytest.raises(ValueError, match="at least one grid step"):
         PsiSpec(4, 1e-12).alignment(256)
+    # a grid time outside [0, 1] is named before any walk is drawn: a
+    # negative index would silently read the walk from its far end
+    refuse_to_draw(monkeypatch)
+    f = half_interval_profile()
+    signs = np.ones(len(path.minima))
+    for (a, b), bad in (((-0.25, 0.25), "a = -0.25"),
+                        ((-0.5, 0.25), "a = -0.5"),
+                        ((0.25, 1.5), "b = 1.5")):
+        psi = endpoint_sign_evaluator(a, b)
+        with pytest.raises(ValueError, match=f"{bad} lies outside"):
+            quad_form_C(psi, f, 20, 1, m=64)
+        with pytest.raises(ValueError, match=f"{bad} lies outside"):
+            chaos_eval_under_probe(f, path, signs, psi)
 
 
 def test_psi_decomposition_identity_exact():
