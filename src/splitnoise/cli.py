@@ -162,11 +162,14 @@ def _cmd_lemma43(args) -> str:
     out = _out_path(args.out)
     warren_sim.write_lemma43_csv(rows, out)
     best = warren_sim.best_row(rows)
+    if best.mass == 0.0:  # no weighted minimum on any path
+        ratios = "mass 0, so estimate/mass and u_mass/mass are undefined"
+    else:
+        ratios = (f"estimate/mass {best.estimate / best.mass:.4f}, "
+                  f"u_mass/mass {best.u_mass / best.mass:.4f} "
+                  f"+- {best.u_ratio_stderr:.2g}")
     return (f"lemma43: {len(rows)} rows; best row (n={best.n}, "
-            f"delta={best.delta:.6g}): estimate/mass "
-            f"{best.estimate / best.mass:.4f}, u_mass/mass "
-            f"{best.u_mass / best.mass:.4f} +- {best.u_ratio_stderr:.2g} "
-            f"-> {out}")
+            f"delta={best.delta:.6g}): {ratios} -> {out}")
 
 
 def _finite(text: str) -> float:

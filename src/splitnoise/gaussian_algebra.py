@@ -219,7 +219,7 @@ class ExpSpan:
         when G's condition number exceeds GRAM_CONDITION_LIMIT."""
         g = np.exp(_inner(self.values, self.values, self.breaks))
         value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
-        if len(g) >= 2:
+        if len(g) >= 2 and np.isfinite(g).all():
             cond = np.linalg.cond(g)
             if cond > GRAM_CONDITION_LIMIT:
                 warnings.warn(
@@ -378,7 +378,7 @@ class RelationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
 
 @contextlib.contextmanager
@@ -441,11 +441,11 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
         p = AutomorphismParams(rng.uniform(-2.0, 2.0), xi, U)
         with _naming_warnings("gram_preservation", trial):
             lhs = span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
-            found["gram_preservation"] = (abs(lhs - span_inner(v, w))
+            found["gram_preservation"] = (np.abs(lhs - span_inner(v, w))
                                           / (nv * w.norm() + 1e-300))
         with _naming_warnings("weyl_phase", trial):
             found["weyl_phase"] = ccr_phase_residual(lam, mu, v)
         for name, value in found.items():
-            worst[name] = max(worst[name], value)
+            worst[name] = float(np.maximum(worst[name], value))
 
     return RelationReport(seed=seed, trials=trials, residuals=worst)

@@ -32,29 +32,24 @@ evaluations are the one-row case of the same code.
 
 Both Monte Carlo drivers, quad_form_C and lemma43_table, are block
 reductions run by one replica engine, run_replicas(seed, samples, m,
-per_block, width, reach, threads).  The engine splits range(samples)
-into contiguous chunks of REPLICA_CHUNK replicas and runs them on at
-most `threads` workers of a thread pool (inline when one worker
-suffices).  A worker draws a chunk a block of about 0.5 MB of walks at
-a time into one reusable buffer, re-keying one Philox generator to
-(master_seed, r), counter 0 and an empty buffer, for each row r: the
-state replica_rng(master_seed, r) starts from.  One cumsum builds the
-block's walks and the driver's reduction turns them into rows
-r..r+rows-1 of the (samples, width) result.  The drivers check their
-inputs and compute the weight profile once per run, before the engine
-starts, and reduce each column to a mean and a standard error in
-replica order afterwards, so every estimate is bit-identical for any
-thread count.
+per_block, reach, threads): a map over contiguous chunks of
+REPLICA_CHUNK replicas, on at most `threads` workers of a thread pool
+(inline when one worker suffices), that shares no writable state.  A
+chunk draws its replicas a block of about 0.5 MB of walks at a time into
+a buffer of its own, re-keying one Philox generator to (master_seed, r),
+counter 0 and an empty buffer, for each row r: the state
+replica_rng(master_seed, r) starts from.  One cumsum builds the block's
+walks, the driver's reduction turns them into one result per walk, and
+the chunk returns its results in replica order; the engine joins the
+chunks in the same order.  The drivers check their inputs and compute
+the weight profile once per run, before the engine starts, and reduce
+each column to a mean and a standard error in replica order
+afterwards, so every estimate is bit-identical for any thread count.
 
 The threads overlap because a worker holds the interpreter lock only
 between numpy calls, and a block makes a few of those (one normal fill
-per row, then a few whole-block passes) where a walk at a time made
-about twenty small ones per replica.  The normal fills and the ufunc
-loops release the lock.  At m = 16384 and 2500 replicas, on a 2-vCPU
-x86-64 VM (medians of five alternating runs), quad_form_C with psi == 1
-took 0.86 s on one thread and 0.64 s on two as a walk at a time, and
-0.72 s and 0.49 s as blocks; lemma43_table took 1.09 s and 0.97 s
-before, and 0.84 s and 0.57 s as blocks.
+per row, then a few whole-block passes); the normal fills and the ufunc
+loops release the lock.
 
 Each replica draws its walk only up to the driver's reach: the last
 grid index that any of its columns reads, computed from the driver's
@@ -472,60 +467,56 @@ def _check_run(samples: int, m: int, threads: int) -> None:
         raise ValueError("m must be at least 4")
 
 
-def run_replicas(seed: int, samples: int, m: int, per_block, width: int,
-                 reach: int, threads: int = 1) -> np.ndarray:
-    """(samples, width) array whose rows r..r+k-1 are per_block(walks)
-    for a block holding the walks of replicas r..r+k-1, one per row.
+def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
+                 threads: int = 1) -> np.ndarray:
+    """per_block's results for the walks of replicas 0..samples-1,
+    concatenated along the first axis in replica order: per_block(walks)
+    takes a block holding the walks of replicas r..r+k-1, one per row,
+    and returns one result row (or value) per walk.
 
     The walk of replica r is sample_path(m, replica_rng(seed, r), h)'s,
     whatever worker draws it and whatever block holds it: the walk up to
     h = reach clamped to [2, m] (a zero weight profile gives reach 1).
     No signs are drawn.  reach must be the last grid index per_block
-    reads; reading past it raises IndexError.  per_block returns a
-    (rows, width) array and may overwrite the walks it is given; it
-    must be safe to call from several threads at once.
+    reads; reading past it raises IndexError.  per_block may overwrite
+    the walks it is given and may return a view of them; it must be safe
+    to call from several threads at once.
 
-    Contiguous chunks of REPLICA_CHUNK replicas run on min(threads,
-    chunks) pool workers, or inline when that is one.  A worker draws a
-    chunk in blocks of about 512 KiB of walks, with draw_walks, into one
-    buffer that it reuses for the whole run, and writes only its own
-    rows, so the array does not depend on the thread count.  Blocks
-    give the threads room to overlap: the lock-free normal fills and
-    whole-block numpy passes dominate, not the interpreter's share.
+    Contiguous chunks of REPLICA_CHUNK replicas are mapped over by
+    min(threads, chunks) pool workers, or inline when that is one, and
+    share nothing writable.  A chunk draws its replicas, with
+    draw_walks, in blocks of about 512 KiB of walks into one buffer of
+    its own, copies each block's result before the next block reuses the
+    buffer, and returns their concatenation; the chunks' results are
+    joined in replica order, so the array does not depend on the thread
+    count.  Blocks give the threads room to overlap: the lock-free normal
+    fills and whole-block numpy passes dominate, not the interpreter's
+    share.
     """
     _check_run(samples, m, threads)
     _check_seed(seed)
-    out = np.empty((samples, width))
     chunk = REPLICA_CHUNK
     h = min(m, max(2, int(reach)))
     rows = min(chunk, max(1, _WALK_BLOCK // (h + 1)))
+
+    def run_chunk(lo: int) -> np.ndarray:
+        hi = min(lo + chunk, samples)
+        rngs = _replica_streams(seed, range(lo, hi))
+        walks = np.empty((min(rows, hi - lo), h + 1))
+        # np.array copies each result: per_block may return a view of the
+        # walks, which the next block overwrites
+        return np.concatenate([
+            np.array(per_block(draw_walks(m, rngs, walks[:min(rows, hi - r)])))
+            for r in range(lo, hi, rows)])
+
     starts = range(0, samples, chunk)
     workers = min(threads, len(starts))
-    # a free list of walk buffers: at most `workers` chunks run at once,
-    # and list.pop and list.append are atomic, so each holds its own
-    buffers = [np.empty((rows, h + 1)) for _ in range(workers)]
-
-    def run_chunk(lo: int) -> None:
-        hi = min(lo + chunk, samples)
-        buffer = buffers.pop()
-        try:
-            rngs = _replica_streams(seed, range(lo, hi))
-            for r in range(lo, hi, rows):
-                walks = draw_walks(m, rngs, buffer[:min(rows, hi - r)])
-                out[r:r + len(walks)] = per_block(walks)
-        finally:
-            buffers.append(buffer)
-
     if workers == 1:
-        for lo in starts:
-            run_chunk(lo)
-    else:
-        # imported on first use, which keeps it out of the package's import
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run_chunk, starts):
-                pass  # reading each result re-raises a worker's exception
-    return out
+        return np.concatenate(list(map(run_chunk, starts)))
+    # imported on first use, which keeps it out of the package's import
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(run_chunk, starts)))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -565,10 +556,10 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     reach = max(reach, psi.reach(m))
 
     def per_block(walks: np.ndarray) -> np.ndarray:
-        return _grid_terms(f, w2, 2, end, walks, m, psi).sum(axis=1)[:, None]
+        return _grid_terms(f, w2, 2, end, walks, m, psi).sum(axis=1)
 
-    vals = run_replicas(seed, samples, m, per_block, 1, reach, threads)
-    mean, stderr = _mean_stderr(vals[:, 0])
+    vals = run_replicas(seed, samples, m, per_block, reach, threads)
+    mean, stderr = _mean_stderr(vals)
     return McEstimate(mean, stderr, samples, int(seed))
 
 
@@ -650,18 +641,16 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
             out[:, i] = _weigh(up, w2, factor, walks)[:, :end].sum(axis=1)
         return out
 
-    acc = run_replicas(seed, samples, m, per_block, 1 + k + len(n_list) * k,
-                       reach, threads)
-    mass, mass_se = _mean_stderr(acc[:, 0])
-    u = [_mean_stderr(acc[:, 1 + i]) for i in range(k)]
-    ratio_se = [_ratio_stderr(acc[:, 1 + i], acc[:, 0]) for i in range(k)]
-    rows = []
-    for a, n in enumerate(n_list):
-        for i, d in enumerate(delta_list):
-            e, se = _mean_stderr(acc[:, 1 + k + a * k + i])
-            rows.append(Lemma43Row(n, d, m, samples, e, se, mass, mass_se,
-                                   *u[i], int(seed), ratio_se[i]))
-    return rows
+    acc = run_replicas(seed, samples, m, per_block, reach, threads)
+    mass, u = acc[:, 0], acc[:, 1:1 + k].T
+    est = acc[:, 1 + k:].T.reshape(len(n_list), k, samples)
+    mass_est = _mean_stderr(mass)
+    u_est = [(*_mean_stderr(col), _ratio_stderr(col, mass)) for col in u]
+    return [Lemma43Row(n, d, m, samples, *_mean_stderr(col), *mass_est,
+                       u_mass, u_se, int(seed), ratio_se)
+            for n, cols in zip(n_list, est)
+            for d, col, (u_mass, u_se, ratio_se)
+            in zip(delta_list, cols, u_est)]
 
 
 def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,

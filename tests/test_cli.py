@@ -61,6 +61,21 @@ def test_weyl_suite_summary(capsys):
     assert "max residual" in stdout and "True" in stdout
 
 
+@pytest.mark.parametrize("t", ["300", "1000"])
+def test_weyl_suite_fails_over_non_finite_residuals(t, capsys):
+    # at these horizons the Gram entries overflow: the residuals are nan,
+    # which must reach the summary and turn its verdict False, and an
+    # overflowing inner product difference must not end in a traceback
+    with pytest.warns((RuntimeWarning, gaussian_algebra.GramConditionWarning)
+                      ) as record:
+        code, stdout, _ = run(["weyl-suite", "--seed", "1", "--trials", "20",
+                               "--t", t], capsys)
+    assert any("overflow" in str(w.message) for w in record)
+    assert code == 0
+    assert "max residual nan <= 1e-9 is False" in stdout
+    assert "weyl_phase=nan" in stdout
+
+
 def test_warren_mass_json(tmp_path, capsys):
     out = tmp_path / "mass.json"
     code, stdout, _ = run(["warren-mass", "--m", "128", "--samples", "30",
@@ -131,6 +146,20 @@ def test_lemma43_summary_reports_the_minimum_anchored_ratio(tmp_path, capsys):
             f"{best.estimate / best.mass:.4f}, u_mass/mass "
             f"{best.u_mass / best.mass:.4f} +- {best.u_ratio_stderr:.2g} "
             f"-> ") in stdout
+
+
+def test_lemma43_summary_at_zero_mass_calls_the_ratios_undefined(tmp_path,
+                                                                  capsys):
+    # on a 4-point grid seed 0 draws no minimum in (0, 1/2): the mass is 0
+    table = tmp_path / "zero.csv"
+    code, stdout, _ = run(["lemma43", "--m", "4", "--samples", "1",
+                           "--n-list", "1", "--delta-list", "0.25",
+                           "--seed", "0", "--out", str(table)], capsys)
+    assert code == 0
+    assert ("best row (n=1, delta=0.25): mass 0, so estimate/mass and "
+            "u_mass/mass are undefined -> ") in stdout
+    assert table.read_text(encoding="utf-8") == (
+        f"{LEMMA43_HEADER}\n1,0.25,4,1,0,0,0,0,0\n")
 
 
 @pytest.mark.parametrize("header,row,message", [

@@ -9,6 +9,7 @@ from splitnoise.gaussian_algebra import (
     AutomorphismParams,
     ExpSpan,
     GramConditionWarning,
+    RelationReport,
     StepFunction,
     apply_automorphism,
     ccr_phase_residual,
@@ -439,3 +440,24 @@ def test_norm_warns_on_ill_conditioned_gram():
     v = exponential(f) + exponential(g).scaled(-1.0)
     with pytest.warns(GramConditionWarning):
         v.norm()
+
+
+def test_norm_of_a_non_finite_gram_skips_the_condition_check(capfd):
+    # exp(<f, f>) = exp(900) overflows: the norm is not finite, and no
+    # condition number is taken of a matrix that LAPACK rejects
+    big = [exponential(StepFunction.constant(c, 1.0)) for c in (30.0, 29.0)]
+    with pytest.warns(RuntimeWarning) as record:
+        value = (big[0] - big[1]).norm()
+    assert any("overflow" in str(w.message) for w in record)
+    assert not math.isfinite(value)
+    assert not any(issubclass(w.category, GramConditionWarning)
+                   for w in record)
+    assert "DLASCL" not in "".join(capfd.readouterr())
+
+
+def test_a_nan_residual_is_the_reports_max_residual():
+    # in either position; relation_suite's fold is checked through the
+    # command line, in test_weyl_suite_fails_over_non_finite_residuals
+    for residuals in ({"a": math.nan, "b": 1.0}, {"a": 1.0, "b": math.nan}):
+        report = RelationReport(seed=0, trials=1, residuals=residuals)
+        assert math.isnan(report.max_residual)

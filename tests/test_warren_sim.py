@@ -504,7 +504,7 @@ def test_drivers_check_m_before_any_work(monkeypatch, m):
         warnings.simplefilter("error")  # m = 0 divided by zero in the profile
         for run in (lambda: quad_form_C(one, f, 2, 1, m=m),
                     lambda: lemma43_table(f, [2], [0.25], m, 2, 1),
-                    lambda: run_replicas(1, 2, m, zeros, 1, reach=m)):
+                    lambda: run_replicas(1, 2, m, zeros, reach=m)):
             with pytest.raises(ValueError, match="m must be at least 4"):
                 run()
     with pytest.raises(ValueError, match="m must be at least 4"):
@@ -829,7 +829,7 @@ def test_block_minima_counts_equal_local_minima_per_replica(monkeypatch,
         blocks.append(len(walks))
         return warren_sim._minima_mask(walks, h).sum(axis=1)[:, None]
 
-    rows = run_replicas(seed, samples, m, counts, 1, reach=h, threads=threads)
+    rows = run_replicas(seed, samples, m, counts, reach=h, threads=threads)
     assert sorted(blocks) == sorted([7, 7, 7, 3] * 8 + [7, 1])
     walks = [sample_path(m, replica_rng(seed, r), h).values
              for r in range(samples)]
@@ -871,7 +871,7 @@ def test_rekeyed_streams_reject_bad_seeds():
         with pytest.raises(ValueError):
             next(warren_sim._replica_streams(seed, range(3)))
         with pytest.raises(ValueError):
-            run_replicas(seed, 3, 64, zero, 1, reach=64)
+            run_replicas(seed, 3, 64, zero, reach=64)
 
 
 def test_engine_draws_no_signs(monkeypatch):
@@ -889,11 +889,26 @@ def test_engine_draws_no_signs(monkeypatch):
     monkeypatch.setattr(warren_sim, "replica_rng",
                         lambda seed, r: Spy(rng_of(seed, r)))
 
-    rows = run_replicas(5, 20, 64, ends_and_minima, 2, reach=64, threads=2)
+    rows = run_replicas(5, 20, 64, ends_and_minima, reach=64, threads=2)
     assert "standard_normal" in used and "integers" not in used
     expected = ends_and_minima([sample_path(64, rng_of(5, r)).values
                                 for r in range(20)])
     assert rows.tolist() == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_replicas_results_survive_the_reused_walk_buffer(monkeypatch,
+                                                             threads):
+    # 3 rows per block in chunks of 8, so two threads run a pool: each
+    # block overwrites the walks of the one before, so a result that is
+    # a view of them must be copied in time
+    monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 8)
+    monkeypatch.setattr(warren_sim, "_WALK_BLOCK", 3 * 65)
+    rows = run_replicas(5, 20, 64, lambda w: w[:, -2:], reach=64,
+                        threads=threads)
+    expected = [sample_path(64, replica_rng(5, r)).values[-2:]
+                for r in range(20)]
+    assert rows.tolist() == np.array(expected).tolist()
 
 
 def test_engine_never_starts_more_workers_than_chunks(monkeypatch):
@@ -928,7 +943,7 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = run_replicas(5, 24, 64, ends_and_minima, 2, reach=64,
+        rows = run_replicas(5, 24, 64, ends_and_minima, reach=64,
                             threads=3)
     finally:
         sys.setswitchinterval(interval)
@@ -939,16 +954,16 @@ def test_run_replicas_rows_follow_replica_keys_under_fast_switching(monkeypatch)
 def test_run_replicas_validation_and_worker_errors(monkeypatch):
     zero = zeros
     with pytest.raises(ValueError):
-        run_replicas(0, 0, 64, zero, 1, reach=64)
+        run_replicas(0, 0, 64, zero, reach=64)
     with pytest.raises(ValueError):
-        run_replicas(0, 4, 64, zero, 1, reach=64, threads=0)
+        run_replicas(0, 4, 64, zero, reach=64, threads=0)
     monkeypatch.setattr(warren_sim, "REPLICA_CHUNK", 2)
 
     def failing(walks):
         raise RuntimeError("per-block failure")
 
     with pytest.raises(RuntimeError, match="per-block failure"):
-        run_replicas(0, 4, 64, failing, 1, reach=64, threads=2)
+        run_replicas(0, 4, 64, failing, reach=64, threads=2)
 
 
 # --- superchaos orthogonality -------------------------------------------
