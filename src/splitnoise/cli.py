@@ -10,7 +10,8 @@ of _build_parser.  The config file is flat `key = value` text, keys
 matching the subcommand's long option names.  The library functions
 check their inputs before any work; their ValueError exits 2, as does
 the ValueError this module raises for a bad config file, CSV input or
---threads.
+--threads.  A check that runs and fails (a weyl-suite verdict False)
+prints its summary line and exits 1, as does an OSError.
 SPLITNOISE_OUT_DIR, when set, is the default directory for relative
 output paths.
 """
@@ -25,7 +26,7 @@ import sys
 
 from . import ccr_matrix, warren_sim
 from .ccr_matrix import TWO_THIRDS_PI
-from .gaussian_algebra import relation_suite
+from .gaussian_algebra import _check_count, relation_suite
 from .warren_sim import Lemma43Row
 
 
@@ -128,12 +129,19 @@ def _cmd_norm_study(args) -> str:
             f"alpha={top.alpha:.6g}] = {top.value:.6f} -> {out}")
 
 
+class _CheckFailed(Exception):
+    """A check that ran and failed; the message is its summary line."""
+
+
 def _cmd_weyl_suite(args) -> str:
     report = relation_suite(args.seed, trials=args.trials, t=args.t)
     worst = report.max_residual
     detail = ", ".join(f"{k}={v:.2e}" for k, v in report.residuals.items())
-    return (f"weyl-suite: max residual {worst:.2e} <= 1e-9 is "
+    line = (f"weyl-suite: max residual {worst:.2e} <= 1e-9 is "
             f"{worst <= 1e-9} ({detail})")
+    if not worst <= 1e-9:  # a nan residual fails too
+        raise _CheckFailed(line)
+    return line
 
 
 def _cmd_warren_mass(args) -> str:
@@ -247,8 +255,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.threads < 1:
-            raise ValueError("threads must be at least 1")
+        _check_count(args.threads, "threads")
         if args.config:
             # entries for the subcommand's valued options (flags default
             # to False) become its defaults, which argparse parses by type
@@ -258,6 +265,9 @@ def main(argv=None) -> int:
                                    .items() if own.get(k, False) is not False})
             args = parser.parse_args(argv)
         line = _HANDLERS[args.command](args)
+    except _CheckFailed as exc:
+        print(exc)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,17 @@ intervals.  Both are read by one rule, _read: at time t, the value on
 the interval [s_j, s_j+1) holding t, and the last interval's at T.  The
 Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one matrix product; step
 functions and spans on different partitions are first read on their
-merge.
+merge.  A span stores V C-contiguous whatever built it (_read returns
+its gathers F-ordered), because the summation order of that product
+follows the layout: one layout gives one norm, to the bit.
+
+Subtraction pairs terms by index.  In v - w, term i of w joins term i
+of v when their values agree within DEDUP_VALUE_TOL, relative to
+max(1, the larger sup norm), and its coefficient is subtracted from
+v's; every other term of w is appended, negated, in order.  The two
+sides of a relation map each term of one span to one term, in the same
+order, so their difference cancels term by term and its Gram matrix
+stays away from exact degeneracy.
 
 The one-parameter automorphism family acts on these spans by
 
@@ -65,14 +75,18 @@ __all__ = [
 # ill-conditioned; past this condition number the norm digits are suspect.
 GRAM_CONDITION_LIMIT = 1e12
 
-# Two terms of a span are "the same" for merging once their values agree
-# to this tolerance, relative to max(1, the larger sup norm of the two).
+# Term i of w joins term i of v in v - w once their values agree to this
+# tolerance, relative to max(1, the larger sup norm of the two).
 DEDUP_VALUE_TOL = 1e-14
 
 # Shape of the seeded random inputs of the relation checks.
 RANDOM_MAX_PIECES = 4
 RANDOM_AMPLITUDE = 1.2
 RANDOM_MAX_TERMS = 6
+
+# Longest horizon of the relation checks, 2 ln(DBL_MAX) (about 1419.57):
+# a random unit span's e^{a t}, Re a < 1/2, stays finite up to it.
+MAX_RELATION_HORIZON = 2.0 * math.log(np.finfo(float).max)
 
 
 class GramConditionWarning(UserWarning):
@@ -173,7 +187,8 @@ def step_product(f: StepFunction, g: StepFunction) -> StepFunction:
 @dataclass(frozen=True, eq=False)
 class ExpSpan:
     """Finite combination sum_i c_i Exp(f_i) on a common horizon: coef
-    (k,), breaks (m + 1,) shared by every term, and values (k, m)."""
+    (k,), breaks (m + 1,) shared by every term, and values (k, m), held
+    C-contiguous so that norm sums in one order (module docstring)."""
 
     coef: np.ndarray
     breaks: np.ndarray
@@ -182,6 +197,7 @@ class ExpSpan:
     def __post_init__(self):
         if self.values.shape != (len(self.coef), len(self.breaks) - 1):
             raise ValueError("values must be (terms, intervals) of coef, breaks")
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values))
 
     @property
     def horizon(self) -> float:
@@ -193,26 +209,20 @@ class ExpSpan:
                        np.concatenate([a, b]))
 
     def __sub__(self, other: "ExpSpan") -> "ExpSpan":
-        return self + other.scaled(-1.0)
+        """Terms paired by index on the merged partition, by the rule of
+        the module docstring."""
+        cuts, (a, b) = _common(self, other)
+        k = min(len(a), len(b))
+        joins = np.zeros(len(b), dtype=bool)
+        joins[:k] = (np.abs(a[:k] - b[:k]).max(axis=1) <= DEDUP_VALUE_TOL
+                     * np.maximum(1.0, np.abs([a[:k], b[:k]]).max(axis=(0, 2))))
+        coef, i = self.coef.astype(complex), joins.nonzero()
+        coef[i] -= other.coef[i]
+        return ExpSpan(np.concatenate([coef, -other.coef[~joins]]), cuts,
+                       np.concatenate([a, b[~joins]]))
 
     def scaled(self, factor) -> "ExpSpan":
         return ExpSpan(complex(factor) * self.coef, self.breaks, self.values)
-
-    def dedup(self) -> "ExpSpan":
-        """Combine terms whose values coincide within DEDUP_VALUE_TOL, adding
-        each coefficient to the first kept term it matches; keeps the Gram
-        matrix away from exact degeneracy."""
-        v = self.values
-        sup = np.abs(v).max(axis=1)
-        close = (np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
-                 <= DEDUP_VALUE_TOL * np.maximum(1.0, np.maximum.outer(sup, sup)))
-        into = []  # the kept term each term joins; a kept term joins itself
-        for j in range(len(v)):
-            into.append(next((i for i in into if close[i, j]), j))
-        coef = np.zeros(len(v), dtype=complex)
-        np.add.at(coef, into, self.coef)
-        kept = np.unique(into)
-        return ExpSpan(coef[kept], self.breaks, v[kept])
 
     def norm(self) -> float:
         """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
@@ -229,24 +239,39 @@ class ExpSpan:
         return math.sqrt(value)
 
 
-def _positive_horizon(t) -> float:
+def _positive_horizon(t, bound: float = math.inf) -> float:
+    """t as a float; ValueError unless it is positive and finite, and at
+    most bound."""
     if not 0.0 < float(t) < math.inf:
         raise ValueError(f"t must be positive and finite, got {t!r}")
+    if float(t) > bound:
+        raise ValueError(f"t must be at most {bound!r}, got {t!r}")
     return float(t)
 
 
-def _check_seed(seed, name: str = "seed") -> int:
-    """The seed (or a replica index, by name) as an int; ValueError
-    unless it is a whole number in [0, 2**63), the range of both the
-    relation checks and the Philox replica streams."""
+def _whole(value, name: str, low: int, high: float, rule: str) -> int:
+    """value as an int; ValueError unless it is a whole number in
+    [low, high), which rule says in words."""
     try:
-        value = int(seed)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != seed or not 0 <= value < 2 ** 63:
-        raise ValueError(f"{name} must lie in [0, 2**63) and be a whole "
-                         f"number, got {seed!r}")
-    return value
+        number = None
+    if number is None or number != value or not low <= number < high:
+        raise ValueError(f"{name} must {rule} and be a whole number, "
+                         f"got {value!r}")
+    return number
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """The seed (or a replica index, by name) as an int, in [0, 2**63):
+    the range of both the relation checks and the Philox replica
+    streams."""
+    return _whole(seed, name, 0, 2 ** 63, "lie in [0, 2**63)")
+
+
+def _check_count(count, name: str) -> int:
+    """A count of trials, samples or threads as an int, at least 1."""
+    return _whole(count, name, 1, math.inf, "be at least 1")
 
 
 def exponential(f: StepFunction) -> ExpSpan:
@@ -333,8 +358,7 @@ def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
         raise ValueError("zero vector")
     x = _compose_apply([shift(mu), shift(1j * lam)], v)
     y = _compose_apply([shift(1j * lam), shift(mu)], v)
-    phase = cmath.exp(2j * lam * mu * v.horizon)
-    return (x - y.scaled(phase)).dedup().norm() / nv
+    return (x - y.scaled(cmath.exp(2j * lam * mu * v.horizon))).norm() / nv
 
 
 def random_step_function(rng: np.random.Generator, horizon: float) -> StepFunction:
@@ -356,7 +380,7 @@ def random_unit_span(rng: np.random.Generator, t: float,
         a = complex(*rng.uniform(-0.5, 0.5, size=2))
         zetas[i] = complex(*rng.uniform(-1.0, 1.0, size=2))
         coef[i] = complex(*rng.uniform(-1.0, 1.0, size=2)) * cmath.exp(a * t)
-    return ExpSpan(coef, np.array([0.0, t]), zetas).dedup()
+    return ExpSpan(coef, np.array([0.0, t]), zetas)
 
 
 def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
@@ -365,7 +389,7 @@ def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
     for _ in range(int(rng.integers(1, RANDOM_MAX_TERMS // 2 + 1))):
         c = complex(*rng.uniform(-1.0, 1.0, size=2))
         out = out + exponential(random_step_function(rng, t)).scaled(c)
-    return out.dedup()
+    return out
 
 
 @dataclass(frozen=True)
@@ -401,12 +425,13 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
     Covered: rotation composition, rotation-conjugated shift, additivity
     of imaginary shifts, preservation of inner products, and the Weyl
     phase relation (ccr_phase_residual on each trial's span); residuals
-    are relative span distances, all expected <= 1e-9.
+    are relative span distances, all expected <= 1e-9.  t is at most
+    MAX_RELATION_HORIZON, past which the random unit spans' e^{a t},
+    Re a < 1/2, overflow.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count(trials, "trials")
     seed = _check_seed(seed)
-    t = _positive_horizon(t)
+    t = _positive_horizon(t, MAX_RELATION_HORIZON)
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = dict.fromkeys(("rotation_composition", "rotated_shift",
                            "shift_additivity", "gram_preservation",
@@ -418,34 +443,32 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
             nv = v.norm()
         if nv < 1e-6:
             continue
+        # every input of the trial is drawn before any relation runs
         phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=2)
         U, V = cmath.exp(1j * phi), cmath.exp(1j * psi)
         xi = complex(*rng.uniform(-1.0, 1.0, size=2))
         lam, mu = rng.uniform(-3.0, 3.0, size=2)
-
-        # the two sides of each composition relation, first factor first
-        relations = {
-            "rotation_composition": ([rotation(V), rotation(U)],
-                                     [rotation(U * V)]),
-            "rotated_shift": ([rotation(U).inverse(), shift(xi), rotation(U)],
-                              [shift(U * xi)]),
-            "shift_additivity": ([shift(1j * mu), shift(1j * lam)],
-                                 [shift(1j * (lam + mu))]),
-        }
-        found = {}
-        for name, (a, b) in relations.items():
-            with _naming_warnings(name, trial):
-                found[name] = (_compose_apply(a, v) - _compose_apply(b, v)
-                               ).dedup().norm() / nv
         w = random_span(rng, t)
         p = AutomorphismParams(rng.uniform(-2.0, 2.0), xi, U)
-        with _naming_warnings("gram_preservation", trial):
-            lhs = span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
-            found["gram_preservation"] = (np.abs(lhs - span_inner(v, w))
-                                          / (nv * w.norm() + 1e-300))
-        with _naming_warnings("weyl_phase", trial):
-            found["weyl_phase"] = ccr_phase_residual(lam, mu, v)
-        for name, value in found.items():
-            worst[name] = float(np.maximum(worst[name], value))
+
+        def gap(a, b):  # ||A v - B v|| / ||v||, first factor first
+            return (_compose_apply(a, v) - _compose_apply(b, v)).norm() / nv
+
+        residuals = {
+            "rotation_composition": lambda: gap(
+                [rotation(V), rotation(U)], [rotation(U * V)]),
+            "rotated_shift": lambda: gap(
+                [rotation(U).inverse(), shift(xi), rotation(U)],
+                [shift(U * xi)]),
+            "shift_additivity": lambda: gap(
+                [shift(1j * mu), shift(1j * lam)], [shift(1j * (lam + mu))]),
+            "gram_preservation": lambda: np.abs(
+                span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
+                - span_inner(v, w)) / (nv * w.norm() + 1e-300),
+            "weyl_phase": lambda: ccr_phase_residual(lam, mu, v),
+        }
+        for name, residual in residuals.items():
+            with _naming_warnings(name, trial):
+                worst[name] = float(np.maximum(worst[name], residual()))
 
     return RelationReport(seed=seed, trials=trials, residuals=worst)

@@ -76,8 +76,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .gaussian_algebra import (StepFunction, _check_seed, _positive_horizon,
-                               step_product)
+from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
+                               _positive_horizon, step_product)
 
 __all__ = [
     "WarrenPath",
@@ -457,14 +457,12 @@ def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
                              psi).sum(axis=1)[0])
 
 
-def _check_run(samples: int, m: int, threads: int) -> None:
-    """ValueError unless samples and threads are positive and m >= 4."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def _check_run(samples: int, m: int, threads: int) -> tuple[int, int]:
+    """samples and threads as ints; ValueError unless both are whole
+    numbers of at least 1 and m >= 4."""
     if m < 4:
         raise ValueError("m must be at least 4")
+    return _check_count(samples, "samples"), _check_count(threads, "threads")
 
 
 def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
@@ -493,7 +491,7 @@ def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
     fills and whole-block numpy passes dominate, not the interpreter's
     share.
     """
-    _check_run(samples, m, threads)
+    samples, threads = _check_run(samples, m, threads)
     _check_seed(seed)
     chunk = REPLICA_CHUNK
     h = min(m, max(2, int(reach)))
@@ -550,7 +548,7 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     for the run.  Walks are drawn up to the end of the weight profile,
     the probe times of a WS profile and psi.reach(m).
     """
-    _check_run(samples, m, threads)
+    samples, threads = _check_run(samples, m, threads)
     wp, end, reach = _weights(f, m)
     w2 = wp * wp
     reach = max(reach, psi.reach(m))
@@ -595,7 +593,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     grid index that any column reads.  Every (n, delta) pair is checked
     before any work.
     """
-    _check_run(samples, m, threads)
+    samples, threads = _check_run(samples, m, threads)
     n_list = [int(n) for n in n_list]
     delta_list = [float(d) for d in delta_list]
     if not n_list or not delta_list:

@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -65,15 +67,37 @@ def test_weyl_suite_summary(capsys):
 def test_weyl_suite_fails_over_non_finite_residuals(t, capsys):
     # at these horizons the Gram entries overflow: the residuals are nan,
     # which must reach the summary and turn its verdict False, and an
-    # overflowing inner product difference must not end in a traceback
+    # overflowing inner product difference must not end in a traceback;
+    # a False verdict exits 1 after the summary line
     with pytest.warns((RuntimeWarning, gaussian_algebra.GramConditionWarning)
                       ) as record:
         code, stdout, _ = run(["weyl-suite", "--seed", "1", "--trials", "20",
                                "--t", t], capsys)
     assert any("overflow" in str(w.message) for w in record)
-    assert code == 0
+    assert code == 1
     assert "max residual nan <= 1e-9 is False" in stdout
     assert "weyl_phase=nan" in stdout
+
+
+@pytest.mark.parametrize("t,code", [("300", 1), ("1419", 1), ("5000", 2)])
+def test_weyl_suite_exit_status_reaches_the_shell(t, code):
+    # through sys.exit(main()): a False verdict exits 1 with its summary,
+    # a horizon past 2 ln(DBL_MAX) exits 2 with an error line, and
+    # neither prints a traceback
+    src = pathlib.Path(gaussian_algebra.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "splitnoise.cli",
+                           "weyl-suite", "--seed", "1", "--trials", "4",
+                           "--t", t], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if code == 1:
+        assert "max residual nan <= 1e-9 is False" in done.stdout
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: t must be at most 1419.5654")
 
 
 def test_warren_mass_json(tmp_path, capsys):
@@ -341,6 +365,7 @@ BAD_INPUTS = {
     "weyl-t-0": ["weyl-suite", "--t", "0"],
     "weyl-t-nan": ["weyl-suite", "--t", "nan"],
     "weyl-t-inf": ["weyl-suite", "--t", "inf"],
+    "weyl-t-5000": ["weyl-suite", "--t", "5000"],
     "norm-empty-dims": ["norm-study", "--dims", ","],
     "norm-empty-alpha": ["norm-study", "--dims", "16", "--alpha", ","],
     "norm-dims-1": ["norm-study", "--dims", "1,2"],

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ def test_ccr_phase_residual_wrong_phase_negative_control():
     x = apply_automorphism(shift(1j * lam), apply_automorphism(shift(mu), v))
     y = apply_automorphism(shift(mu), apply_automorphism(shift(1j * lam), v))
     wrong = cmath.exp(1j * lam * mu * t)
-    resid = (x - y.scaled(wrong)).dedup().norm()
+    resid = (x - y.scaled(wrong)).norm()
     expected = abs(cmath.exp(2j * lam * mu * t) - wrong)
     assert resid == pytest.approx(expected, rel=1e-9)
 
@@ -348,17 +349,17 @@ def test_relation_suite_specific_cases():
     v = unit(0.0, 0.4 + 0.1j, 1.0)
     a = apply_automorphism(rotation(U), apply_automorphism(rotation(U), v))
     b = apply_automorphism(rotation(U * U), v)
-    assert (a - b).dedup().norm() <= 1e-12
+    assert (a - b).norm() <= 1e-12
 
     vac = exponential(StepFunction.constant(0.0, 1.0))
     lhs = apply_automorphism(rotation(1j), apply_automorphism(
         shift(1.0), apply_automorphism(rotation(1j).inverse(), vac)))
     rhs = apply_automorphism(shift(1j), vac)
-    assert (lhs - rhs).dedup().norm() <= 1e-12
+    assert (lhs - rhs).norm() <= 1e-12
 
     # rotation by pi twice is the identity on units
     out = apply_automorphism(rotation(-1.0), apply_automorphism(rotation(-1.0), v))
-    assert (out - v).dedup().norm() <= 1e-12
+    assert (out - v).norm() <= 1e-12
 
 
 def test_relation_suite_seeded():
@@ -386,6 +387,39 @@ def test_relation_suite_rejects_bad_trials_and_seeds(monkeypatch):
     assert relation_suite(2 ** 63 - 1, trials=2).max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": 2.5}, "trials must be at least 1 and be a whole number"),
+    ({"trials": "3"}, "trials must be at least 1 and be a whole number"),
+    ({"trials": math.nan}, "trials must be at least 1 and be a whole number"),
+    ({"t": 5000.0}, r"t must be at most 1419\.5654"),
+    ({"t": 2.0 * math.log(np.finfo(float).max) * (1 + 1e-15)},
+     r"t must be at most 1419\.5654"),
+], ids=["trials-2.5", "trials-str", "trials-nan", "t-5000",
+        "t-past-the-bound"])
+def test_relation_suite_rejects_counts_and_horizons_before_any_trial(
+        kwargs, message, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the inputs were checked")
+    monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_trial)
+    with pytest.raises(ValueError, match=message):
+        relation_suite(1, **kwargs)
+
+
+def test_relation_suite_takes_a_whole_float_count_as_an_int():
+    report = relation_suite(5, trials=2.0)
+    assert report.trials == 2 and type(report.trials) is int
+    assert report.residuals == relation_suite(5, trials=2).residuals
+
+
+def test_random_unit_spans_stay_finite_up_to_the_horizon_bound():
+    # Re a < 1/2, so e^{a t} is finite for t <= 2 ln(DBL_MAX)
+    t = gaussian_algebra.MAX_RELATION_HORIZON
+    assert t == 2.0 * math.log(np.finfo(float).max)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    for _ in range(20):
+        assert np.isfinite(random_unit_span(rng, t).coef).all()
+
+
 def test_gram_positivity():
     rng = np.random.Generator(np.random.Philox(key=31))
     for _ in range(15):
@@ -395,33 +429,136 @@ def test_gram_positivity():
         assert w[0] >= -1e-10 * np.trace(g).real
 
 
-def test_dedup_combines_identical_terms():
-    f = StepFunction.constant(0.5, 1.0)
-    v = exponential(f) + exponential(f).scaled(-1.0)
-    d = v.dedup()
-    assert d.coef.tolist() == [0.0]
-    assert d.norm() == 0.0
+def _all_pairs_merge(span):
+    """Oracle: the all-pairs merge that subtraction used to be followed
+    by.  Each term joins the first kept term whose values agree with its
+    own within DEDUP_VALUE_TOL, relative to max(1, the larger sup norm),
+    adding its coefficient there; a term that joins none is kept."""
+    v = span.values
+    sup = np.abs(v).max(axis=1)
+    close = (np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
+             <= gaussian_algebra.DEDUP_VALUE_TOL
+             * np.maximum(1.0, np.maximum.outer(sup, sup)))
+    into = []  # the kept term each term joins; a kept term joins itself
+    for j in range(len(v)):
+        into.append(next((i for i in into if close[i, j]), j))
+    coef = np.zeros(len(v), dtype=complex)
+    np.add.at(coef, into, span.coef)
+    kept = np.unique(into)
+    return ExpSpan(coef[kept], span.breaks, v[kept])
 
 
-def test_dedup_adds_each_term_to_its_first_match():
+def _relation_sides(rng, t):
+    """Automorphism lists A, B (first factor first) and the phase of each
+    relation that relation_suite measures as || A v - phase B v ||."""
+    U, V = (cmath.exp(1j * a) for a in rng.uniform(0.0, 2.0 * math.pi, 2))
+    xi = complex(*rng.uniform(-1.0, 1.0, size=2))
+    lam, mu = rng.uniform(-3.0, 3.0, size=2)
+    return [([rotation(V), rotation(U)], [rotation(U * V)], 1.0),
+            ([rotation(U).inverse(), shift(xi), rotation(U)],
+             [shift(U * xi)], 1.0),
+            ([shift(1j * mu), shift(1j * lam)], [shift(1j * (lam + mu))], 1.0),
+            ([shift(mu), shift(1j * lam)], [shift(1j * lam), shift(mu)],
+             cmath.exp(2j * lam * mu * t))]
+
+
+def _images(a, b, phase, v):
+    x, y = v, v
+    for p in a:
+        x = apply_automorphism(p, x)
+    for p in b:
+        y = apply_automorphism(p, y)
+    return x, (y if phase == 1.0 else y.scaled(phase))
+
+
+def _bits(span):
+    with warnings.catch_warnings():
+        # long horizons give ill-conditioned differences; the bits of
+        # their norms must agree all the same
+        warnings.simplefilter("ignore", GramConditionWarning)
+        norm = span.norm()
+    return [span.coef.tobytes(), span.breaks.tobytes(), span.values.tobytes(),
+            np.float64(norm).tobytes()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_subtraction_of_relation_images_equals_the_all_pairs_merge(seed, t):
+    # the old pipeline: the random constructors ended in the all-pairs
+    # merge, and so did the difference of the two sides
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 else random_span(rng, t)
+        old_v = _all_pairs_merge(v)
+        for a, b, phase in _relation_sides(rng, t):
+            x, y = _images(a, b, phase, v)
+            old_x, old_y = _images(a, b, phase, old_v)
+            old = _all_pairs_merge(old_x + old_y.scaled(-1.0))
+            assert _bits(x - y) == _bits(old)
+
+
+def _constants(values, coef=None):
+    """One term per value, constant on [0, 1], coefficients 1, 2, ..."""
+    k = len(values)
+    coef = np.arange(1.0, k + 1.0) + 0j if coef is None else coef
+    return ExpSpan(np.asarray(coef, dtype=complex), np.array([0.0, 1.0]),
+                   np.array(values, dtype=complex)[:, None])
+
+
+def test_subtraction_joins_a_term_to_the_term_of_the_same_index():
     tol = gaussian_algebra.DEDUP_VALUE_TOL
+    f = exponential(StepFunction.constant(0.5, 1.0))
+    d = f - f
+    assert d.coef.tolist() == [0.0] and d.norm() == 0.0
+    # within tol, or within tol times the sup norm past 1, the coefficient
+    # is subtracted and the term of v keeps its value
+    v = _constants([0.5, 3.0], coef=[5.0, 7.0])
+    w = _constants([0.5 + 0.75 * tol, 3.0 + 2.5 * tol], coef=[1.0, 2.0])
+    d = v - w
+    assert d.values[:, 0].tolist() == [0.5, 3.0]
+    assert d.coef.tolist() == [4.0, 5.0]
 
-    def constants(values):
-        k = len(values)
-        return ExpSpan(np.arange(1.0, k + 1.0) + 0j, np.array([0.0, 1.0]),
-                       np.array(values, dtype=complex)[:, None])
 
-    # 1.5 tol apart, both kept; the third is within tol of each and joins
-    # the first
-    d = constants([0.5, 0.5 + 1.5 * tol, 0.5 + 0.75 * tol]).dedup()
-    assert d.values[:, 0].tolist() == [0.5, 0.5 + 1.5 * tol]
-    assert d.coef.tolist() == [4.0, 2.0]
-    # 10 tol apart stay apart; past sup norm 1 the tolerance scales with it
-    d = constants([0.5, 0.5 + 10 * tol, 3.0, 3.0 + 2.5 * tol,
-                   3.0 + 30 * tol]).dedup()
-    assert d.values[:, 0].tolist() == [0.5, 0.5 + 10 * tol, 3.0,
-                                       3.0 + 30 * tol]
-    assert d.coef.tolist() == [1.0, 2.0, 7.0, 5.0]
+def test_subtraction_appends_every_other_term_negated_in_order():
+    tol = gaussian_algebra.DEDUP_VALUE_TOL
+    # term 0 is 1.5 tol apart and term 1 10 tol apart past sup norm 1;
+    # term 2 of w equals term 0 of v, but at another index; term 3 has no
+    # partner
+    v = _constants([0.5, 3.0, 1.0])
+    w = _constants([0.5 + 1.5 * tol, 3.0 + 10 * tol, 0.5, 0.25],
+                   coef=[10.0, 20.0, 30.0, 40.0])
+    d = v - w
+    assert d.values[:, 0].tolist() == [0.5, 3.0, 1.0, 0.5 + 1.5 * tol,
+                                       3.0 + 10 * tol, 0.5, 0.25]
+    assert d.coef.tolist() == [1.0, 2.0, 3.0, -10.0, -20.0, -30.0, -40.0]
+    # v's terms past the end of w stay as they are
+    d = v - _constants([0.5], coef=[1.0])
+    assert d.coef.tolist() == [0.0, 2.0, 3.0]
+
+
+def test_subtraction_pairs_terms_on_the_merged_partition():
+    # the same function carved two ways, and a term that differs on one
+    # interval only; the difference lives on the merged cuts
+    f = StepFunction((0.0, 0.25, 1.0), (2.0, 2.0))
+    g = StepFunction((0.0, 0.5, 1.0), (1.0 - 1j, 0.5))
+    v = exponential(f) + exponential(g)
+    w = (exponential(StepFunction.constant(2.0, 1.0))
+         + exponential(StepFunction((0.0, 0.5, 1.0), (1.0 - 1j, 0.75))))
+    d = v - w
+    assert d.breaks.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert d.coef.tolist() == [0.0, 1.0, -1.0]
+    assert d.values.tolist() == [[2.0, 2.0, 2.0], [1 - 1j, 1 - 1j, 0.5],
+                                 [1 - 1j, 1 - 1j, 0.75]]
+
+
+def test_span_values_are_c_contiguous_however_built():
+    # _read gathers F-ordered; the span stores one layout, so that the
+    # Gram product in norm sums in one order
+    rng = np.random.Generator(np.random.Philox(key=3))
+    v, w = random_span(rng, 1.0), random_span(rng, 1.0)
+    for span in (v, w, v + w, v - w, v.scaled(2.0),
+                 apply_automorphism(shift(0.3j), v)):
+        assert span.values.flags.c_contiguous
 
 
 def test_relation_suite_names_the_source_of_a_gram_warning():

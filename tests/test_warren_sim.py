@@ -511,6 +511,35 @@ def test_drivers_check_m_before_any_work(monkeypatch, m):
         sample_path(m, replica_rng(1, 0))
 
 
+@pytest.mark.parametrize("samples,threads,name", [
+    (2.5, 1, "samples"), (0, 1, "samples"), ("3", 1, "samples"),
+    (math.inf, 1, "samples"), (2, 1.5, "threads"), (2, 0, "threads"),
+    (2, math.nan, "threads"),
+])
+def test_drivers_check_counts_are_whole_before_any_work(monkeypatch, samples,
+                                                        threads, name):
+    refuse_to_draw(monkeypatch)
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    for run in (lambda: quad_form_C(one, f, samples, 1, m=64, threads=threads),
+                lambda: lemma43_table(f, [2], [1 / 64], 64, samples, 1,
+                                      threads=threads),
+                lambda: run_replicas(1, samples, 64, zeros, reach=64,
+                                     threads=threads)):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1 "
+                                             "and be a whole number"):
+            run()
+
+
+def test_drivers_take_whole_float_counts_as_ints():
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    est = quad_form_C(one, f, 3.0, 1, m=64, threads=2.0)
+    assert est == quad_form_C(one, f, 3, 1, m=64)
+    assert type(est.samples) is int
+    rows = lemma43_table(f, [2], [1 / 64], 64, 3.0, 1, threads=2.0)
+    assert rows == lemma43_table(f, [2], [1 / 64], 64, 3, 1)
+    assert type(rows[0].samples) is int
+
+
 def test_zero_profile_gives_zero_ratio_stderr_without_warnings():
     # mass is 0 on every path: the ratio u_mass / mass has no delta-method
     # standard error, reported as 0.0 rather than a division by zero
