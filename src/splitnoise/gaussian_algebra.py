@@ -17,9 +17,14 @@ intervals.  Both are read by one rule, _read: at time t, the value on
 the interval [s_j, s_j+1) holding t, and the last interval's at T.  The
 Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one matrix product; step
 functions and spans on different partitions are first read on their
-merge.  A span stores V C-contiguous whatever built it (_read returns
-its gathers F-ordered), because the summation order of that product
-follows the layout: one layout gives one norm, to the bit.
+merge.  Operands on one partition (the same breaks, or equal ones) skip
+the merge: it would give back those breaks and each operand's own
+values, so _common returns them as they are.  A shift or rotation keeps
+a span on its partition, so both sides of every relation share one.
+The summation order of the Gram product follows the memory layout:
+_read returns its gathers F-ordered, and so does the shared case, which
+keeps every bit of the merged read; a span stores V C-contiguous
+whatever built it, so that one layout gives one norm, to the bit.
 
 Subtraction pairs terms by index.  In v - w, term i of w joins term i
 of v when their values agree within DEDUP_VALUE_TOL, relative to
@@ -42,7 +47,6 @@ splitting of the horizon); the tests check the closed form against it.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -159,17 +163,32 @@ class StepFunction:
 
 def _common(*fns):
     """Merged cuts of step functions or spans on one horizon, and the
-    values of each read by _read at the merged midpoints."""
+    values of each read by _read at the merged midpoints.  When every
+    operand holds the same breaks, those and each one's values, in
+    _read's F order (module docstring)."""
     if len({f.horizon for f in fns}) > 1:
         raise ValueError("horizon mismatch")
+    first = fns[0].breaks
+    if all(f.breaks is first or (len(f.breaks) == len(first)
+                                 and (f.breaks == first).all())
+           for f in fns[1:]):
+        return first, [np.asfortranarray(f.values) for f in fns]
     cuts = np.unique(np.concatenate([f.breaks for f in fns]))
     mids = (cuts[:-1] + cuts[1:]) / 2.0
     return cuts, [_read(f.breaks, f.values, mids) for f in fns]
 
 
+def _condition(g: np.ndarray) -> float:
+    """np.linalg.cond(g) of a finite matrix g, without its wrapper: the
+    ratio of the largest to the smallest singular value, inf where the
+    smallest is 0."""
+    sv = np.linalg.svd(g, compute_uv=False)
+    return sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+
+
 def _inner(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
     """[<a_i, b_j>] for values a, b on the intervals of cuts."""
-    return (a * np.diff(cuts)) @ b.conj().T
+    return (a * (cuts[1:] - cuts[:-1])) @ b.conj().T
 
 
 def step_inner(f: StepFunction, g: StepFunction) -> complex:
@@ -215,7 +234,8 @@ class ExpSpan:
         k = min(len(a), len(b))
         joins = np.zeros(len(b), dtype=bool)
         joins[:k] = (np.abs(a[:k] - b[:k]).max(axis=1) <= DEDUP_VALUE_TOL
-                     * np.maximum(1.0, np.abs([a[:k], b[:k]]).max(axis=(0, 2))))
+                     * np.maximum(1.0, np.maximum(np.abs(a[:k]).max(axis=1),
+                                                  np.abs(b[:k]).max(axis=1))))
         coef, i = self.coef.astype(complex), joins.nonzero()
         coef[i] -= other.coef[i]
         return ExpSpan(np.concatenate([coef, -other.coef[~joins]]), cuts,
@@ -226,11 +246,14 @@ class ExpSpan:
 
     def norm(self) -> float:
         """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
-        when G's condition number exceeds GRAM_CONDITION_LIMIT."""
+        when G's condition number exceeds GRAM_CONDITION_LIMIT.  The
+        condition number, taken only of a finite G, is s[0] / s[-1] of
+        G's singular values s, and inf where s[-1] is 0: the value of
+        np.linalg.cond, without its wrapper."""
         g = np.exp(_inner(self.values, self.values, self.breaks))
         value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
         if len(g) >= 2 and np.isfinite(g).all():
-            cond = np.linalg.cond(g)
+            cond = _condition(g)
             if cond > GRAM_CONDITION_LIMIT:
                 warnings.warn(
                     f"Gram condition number {cond:.2e} exceeds 1e12; "
@@ -331,7 +354,7 @@ def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
     multiplier of the module docstring.
     """
     T, U, xi = v.horizon, complex(p.U), complex(p.xi)
-    integrals = v.values @ np.diff(v.breaks)
+    integrals = v.values @ (v.breaks[1:] - v.breaks[:-1])
     mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
                   - xi.conjugate() * U * integrals)
     # U f as Python forms U * zeta; numpy's complex multiply rounds otherwise
@@ -405,18 +428,24 @@ class RelationReport:
         return float(np.max(list(self.residuals.values())))
 
 
-@contextlib.contextmanager
-def _naming_warnings(relation: str, trial: int):
-    """Re-emit each warning raised in the block, such as a
-    GramConditionWarning, with the relation and the trial index in front
-    of its message, attributed to relation_suite's caller."""
+def _named_calls(trial: int, calls) -> list:
+    """The results of the (name, call) pairs, called in order in one
+    warnings record.  Each warning raised, such as a
+    GramConditionWarning, is then re-emitted in order with its call's
+    name and the trial index in front of its message, attributed to
+    relation_suite's caller."""
+    names = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        yield
-    for w in caught:
-        # frames: this generator, contextlib's __exit__, relation_suite
-        warnings.warn(f"{relation}, trial {trial}: {w.message}", w.category,
-                      stacklevel=4)
+        results = []
+        for name, call in calls:
+            results.append(call())
+            names += [name] * (len(caught) - len(names))
+    for name, w in zip(names, caught):
+        # frames: this function, relation_suite, its caller
+        warnings.warn(f"{name}, trial {trial}: {w.message}", w.category,
+                      stacklevel=3)
+    return results
 
 
 def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationReport:
@@ -439,8 +468,7 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
     for trial in range(trials):
         # alternate between pure unit spans and general step exponentials
         v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
-        with _naming_warnings("span norm", trial):
-            nv = v.norm()
+        nv, = _named_calls(trial, [("span norm", v.norm)])
         if nv < 1e-6:
             continue
         # every input of the trial is drawn before any relation runs
@@ -467,8 +495,8 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
                 - span_inner(v, w)) / (nv * w.norm() + 1e-300),
             "weyl_phase": lambda: ccr_phase_residual(lam, mu, v),
         }
-        for name, residual in residuals.items():
-            with _naming_warnings(name, trial):
-                worst[name] = float(np.maximum(worst[name], residual()))
+        for name, value in zip(residuals,
+                               _named_calls(trial, residuals.items())):
+            worst[name] = float(np.maximum(worst[name], value))
 
     return RelationReport(seed=seed, trials=trials, residuals=worst)

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
-                               _positive_horizon, step_product)
+                               _positive_horizon, _whole, step_product)
 
 __all__ = [
     "WarrenPath",
@@ -222,17 +222,16 @@ def sample_path(m: int, rng: np.random.Generator,
                 reach: int | None = None) -> WarrenPath:
     """Walk with N(0, 1/m) increments on the 1/m grid, drawn up to index
     h = reach (2 <= h <= m; the whole walk, h = m, by default): the
-    one-row block of draw_walks.
+    one-row block of draw_walks.  m (at least 4) and reach are whole
+    numbers, checked before any draw; whole floats become ints.
 
     values[0..h] and the minima below h are bit for bit those of the
     whole walk, because the stream is consumed one draw at a time.
     draw_signs(path, rng) on the same rng then draws the path's signs.
     """
-    if m < 4:
-        raise ValueError("m must be at least 4")
-    h = m if reach is None else int(reach)
-    if not 2 <= h <= m:
-        raise ValueError("reach must lie in [2, m]")
+    m = _check_grid(m)
+    h = m if reach is None else _whole(reach, "reach", 2, m + 1,
+                                       "lie in [2, m]")
     return WarrenPath(m, draw_walks(m, [rng], np.empty((1, h + 1)))[0])
 
 
@@ -457,12 +456,17 @@ def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
                              psi).sum(axis=1)[0])
 
 
-def _check_run(samples: int, m: int, threads: int) -> tuple[int, int]:
-    """samples and threads as ints; ValueError unless both are whole
-    numbers of at least 1 and m >= 4."""
-    if m < 4:
-        raise ValueError("m must be at least 4")
-    return _check_count(samples, "samples"), _check_count(threads, "threads")
+def _check_grid(m) -> int:
+    """The grid size m as an int; ValueError unless it is a whole number
+    of at least 4."""
+    return _whole(m, "m", 4, math.inf, "be at least 4")
+
+
+def _check_run(samples: int, m: int, threads: int) -> tuple[int, int, int]:
+    """samples, m and threads as ints; ValueError unless samples and
+    threads are whole numbers of at least 1 and m one of at least 4."""
+    return (_check_count(samples, "samples"), _check_grid(m),
+            _check_count(threads, "threads"))
 
 
 def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
@@ -491,7 +495,7 @@ def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
     fills and whole-block numpy passes dominate, not the interpreter's
     share.
     """
-    samples, threads = _check_run(samples, m, threads)
+    samples, m, threads = _check_run(samples, m, threads)
     _check_seed(seed)
     chunk = REPLICA_CHUNK
     h = min(m, max(2, int(reach)))
@@ -548,7 +552,7 @@ def quad_form_C(psi, f: SuperchaosVector, samples: int, seed: int,
     for the run.  Walks are drawn up to the end of the weight profile,
     the probe times of a WS profile and psi.reach(m).
     """
-    samples, threads = _check_run(samples, m, threads)
+    samples, m, threads = _check_run(samples, m, threads)
     wp, end, reach = _weights(f, m)
     w2 = wp * wp
     reach = max(reach, psi.reach(m))
@@ -593,7 +597,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     grid index that any column reads.  Every (n, delta) pair is checked
     before any work.
     """
-    samples, threads = _check_run(samples, m, threads)
+    samples, m, threads = _check_run(samples, m, threads)
     n_list = [int(n) for n in n_list]
     delta_list = [float(d) for d in delta_list]
     if not n_list or not delta_list:

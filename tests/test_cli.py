@@ -306,6 +306,19 @@ def test_monte_carlo_artifacts_keep_their_pinned_bytes(command, threads,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# md5 of weyl-suite's standard output at seed 1 and 50 trials: the span
+# algebra must keep its residuals to the bit
+PINNED_WEYL_STDOUT = (["weyl-suite", "--seed", "1", "--trials", "50"],
+                      "ea7fcaedd48d963eafdcd81b51a5daf0")
+
+
+def test_weyl_suite_keeps_its_pinned_stdout(capsys):
+    argv, digest = PINNED_WEYL_STDOUT
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.md5(stdout.encode()).hexdigest() == digest
+
+
 def test_config_file_precedence(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("# defaults for the small study\n"

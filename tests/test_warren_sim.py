@@ -540,6 +540,40 @@ def test_drivers_take_whole_float_counts_as_ints():
     assert type(rows[0].samples) is int
 
 
+@pytest.mark.parametrize("m,reach,name", [
+    (64.5, None, "m"), ("64", None, "m"), (math.inf, None, "m"),
+    (math.nan, None, "m"), (64, 8.7, "reach"), (64, "8", "reach"),
+    (64, math.nan, "reach"),
+])
+def test_grid_size_and_reach_are_whole_before_any_draw(monkeypatch, m, reach,
+                                                       name):
+    # a non-whole m used to fail in the engine without naming m, and a
+    # non-whole reach was truncated without a word
+    refuse_to_draw(monkeypatch)
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    runs = [lambda: sample_path(m, replica_rng(1, 0), reach=reach)]
+    if reach is None:
+        runs += [lambda: quad_form_C(one, f, 2, 1, m=m),
+                 lambda: lemma43_table(f, [2], [0.25], m, 2, 1),
+                 lambda: run_replicas(1, 2, m, zeros, reach=4)]
+    for run in runs:
+        with pytest.raises(ValueError,
+                           match=f"{name} must .* and be a whole number"):
+            run()
+
+
+def test_whole_float_grid_size_and_reach_are_taken_as_ints():
+    f, one = half_interval_profile(), constant_evaluator(1.0)
+    path = sample_path(64.0, replica_rng(1, 0), reach=8.0)
+    assert type(path.m) is int and len(path.values) == 9
+    assert path.values.tobytes() == sample_path(
+        64, replica_rng(1, 0), reach=8).values.tobytes()
+    assert quad_form_C(one, f, 3, 1, m=64.0) == quad_form_C(one, f, 3, 1, m=64)
+    rows = lemma43_table(f, [2], [1 / 64], 64.0, 3, 1)
+    assert rows == lemma43_table(f, [2], [1 / 64], 64, 3, 1)
+    assert type(rows[0].m) is int
+
+
 def test_zero_profile_gives_zero_ratio_stderr_without_warnings():
     # mass is 0 on every path: the ratio u_mass / mass has no delta-method
     # standard error, reported as 0.0 rather than a division by zero
