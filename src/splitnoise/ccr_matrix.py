@@ -110,7 +110,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_algebra import _positive_horizon
+from .gaussian_algebra import (_check_count, _finite_amplitude,
+                               _positive_horizon, _whole)
 
 __all__ = [
     "CcrTriple",
@@ -159,8 +160,9 @@ def _ladder_entries(n: int) -> np.ndarray:
 
 def position_momentum(n: int):
     """Natural-unit (q, p) in the number basis, [p, q] = -i up to the
-    rank-one truncation defect at the top basis vector."""
-    up = np.diag(_ladder_entries(n), 1)
+    rank-one truncation defect at the top basis vector.  ValueError
+    unless the dimension n is a whole number of at least 1."""
+    up = np.diag(_ladder_entries(_check_count(n, "n")), 1)
     return up + up.T, -1j * (up - up.T)
 
 
@@ -215,24 +217,25 @@ def balanced_grid_halfwidth(n: int) -> float:
     return math.sqrt(math.pi * n / 2.0)
 
 
-def _grid_points(scheme: str, n: int) -> np.ndarray | None:
-    """Points x of the grid on [-L, L], L the balanced half width, or None
-    for the oscillator; the one place where a scheme and its dimensions
-    are checked."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+def _grid_points(scheme: str, n: int) -> tuple[int, np.ndarray | None]:
+    """The dimension n as an int, and the points x of the grid on [-L, L],
+    L the balanced half width, or None for the oscillator.  The one place
+    where a scheme and its dimensions are checked: ValueError for an
+    unknown scheme, or unless n is a whole number of at least 2; a whole
+    float becomes the int it equals."""
+    n = _whole(n, "n", 2, math.inf, "be at least 2")
     if scheme == "oscillator":
-        return None
+        return n, None
     if scheme == "grid":
         L = balanced_grid_halfwidth(n)
-        return np.linspace(-L, L, n)
+        return n, np.linspace(-L, L, n)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _natural_pair(scheme: str, n: int):
     """Dense natural-unit (q, p, x) of one scheme, x = None for the
     oscillator; the grid q is the real diagonal of the points x."""
-    x = _grid_points(scheme, n)
+    n, x = _grid_points(scheme, n)
     if x is None:
         q, p = position_momentum(n)
         return q, p, None
@@ -439,14 +442,14 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
 
     The block that does not depend on the angle is built once: the sign
     of q's even/odd block from the Gauss-Hermite nodes (oscillator), or
-    the folded sinc block E (grid).  Every angle is checked before any
-    work; t feeds only the grid aliasing check.
+    the folded sinc block E (grid).  Every angle, t and the dimension n
+    are checked before any work; t feeds only the grid aliasing check.
     """
     for alpha in alphas:
         if not (math.pi / 2.0 < alpha <= math.pi):
             raise ValueError("alpha must lie in (pi/2, pi]")
     t = _positive_horizon(t)
-    x = _grid_points(scheme, n)
+    n, x = _grid_points(scheme, n)
     _warn_if_aliased(x, t, stacklevel=4)
     k = n // 2
     if x is None:
@@ -492,7 +495,9 @@ def lemma23_value(alpha: float, t: float, n: int,
     three operators are the symmetric triple.
 
     The kernel builds natural-unit blocks, so the value is exactly
-    t-invariant; t only feeds the grid aliasing check.
+    t-invariant; t only feeds the grid aliasing check.  n is a whole
+    number of at least 2, checked before any work; a whole float gives
+    the bits of the int it equals.
     """
     return _sign_sum_values(scheme, n, (alpha,), t)[0]
 
@@ -503,9 +508,11 @@ def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
     Unnormalized; the squared norm is exp(|zeta|^2 t), matching the
     exponential-vector inner product.  Requires the truncated tail mass
     exp(-|beta|^2) sum_{k>=n} |beta|^{2k}/k! to be at most 1e-10.
+    ValueError unless zeta is finite and n a whole number of at least 1.
     """
     t = _positive_horizon(t)
-    beta = complex(zeta) * math.sqrt(t)
+    beta = _finite_amplitude(zeta) * math.sqrt(t)
+    n = _check_count(n, "n")
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     tail = 0.0
@@ -555,18 +562,17 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     (scheme, N) is one kernel call for all the angles, so its wall time
     is split evenly across them: the seconds of a row are that call's
     time over the number of angles.  Every input is checked before any
-    work starts.
+    work starts: each scheme and each N, a whole number of at least 2.
     """
     if isinstance(schemes, str):
         schemes = (schemes,)
-    n_list = list(n_list)
-    if n_list != sorted(n_list):
-        raise ValueError("n_list must be ascending")
-    alphas = [float(a) for a in alpha_list]
+    n_list, alphas = list(n_list), [float(a) for a in alpha_list]
     if not schemes or not n_list or not alphas:
         raise ValueError("schemes, n_list and alpha_list must be nonempty")
-    for scheme in schemes:  # each name and the smallest N, before any kernel
-        _grid_points(scheme, n_list[0])
+    for scheme in schemes:  # each name and each N, before any kernel
+        n_list = [_grid_points(scheme, n)[0] for n in n_list]
+    if n_list != sorted(n_list):
+        raise ValueError("n_list must be ascending")
     rows: list[StudyRow] = []
     for scheme in schemes:
         per_n = []  # (values per angle, seconds per angle) for each N
@@ -579,7 +585,7 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
             prev = None
             for n, (values, share) in zip(n_list, per_n):
                 delta = None if prev is None else values[i] - prev
-                rows.append(StudyRow(scheme, int(n), alpha, float(t),
+                rows.append(StudyRow(scheme, n, alpha, float(t),
                                      values[i], share, delta))
                 prev = values[i]
     return rows

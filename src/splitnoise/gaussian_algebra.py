@@ -272,9 +272,20 @@ def _positive_horizon(t, bound: float = math.inf) -> float:
     return float(t)
 
 
+def _finite_amplitude(zeta) -> complex:
+    """A coherent amplitude zeta as a complex; ValueError unless both of
+    its parts are finite."""
+    if not cmath.isfinite(complex(zeta)):
+        raise ValueError(f"zeta must be finite, got {zeta!r}")
+    return complex(zeta)
+
+
 def _whole(value, name: str, low: int, high: float, rule: str) -> int:
     """value as an int; ValueError unless it is a whole number in
-    [low, high), which rule says in words."""
+    [low, high), which rule says in words.  The one check of every size:
+    counts, seeds, dimensions, bucket counts, grid sizes and reaches; a
+    whole float becomes the int it equals, and anything else that int()
+    would truncate or parse, such as 8.5 or "16", is refused."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -293,7 +304,8 @@ def _check_seed(seed, name: str = "seed") -> int:
 
 
 def _check_count(count, name: str) -> int:
-    """A count of trials, samples or threads as an int, at least 1."""
+    """A count of trials, samples, threads or buckets, or a number-basis
+    dimension, as an int, at least 1."""
     return _whole(count, name, 1, math.inf, "be at least 1")
 
 

@@ -77,7 +77,8 @@ import numpy as np
 
 from . import __version__
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
-                               _positive_horizon, _whole, step_product)
+                               _finite_amplitude, _positive_horizon, _whole,
+                               step_product)
 
 __all__ = [
     "WarrenPath",
@@ -157,10 +158,15 @@ def draw_walks(m: int, rngs, walks: np.ndarray) -> np.ndarray:
     bit for bit rng.normal(0.0, sqrt(1/m), size=h) and its cumsum: the
     normal fill draws the same standard normals and scales them by the
     same factor, and one cumsum over the block adds along each row in
-    order.  rngs must yield at least one generator per row; the rest is
-    not touched.
+    order.  rngs must yield at least one generator per row, or ValueError
+    (a row without one would keep the buffer's old contents); only one
+    generator per row is taken from it, and the rest is not touched.
     """
-    for row, rng in zip(walks, rngs):
+    rngs = iter(rngs)
+    for row in walks:
+        rng = next(rngs, None)
+        if rng is None:
+            raise ValueError("rngs ran out before the rows of walks")
         rng.standard_normal(out=row[1:])
     steps = walks[:, 1:]
     np.multiply(steps, math.sqrt(1.0 / m), out=steps)
@@ -200,10 +206,12 @@ class WarrenPath:
     """A drawn walk and its strict local minima.
 
     values holds the walk on the grid {0, 1/m, ..., 1} up to some index
-    h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m).
-    minima is derived from values, not passed: local_minima(values), the
-    complete ascending set of interior strict minima below h.  The fair
-    signs at the minima are a separate draw, draw_signs.
+    h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m),
+    so m is a whole number of at least 2; a whole float becomes the int
+    it equals.  minima is derived from values, not passed:
+    local_minima(values), the complete ascending set of interior strict
+    minima below h.  The fair signs at the minima are a separate draw,
+    draw_signs.
     """
 
     m: int
@@ -211,6 +219,7 @@ class WarrenPath:
     minima: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _check_grid(self.m, 2))
         if not 3 <= len(self.values) <= self.m + 1:
             raise ValueError("values must have 3 to m + 1 entries")
         if self.values[0] != 0.0:
@@ -394,14 +403,15 @@ def endpoint_sign_evaluator(a: float, b: float):
 @dataclass(frozen=True)
 class PsiSpec:
     """Bucket decomposition on (0, 1/2): n buckets of width 1/(2n), each
-    probed by the path increment over [k/(2n), k/(2n) + delta]."""
+    probed by the path increment over [k/(2n), k/(2n) + delta].  n is a
+    whole number of at least 1 (a whole float becomes the int it equals)
+    and delta lies in (0, 1/2)."""
 
     n: int
     delta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _check_count(self.n, "n"))
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
 
@@ -456,10 +466,10 @@ def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
                              psi).sum(axis=1)[0])
 
 
-def _check_grid(m) -> int:
+def _check_grid(m, low: int = 4) -> int:
     """The grid size m as an int; ValueError unless it is a whole number
-    of at least 4."""
-    return _whole(m, "m", 4, math.inf, "be at least 4")
+    of at least low: 4 for a sampled grid, 2 for a WarrenPath's."""
+    return _whole(m, "m", low, math.inf, f"be at least {low}")
 
 
 def _check_run(samples: int, m: int, threads: int) -> tuple[int, int, int]:
@@ -479,6 +489,8 @@ def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
     The walk of replica r is sample_path(m, replica_rng(seed, r), h)'s,
     whatever worker draws it and whatever block holds it: the walk up to
     h = reach clamped to [2, m] (a zero weight profile gives reach 1).
+    reach is a whole number of at least 0, checked with samples, m and
+    threads before any draw; a whole float becomes the int it equals.
     No signs are drawn.  reach must be the last grid index per_block
     reads; reading past it raises IndexError.  per_block may overwrite
     the walks it is given and may return a view of them; it must be safe
@@ -498,7 +510,7 @@ def run_replicas(seed: int, samples: int, m: int, per_block, reach: int,
     samples, m, threads = _check_run(samples, m, threads)
     _check_seed(seed)
     chunk = REPLICA_CHUNK
-    h = min(m, max(2, int(reach)))
+    h = min(m, max(2, _whole(reach, "reach", 0, math.inf, "be at least 0")))
     rows = min(chunk, max(1, _WALK_BLOCK // (h + 1)))
 
     def run_chunk(lo: int) -> np.ndarray:
@@ -595,15 +607,15 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     must vanish on [1/2, 1].  Walks are drawn up to m // 2 plus the
     largest probe offset (and the probe times of a WS profile), the last
     grid index that any column reads.  Every (n, delta) pair is checked
-    before any work.
+    before any work, each n by PsiSpec, whose whole n labels its rows.
     """
     samples, m, threads = _check_run(samples, m, threads)
-    n_list = [int(n) for n in n_list]
     delta_list = [float(d) for d in delta_list]
-    if not n_list or not delta_list:
+    specs = [[PsiSpec(n, d) for d in delta_list] for n in n_list]
+    if not specs or not specs[0]:
         raise ValueError("n_list and delta_list must be nonempty")
-    aligned = [[PsiSpec(n, d).alignment(m) for d in delta_list]
-               for n in n_list]
+    n_list = [row[0].n for row in specs]
+    aligned = [[spec.alignment(m) for spec in row] for row in specs]
     steps = [row[0][0] for row in aligned]
     offsets = [offset for _, offset in aligned[0]]
     wp, end, reach = _weights(f, m)
@@ -688,14 +700,16 @@ def mc_coherent_sign_probe(zeta: float, t: float, samples: int,
 
     Increments after t integrate out, so B_t ~ N(0, t) is sampled
     directly and reweighted by exp(2 Re(zeta) B_t); the ratio estimator
-    targets 2 Phi(2 Re(zeta) sqrt(t)) - 1.
+    targets 2 Phi(2 Re(zeta) sqrt(t)) - 1.  Before any draw, ValueError
+    unless t is positive and finite, zeta finite and samples a whole
+    number of at least 2; a whole float becomes the int it equals.
     """
     t = _positive_horizon(t)
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    zeta = _finite_amplitude(zeta)
+    samples = _whole(samples, "samples", 2, math.inf, "be at least 2")
     g = replica_rng(seed, 0)
     endpoint = g.normal(0.0, math.sqrt(t), size=samples)
-    w = np.exp(2.0 * float(np.real(zeta)) * endpoint)
+    w = np.exp(2.0 * zeta.real * endpoint)
     s = np.sign(endpoint)
     ratio = float(np.sum(w * s) / np.sum(w))
     stderr = float(np.sqrt(np.sum((w * (s - ratio)) ** 2)) / np.sum(w))

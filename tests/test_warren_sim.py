@@ -703,6 +703,21 @@ def test_lemma43_ratio_stderr_is_the_delta_method_on_the_replica_columns():
     assert four_steps.u_ratio_stderr < four_steps.u_mass_stderr / four_steps.mass
 
 
+def test_draw_walks_needs_a_generator_for_every_row():
+    # rows without a generator used to come back built from the buffer's
+    # old contents: 0, 1.75, 3.5, ... from a buffer of 7s
+    with pytest.raises(ValueError, match="rngs ran out"):
+        warren_sim.draw_walks(16, [replica_rng(1, 0)], np.full((3, 6), 7.0))
+    # a longer stream gives up one generator per row and keeps the rest
+    rngs = iter([replica_rng(1, r) for r in range(3)])
+    walks = warren_sim.draw_walks(16, rngs, np.empty((2, 6)))
+    assert walks.tobytes() == np.stack(
+        [sample_path(16, replica_rng(1, r), reach=5).values
+         for r in range(2)]).tobytes()
+    assert next(rngs).standard_normal(4).tobytes() == \
+        replica_rng(1, 2).standard_normal(4).tobytes()
+
+
 def recorded_reaches(monkeypatch, cut=0):
     """Record the reach of each walk the engine draws, one entry per row
     of each block, drawing `cut` fewer increments than that."""
