@@ -19,11 +19,11 @@ dense (q, p) from them: `build_pair` scales it by sqrt(2 t) and
 `symmetric_triple` rotates it by 2 pi / 3.  The sign-sum kernel builds
 only N/2-sized blocks, unscaled, since positive scalings drop out of
 sgn: the grid's from `_sinc_diagonals`, the oscillator's from the
-Hermite recurrence `_hermite_levels`.  `_grid_points` is the one
-check of a scheme and its dimensions, and the grid aliasing check reads
-only the grid points and t.  Every grid object uses one window, the
-balanced half width sqrt(pi N / 2): Q_t = sqrt(2 t) x only rescales the
-natural-unit grid.
+Hermite recurrence `_hermite_levels`, whose coefficients are the same
+ladder entries.  `_grid_points` is the one check of a scheme and its
+dimensions, and the grid aliasing check reads only the grid points and
+t.  Every grid object uses one window, the balanced half width
+sqrt(pi N / 2): Q_t = sqrt(2 t) x only rescales the natural-unit grid.
 
 The zero-sum triple Q, P, R places three scaled coordinates at mutual
 120 degrees, Q = alpha q, P = alpha (q cos + p sin), R = -(P + Q) with
@@ -356,18 +356,19 @@ def _hermite_levels(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     their squared column norms, and the Newton step towards a zero of v_n.
 
     v_j = (x v_{j-1} - beta_{j-1} v_{j-2}) / beta_j, v_0 = 1, with
-    beta_j = q[j - 1, j] = sqrt(j / 2) (Golub & Welsch, Math. Comp. 23,
-    1969); row j of the (n, len(x)) array holds v_j.  Every
-    _RESCALE_LEVELS levels each column is divided by an exact power of two
-    that brings its last two levels to [0.5, 1); a last pass brings the
-    earlier stretches to the scale of the last one.  The
+    beta_j = q[j - 1, j] = sqrt(j / 2), the ladder entries of
+    _ladder_entries (Golub & Welsch, Math. Comp. 23, 1969); row j of the
+    (n, len(x)) array holds v_j.  Every _RESCALE_LEVELS levels each
+    column is divided by an exact power of two that brings its last two
+    levels to [0.5, 1); a last pass brings the earlier stretches to the
+    scale of the last one.  The
     Christoffel-Darboux identity (Szego, Orthogonal Polynomials, Thm
     3.2.2) gives sum_{j<n} v_j^2 = beta_n v_n' v_{n-1} at v_n = 0, so
     Newton's step -v_n / v_n' is
     (beta_{n-1} v_{n-2} - x v_{n-1}) v_{n-1} / sum_{j<n} v_j^2, up to a
     term of second order in v_n; it does not depend on the scale.
     """
-    beta = np.sqrt(np.arange(n) / 2.0)
+    beta = np.concatenate([[0.0], _ladder_entries(n)])  # beta_0 unused
     v = np.empty((n, len(x)))
     v[0] = 1.0
     v[1] = x / beta[1]
@@ -591,20 +592,25 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def _write_csv(path, header: str, rows) -> None:
+    """The one writer of the CSV artifacts: the header line, then one line
+    per field list of rows, str and int fields as they are and floats to
+    12 significant digits; UTF-8, LF line ends."""
+    lines = [header] + [
+        ",".join(str(x) if isinstance(x, (str, int))
+                 else format(float(x), ".12g") for x in fields)
+        for fields in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_norm_study_csv(rows, path, wall_time: bool = False) -> None:
-    """Emit the study as CSV (UTF-8, LF, 12 significant digits).
+    """Emit the study as CSV under NORM_STUDY_HEADER, written by
+    _write_csv (UTF-8, LF, 12 significant digits).
 
     The seconds column is written as 0 unless wall_time is set, keeping
     the artifact byte-identical across reruns of the same configuration.
     """
-    lines = [NORM_STUDY_HEADER]
-    for r in rows:
-        sec = r.seconds if wall_time else 0.0
-        lines.append(",".join([r.scheme, str(r.n), _fmt(r.alpha), _fmt(r.t),
-                               _fmt(r.value), _fmt(sec)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, NORM_STUDY_HEADER,
+               ([r.scheme, r.n, r.alpha, r.t, r.value,
+                 r.seconds if wall_time else 0.0] for r in rows))

@@ -26,7 +26,7 @@ import sys
 
 from . import ccr_matrix, warren_sim
 from .ccr_matrix import TWO_THIRDS_PI
-from .gaussian_algebra import _check_count, relation_suite
+from .gaussian_algebra import _check_count, _whole, relation_suite
 from .warren_sim import Lemma43Row
 
 
@@ -187,6 +187,10 @@ def _finite(text: str) -> float:
     return x
 
 
+def _dimension(text: str) -> int:
+    return _whole(int(text), "N", 2, math.inf, "be at least 2")
+
+
 def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
     """Each row of a CSV artifact below its header line, its fields
     converted by types (one callable per column).  A row of the wrong
@@ -214,9 +218,9 @@ def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
 def _read_norm_row(path: str) -> tuple:
     """The row (scheme, N, alpha, t, value, seconds) at the largest N,
     then the angle nearest 2 pi/3, then the largest (most conservative)
-    value; ties go to the first such row."""
+    value; ties go to the first such row.  N must be at least 2."""
     rows = _read_csv(path, ccr_matrix.NORM_STUDY_HEADER, "norm-study",
-                     (str, int, _finite, _finite, _finite, _finite))
+                     (str, _dimension, _finite, _finite, _finite, _finite))
     return max(rows, key=lambda r: (r[1], -abs(r[2] - TWO_THIRDS_PI), r[4]))
 
 

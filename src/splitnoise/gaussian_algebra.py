@@ -285,9 +285,10 @@ def _whole(value, name: str, low: int, high: float, rule: str) -> int:
     [low, high), which rule says in words.  The one check of every size:
     counts, seeds, dimensions, bucket counts, grid sizes and reaches; a
     whole float becomes the int it equals, and anything else that int()
-    would truncate or parse, such as 8.5 or "16", is refused."""
+    would truncate or parse, such as 8.5 or "16", is refused, and so is a
+    bool, which int() would take as 0 or 1."""
     try:
-        number = int(value)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value or not low <= number < high:

@@ -76,6 +76,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from .ccr_matrix import _write_csv
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
                                _finite_amplitude, _positive_horizon, _whole,
                                step_product)
@@ -284,9 +285,8 @@ class SuperchaosVector:
 
     def sign_factor(self, path: WarrenPath) -> float:
         """+-1 (or 0 on a tie) for WS profiles, 1 for deterministic ones."""
-        if self.kind == "W":
-            return 1.0
-        return float(_endpoint_sign(path.values, path.m, self.a, self.b))
+        factor = _sign_factor(self, path.values, path.m, 1)
+        return 1.0 if factor is None else float(factor)
 
 
 def _grid_index(t: float, m: int, name: str) -> int:
@@ -312,6 +312,13 @@ def _endpoint_sign(values: np.ndarray, m: int, a: float, b: float):
     _increment_sign."""
     ia = _grid_index(a, m, "a")
     return _increment_sign(values, ia, _grid_index(b, m, "b") - ia)
+
+
+def _sign_factor(f: SuperchaosVector, walks: np.ndarray, m: int, power: int):
+    """f's sign factor sgn(B_b - B_a)**power on a walk or each walk of a
+    block, by _endpoint_sign, or None for a W profile, whose factor is 1."""
+    return (_endpoint_sign(walks, m, f.a, f.b) ** power if f.kind == "WS"
+            else None)
 
 
 def _weights(f: SuperchaosVector, m: int) -> tuple[np.ndarray, int, int]:
@@ -349,16 +356,15 @@ def _grid_terms(f: SuperchaosVector, weights: np.ndarray, power: int,
                 end: int, walks: np.ndarray, m: int, psi) -> np.ndarray:
     """(rows, end) terms weights[j] * s**power * psi(t_j) at the strict
     minima j < end of each walk, 0 elsewhere, where s is f's sign factor
-    on the walk (1 for a W profile).
+    on the walk (_sign_factor; 1 for a W profile).
 
     The terms overwrite walks[:, :end], after everything is read from
     the walks.  They do not depend on how far past end the walks are
     drawn, so every sum over them agrees bit for bit on a prefix and on
     the whole walk; IndexError unless the walks reach end."""
     p = np.broadcast_to(psi(walks, m), walks.shape)[:, :end]
-    factor = (_endpoint_sign(walks, m, f.a, f.b) ** power
-              if f.kind == "WS" else None)
-    terms = _weigh(_minima_mask(walks, end), weights, factor, walks)
+    terms = _weigh(_minima_mask(walks, end), weights,
+                   _sign_factor(f, walks, m, power), walks)
     terms *= p
     return terms
 
@@ -405,15 +411,20 @@ class PsiSpec:
     """Bucket decomposition on (0, 1/2): n buckets of width 1/(2n), each
     probed by the path increment over [k/(2n), k/(2n) + delta].  n is a
     whole number of at least 1 (a whole float becomes the int it equals)
-    and delta lies in (0, 1/2)."""
+    and delta, converted with float(), lies in (0, 1/2)."""
 
     n: int
     delta: float
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n, "n"))
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 0.5)")
+        try:
+            delta = float(self.delta)
+        except (TypeError, ValueError):
+            delta = math.nan
+        if not 0.0 < delta < 0.5:
+            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
 
     def alignment(self, m: int) -> tuple[int, int]:
         """(bucket width, probe offset) in grid steps; raises if misaligned."""
@@ -455,15 +466,22 @@ class McEstimate:
     seed: int
 
 
+def _path_terms(f: SuperchaosVector, path: WarrenPath, power: int,
+                psi) -> np.ndarray:
+    """The one-row case of _grid_terms on path, with f's weight and sign
+    factor to the given power: one term per grid index below the end of
+    f's sums."""
+    wp, end, _ = _weights(f, path.m)
+    walks = np.array(path.values, ndmin=2)  # a copy: the terms overwrite it
+    return _grid_terms(f, wp ** power, power, end, walks, path.m, psi)[0]
+
+
 def per_path_integrand(psi, f: SuperchaosVector, path: WarrenPath) -> float:
     """sum_j |g(t_j, path)|^2 psi(t_j, path): the signs are already
     integrated out, exactly, so this is the whole per-path quantity.
     The one-row case of quad_form_C's reduction, so it agrees bit for
     bit with quad_form_C's replica values."""
-    wp, end, _ = _weights(f, path.m)
-    walks = np.array(path.values, ndmin=2)  # a copy: the terms overwrite it
-    return float(_grid_terms(f, wp * wp, 2, end, walks, path.m,
-                             psi).sum(axis=1)[0])
+    return float(_path_terms(f, path, 2, psi).sum())
 
 
 def _check_grid(m, low: int = 4) -> int:
@@ -607,14 +625,16 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
     must vanish on [1/2, 1].  Walks are drawn up to m // 2 plus the
     largest probe offset (and the probe times of a WS profile), the last
     grid index that any column reads.  Every (n, delta) pair is checked
-    before any work, each n by PsiSpec, whose whole n labels its rows.
+    before any work by PsiSpec, whose whole n and float delta label its
+    rows.
     """
     samples, m, threads = _check_run(samples, m, threads)
-    delta_list = [float(d) for d in delta_list]
+    delta_list = list(delta_list)
     specs = [[PsiSpec(n, d) for d in delta_list] for n in n_list]
     if not specs or not specs[0]:
         raise ValueError("n_list and delta_list must be nonempty")
     n_list = [row[0].n for row in specs]
+    delta_list = [spec.delta for spec in specs[0]]
     aligned = [[spec.alignment(m) for spec in row] for row in specs]
     steps = [row[0][0] for row in aligned]
     offsets = [offset for _, offset in aligned[0]]
@@ -628,8 +648,7 @@ def lemma43_table(f: SuperchaosVector, n_list, delta_list, m: int,
 
     # columns: mass, then u_mass per delta, then the estimate per (n, delta)
     def per_block(walks: np.ndarray) -> np.ndarray:
-        factor = (_endpoint_sign(walks, m, f.a, f.b) ** 2
-                  if f.kind == "WS" else None)
+        factor = _sign_factor(f, walks, m, 2)
         mask = _minima_mask(walks, half)
         rising = []
         for off in offsets:
@@ -674,10 +693,8 @@ def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,
     weight and sign factor to the first power and one sign per minimum."""
     if np.shape(signs) != path.minima.shape:
         raise ValueError("one sign per minimum required")
-    wp, end, _ = _weights(f, path.m)
-    walks = np.array(path.values, ndmin=2)  # a copy: the terms overwrite it
-    terms = _grid_terms(f, wp, 1, end, walks, path.m, psi)[0]
-    keep = np.searchsorted(path.minima, end)
+    terms = _path_terms(f, path, 1, psi)
+    keep = np.searchsorted(path.minima, len(terms))
     terms[path.minima[:keep]] *= signs[:keep]
     return float(terms.sum())
 
@@ -700,9 +717,13 @@ def mc_coherent_sign_probe(zeta: float, t: float, samples: int,
 
     Increments after t integrate out, so B_t ~ N(0, t) is sampled
     directly and reweighted by exp(2 Re(zeta) B_t); the ratio estimator
-    targets 2 Phi(2 Re(zeta) sqrt(t)) - 1.  Before any draw, ValueError
-    unless t is positive and finite, zeta finite and samples a whole
-    number of at least 2; a whole float becomes the int it equals.
+    targets 2 Phi(2 Re(zeta) sqrt(t)) - 1.  The mean is
+    sum(w s) / sum(w), with w the weights and s = sgn B_t, and its
+    standard error is _ratio_stderr's delta-method one, sample standard
+    deviations with the n - 1 divisor like every other standard error of
+    the package.  Before any draw, ValueError unless t is positive and
+    finite, zeta finite and samples a whole number of at least 2; a whole
+    float becomes the int it equals.
     """
     t = _positive_horizon(t)
     zeta = _finite_amplitude(zeta)
@@ -710,10 +731,9 @@ def mc_coherent_sign_probe(zeta: float, t: float, samples: int,
     g = replica_rng(seed, 0)
     endpoint = g.normal(0.0, math.sqrt(t), size=samples)
     w = np.exp(2.0 * zeta.real * endpoint)
-    s = np.sign(endpoint)
-    ratio = float(np.sum(w * s) / np.sum(w))
-    stderr = float(np.sqrt(np.sum((w * (s - ratio)) ** 2)) / np.sum(w))
-    return McEstimate(ratio, stderr, samples, int(seed))
+    ws = w * np.sign(endpoint)
+    return McEstimate(float(np.sum(ws) / np.sum(w)), _ratio_stderr(ws, w),
+                      samples, int(seed))
 
 
 @dataclass(frozen=True)
@@ -757,8 +777,10 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
     for the paper's margin pass rows whose estimate and stderr are the
     minimum-anchored u_mass and u_mass_stderr (dataclasses.replace), as
     acceptance criterion 9 does.  See the README section on criteria 8
-    and 9.
+    and 9.  n_dim, the dimension N of norm_value, is a whole number of at
+    least 0, where 0 means not given.
     """
+    n_dim = _whole(n_dim, "n_dim", 0, math.inf, "be at least 0")
     rows = list(lemma43_rows)
     if not rows:
         raise ValueError("need at least one refinement row")
@@ -768,25 +790,19 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
         raise ValueError(f"mass must be positive and finite, got {denom!r}")
     m_hat = best.estimate / denom
     return ObstructionReport(
-        norm_value=float(norm_value), scheme=scheme, N=int(n_dim),
+        norm_value=float(norm_value), scheme=scheme, N=n_dim,
         m_hat=m_hat, n=best.n, delta=best.delta, grid_m=best.m,
         samples=best.samples, margin=3.0 * m_hat - float(norm_value),
         master_seed=best.seed, versions=_environment_versions())
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def write_lemma43_csv(rows, path) -> None:
-    """CSV artifact: fixed header, UTF-8, LF, 12 significant digits."""
-    lines = [LEMMA43_HEADER]
-    for r in rows:
-        lines.append(",".join([str(r.n), _fmt(r.delta), str(r.m),
-                               str(r.samples), _fmt(r.estimate), _fmt(r.stderr),
-                               _fmt(r.mass), _fmt(r.mass_stderr), str(r.seed)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV artifact under LEMMA43_HEADER, written by ccr_matrix's
+    _write_csv (UTF-8, LF, 12 significant digits); the u_mass columns
+    are not written."""
+    _write_csv(path, LEMMA43_HEADER,
+               ([r.n, r.delta, r.m, r.samples, r.estimate, r.stderr, r.mass,
+                 r.mass_stderr, r.seed] for r in rows))
 
 
 def write_obstruction_json(report: ObstructionReport, path) -> None:

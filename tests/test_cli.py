@@ -195,7 +195,13 @@ def test_lemma43_summary_at_zero_mass_calls_the_ratios_undefined(tmp_path,
      "'nan' is not a finite number"),
     (LEMMA43_HEADER, "4,0.00390625,256,40,inf,0.01,1.0,0.1,3",
      "'inf' is not a finite number"),
-], ids=["norm", "lemma43", "norm-nan-value", "lemma43-inf-estimate"])
+    # a dimension below 2 used to reach obstruction.json as it was
+    (NORM_STUDY_HEADER, "oscillator,-4,2.0943951,0.5,2.1,0",
+     "N must be at least 2 and be a whole number, got -4"),
+    (NORM_STUDY_HEADER, "oscillator,1,2.0943951,0.5,2.1,0",
+     "N must be at least 2 and be a whole number, got 1"),
+], ids=["norm", "lemma43", "norm-nan-value", "lemma43-inf-estimate",
+        "norm-negative-N", "norm-N-below-2"])
 def test_obstruction_names_file_and_line_of_a_bad_row(tmp_path, capsys,
                                                       header, row, message):
     norm, table = tmp_path / "norm.csv", tmp_path / "table.csv"
@@ -283,8 +289,15 @@ def test_byte_identical_reruns(tmp_path, capsys):
 # sha256 of the Monte Carlo artifacts at a small configuration, as the
 # engine wrote them when it drew and reduced one walk at a time; drawing
 # and reducing blocks of walks must write the same bytes on any number of
-# threads (300 replicas are five chunks, which two or three workers share)
+# threads (300 replicas are five chunks, which two or three workers share).
+# The norm study's bytes are pinned too: its Hermite recurrence takes its
+# coefficients from the ladder entries, which may differ from
+# sqrt(j / 2) in the last bit, and must still write the same CSV.
 PINNED_ARTIFACTS = {
+    "norm-study": (["--scheme", "both", "--dims", "16,32,64",
+                    "--alpha", "2.0943951023931953,2.9"],
+                   "90b25587467ebfe7bf411c5d90aea0d4"
+                   "fefb3c6eb76ebbe4f8b1cd4506ad3371"),
     "warren-mass": (["--m", "1024", "--samples", "300", "--seed", "4"],
                     "0cf1aece96a8a2e96c04faa35137f6b2"
                     "48a0b3c57b9632377347a060bb8b3fb3"),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from splitnoise import ccr_matrix, warren_sim
+from splitnoise.gaussian_algebra import relation_suite
 from splitnoise.ccr_matrix import (
     build_pair,
     coherent_vector,
@@ -25,8 +26,11 @@ from splitnoise.warren_sim import (
     WarrenPath,
     half_interval_profile,
     lemma43_table,
+    constant_evaluator,
     mc_coherent_sign_probe,
+    quad_form_C,
     run_replicas,
+    sample_path,
 )
 
 
@@ -101,6 +105,27 @@ def test_whole_float_sizes_give_the_bits_of_ints():
     assert est == mc_coherent_sign_probe(0.5, 1.0, 100, 0)
     assert type(est.samples) is int
     assert type(WarrenPath(4.0, np.zeros(5)).m) is int
+
+
+# int(True) == True, so a bool used to pass as 1: one sample, seed 1 or
+# reach 1
+BOOLEAN_CALLS = {
+    "samples": lambda v: quad_form_C(constant_evaluator(1.0),
+                                     half_interval_profile(), v, 1, m=64),
+    "seed": relation_suite,
+    "reach": lambda v: sample_path(64, np.random.default_rng(0), reach=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_],
+                         ids=["true", "false", "numpy-true"])
+@pytest.mark.parametrize("name", sorted(BOOLEAN_CALLS))
+def test_booleans_are_not_whole_numbers(monkeypatch, name, value):
+    refuse_to_work(monkeypatch)
+    with pytest.raises(ValueError, match=(
+            f"^{name} must .* and be a whole number, "
+            f"got {re.escape(repr(value))}$")):
+        BOOLEAN_CALLS[name](value)
 
 
 @pytest.mark.parametrize("zeta", [math.nan, math.inf, complex(0.5, math.nan),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from concurrent import futures
@@ -478,6 +479,17 @@ def refuse_to_draw(monkeypatch):
         raise AssertionError("a walk was drawn before the inputs were checked")
     for drawer in ("draw_walks", "sample_path"):
         monkeypatch.setattr(warren_sim, drawer, no_walk)
+
+
+def test_psi_spec_converts_delta_with_float():
+    spec = PsiSpec(4, "0.25")  # used to raise TypeError
+    assert spec.delta == 0.25 and type(spec.delta) is float
+    assert spec == PsiSpec(4, 0.25)
+    for delta in ("x", None, 0.5, math.nan):
+        with pytest.raises(ValueError, match=(
+                "^delta must lie in \\(0, 0.5\\), got "
+                f"{re.escape(repr(delta))}$")):
+            PsiSpec(4, delta)
 
 
 def test_lemma43_checks_every_pair_before_drawing(monkeypatch):
@@ -1114,6 +1126,18 @@ def test_obstruction_requires_rows_and_mass():
             obstruction_report(2.1, rows, mass)
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             obstruction_report(2.1, [synthetic_row(16, 1 / 256, 0.9, mass)])
+
+
+def test_obstruction_report_dimension_is_whole_and_not_negative():
+    rows = [synthetic_row(16, 1 / 256, est=0.9, mass=1.0)]
+    # 8.5 used to be reported as N = 8, and -3 as it was
+    for n_dim in (8.5, -3, "8", True):
+        with pytest.raises(ValueError, match=(
+                "^n_dim must be at least 0 and be a whole number, got ")):
+            obstruction_report(2.1, rows, n_dim=n_dim)
+    rep = obstruction_report(2.1, rows, n_dim=8.0)
+    assert rep.N == 8 and type(rep.N) is int
+    assert obstruction_report(2.1, rows).N == 0  # not given
 
 
 def test_obstruction_report_bit_reproducible(tmp_path):
