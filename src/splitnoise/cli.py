@@ -26,8 +26,8 @@ import sys
 
 from . import ccr_matrix, warren_sim
 from .ccr_matrix import TWO_THIRDS_PI
-from .gaussian_algebra import _check_count, _whole, relation_suite
-from .warren_sim import Lemma43Row
+from .gaussian_algebra import _check_count, _check_seed, _whole, relation_suite
+from .warren_sim import Lemma43Row, _check_grid
 
 
 def _ints(text: str) -> list[int]:
@@ -187,8 +187,10 @@ def _finite(text: str) -> float:
     return x
 
 
-def _dimension(text: str) -> int:
-    return _whole(int(text), "N", 2, math.inf, "be at least 2")
+def _checked_int(check, *args):
+    """A CSV field converter: the field as an int, passed through check
+    (one of the library's checks, with args after the value)."""
+    return lambda text: check(int(text), *args)
 
 
 def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
@@ -219,14 +221,19 @@ def _read_norm_row(path: str) -> tuple:
     """The row (scheme, N, alpha, t, value, seconds) at the largest N,
     then the angle nearest 2 pi/3, then the largest (most conservative)
     value; ties go to the first such row.  N must be at least 2."""
+    dimension = _checked_int(_whole, "N", 2, math.inf, "be at least 2")
     rows = _read_csv(path, ccr_matrix.NORM_STUDY_HEADER, "norm-study",
-                     (str, _dimension, _finite, _finite, _finite, _finite))
+                     (str, dimension, _finite, _finite, _finite, _finite))
     return max(rows, key=lambda r: (r[1], -abs(r[2] - TWO_THIRDS_PI), r[4]))
 
 
 def _read_lemma43_rows(path: str) -> list[Lemma43Row]:
-    # the CSV carries no u_mass columns: they read back as 0.0
-    types = (int, _finite, int, int, _finite, _finite, _finite, _finite, int)
+    """The rows of a lemma43 table, n and samples at least 1, m at least
+    4 and the seed in [0, 2**63), as the library checks them.  The CSV
+    carries no u_mass columns: they read back as 0.0."""
+    types = (_checked_int(_check_count, "n"), _finite,
+             _checked_int(_check_grid), _checked_int(_check_count, "samples"),
+             _finite, _finite, _finite, _finite, _checked_int(_check_seed))
     return [Lemma43Row(*r[:8], 0.0, 0.0, r[8]) for r in
             _read_csv(path, warren_sim.LEMMA43_HEADER, "lemma43", types)]
 

@@ -26,13 +26,27 @@ _read returns its gathers F-ordered, and so does the shared case, which
 keeps every bit of the merged read; a span stores V C-contiguous
 whatever built it, so that one layout gives one norm, to the bit.
 
+The package never writes a span's arrays after it is built, so what
+depends on them alone is computed once: a span keeps its interval
+widths and its term integrals (values @ widths) as lazy attributes,
+filled on first read.  An automorphism image or a scaled copy holds its
+source's breaks array and takes its widths too, and every automorphism
+applied to one span reads that span's integrals.  Reads of several
+spans merge their partitions once: random_span reads its unit part and
+every step term on one merge of all their breaks, and relation_suite's
+Gram check reads v, w, A v and A w on one merge instead of merging v
+and w for each inner product.  Each gives the bits of the computation
+it replaces; the tests keep the old ones as oracles.
+
 Subtraction pairs terms by index.  In v - w, term i of w joins term i
 of v when their values agree within DEDUP_VALUE_TOL, relative to
 max(1, the larger sup norm), and its coefficient is subtracted from
 v's; every other term of w is appended, negated, in order.  The two
 sides of a relation map each term of one span to one term, in the same
 order, so their difference cancels term by term and its Gram matrix
-stays away from exact degeneracy.
+stays away from exact degeneracy.  On one breaks array, the two sides'
+values are paired as they are, without _common's F-ordered copies:
+the pairing is elementwise, so the layout moves no bit.
 
 The one-parameter automorphism family acts on these spans by
 
@@ -103,6 +117,30 @@ def _read(breaks: np.ndarray, values: np.ndarray, t):
     interval's at T."""
     j = np.searchsorted(breaks, t, side="right") - 1
     return values[..., np.minimum(j, values.shape[-1] - 1)]
+
+
+def _widths(breaks: np.ndarray) -> np.ndarray:
+    """The interval lengths breaks[j+1] - breaks[j]."""
+    return breaks[1:] - breaks[:-1]
+
+
+class _lazy:
+    """Attribute computed by fn(obj) on its first read and stored in the
+    instance's __dict__, where every later read finds it first.
+    functools.cached_property does the same, but up to Python 3.11 it
+    takes a lock on each first read."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +224,14 @@ def _condition(g: np.ndarray) -> float:
     return sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
 
 
+def _inner_on(a: np.ndarray, b: np.ndarray, widths: np.ndarray):
+    """[<a_i, b_j>] for values a, b on intervals of these widths."""
+    return (a * widths) @ b.conj().T
+
+
 def _inner(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
     """[<a_i, b_j>] for values a, b on the intervals of cuts."""
-    return (a * (cuts[1:] - cuts[:-1])) @ b.conj().T
+    return _inner_on(a, b, _widths(cuts))
 
 
 def step_inner(f: StepFunction, g: StepFunction) -> complex:
@@ -207,7 +250,13 @@ def step_product(f: StepFunction, g: StepFunction) -> StepFunction:
 class ExpSpan:
     """Finite combination sum_i c_i Exp(f_i) on a common horizon: coef
     (k,), breaks (m + 1,) shared by every term, and values (k, m), held
-    C-contiguous so that norm sums in one order (module docstring)."""
+    C-contiguous so that norm sums in one order (module docstring).
+
+    The package never writes a span's arrays after it is built, and the
+    two lazy attributes rely on that: widths, the interval lengths of
+    breaks, and integrals, values @ widths, each computed on first read
+    and kept.  A span built on another's breaks by _on_breaks shares its
+    widths."""
 
     coef: np.ndarray
     breaks: np.ndarray
@@ -217,6 +266,22 @@ class ExpSpan:
         if self.values.shape != (len(self.coef), len(self.breaks) - 1):
             raise ValueError("values must be (terms, intervals) of coef, breaks")
         object.__setattr__(self, "values", np.ascontiguousarray(self.values))
+
+    @_lazy
+    def widths(self) -> np.ndarray:
+        """The interval lengths of breaks (m,)."""
+        return _widths(self.breaks)
+
+    @_lazy
+    def integrals(self) -> np.ndarray:
+        """integral_0^T f_i(s) ds of each term (k,)."""
+        return self.values @ self.widths
+
+    def _on_breaks(self, coef, values) -> "ExpSpan":
+        """The span of coef and values on these breaks, with their widths."""
+        span = ExpSpan(coef, self.breaks, values)
+        span.__dict__["widths"] = self.widths
+        return span
 
     @property
     def horizon(self) -> float:
@@ -229,8 +294,12 @@ class ExpSpan:
 
     def __sub__(self, other: "ExpSpan") -> "ExpSpan":
         """Terms paired by index on the merged partition, by the rule of
-        the module docstring."""
-        cuts, (a, b) = _common(self, other)
+        the module docstring; on one breaks array, the values as they
+        are."""
+        if self.breaks is other.breaks:
+            cuts, a, b = self.breaks, self.values, other.values
+        else:
+            cuts, (a, b) = _common(self, other)
         k = min(len(a), len(b))
         joins = np.zeros(len(b), dtype=bool)
         joins[:k] = (np.abs(a[:k] - b[:k]).max(axis=1) <= DEDUP_VALUE_TOL
@@ -242,7 +311,7 @@ class ExpSpan:
                        np.concatenate([a, b[~joins]]))
 
     def scaled(self, factor) -> "ExpSpan":
-        return ExpSpan(complex(factor) * self.coef, self.breaks, self.values)
+        return self._on_breaks(complex(factor) * self.coef, self.values)
 
     def norm(self) -> float:
         """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
@@ -250,7 +319,7 @@ class ExpSpan:
         condition number, taken only of a finite G, is s[0] / s[-1] of
         G's singular values s, and inf where s[-1] is 0: the value of
         np.linalg.cond, without its wrapper."""
-        g = np.exp(_inner(self.values, self.values, self.breaks))
+        g = np.exp(_inner_on(self.values, self.values, self.widths))
         value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
         if len(g) >= 2 and np.isfinite(g).all():
             cond = _condition(g)
@@ -322,10 +391,16 @@ def unit(a, zeta, t) -> ExpSpan:
                    np.array([[complex(zeta)]]))
 
 
+def _span_product(c, a, b, d, widths) -> complex:
+    """sum_ij c_i conj(d_j) exp(<a_i, b_j>) for values a, b on intervals
+    of these widths."""
+    return complex(c @ np.exp(_inner_on(a, b, widths)) @ d.conj())
+
+
 def span_inner(v: ExpSpan, w: ExpSpan) -> complex:
     """sum_ij c_i conj(d_j) exp(<f_i, g_j>)."""
     cuts, (a, b) = _common(v, w)
-    return complex(v.coef @ np.exp(_inner(a, b, cuts)) @ w.coef.conj())
+    return _span_product(v.coef, a, b, w.coef, _widths(cuts))
 
 
 def gram_matrix(fns) -> np.ndarray:
@@ -364,16 +439,21 @@ def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
     """Image of the span under the automorphism with parameters p.
 
     Each term (c, f) maps to (c * mult, U f + xi), with the closed-form
-    multiplier of the module docstring.
+    multiplier of the module docstring.  The image holds v's breaks and
+    widths, and the multiplier reads v's cached integrals.  U f + xi is
+    written by parts into one array; the expression (real part) + 1j *
+    (imaginary part) + xi gave the same doubles, but for the sign of an
+    exact zero and the nan that 0 * inf put in a real part.
     """
     T, U, xi = v.horizon, complex(p.U), complex(p.xi)
-    integrals = v.values @ (v.breaks[1:] - v.breaks[:-1])
     mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
-                  - xi.conjugate() * U * integrals)
+                  - xi.conjugate() * U * v.integrals)
     # U f as Python forms U * zeta; numpy's complex multiply rounds otherwise
     re, im = v.values.real, v.values.imag
-    values = (U.real * re - U.imag * im) + 1j * (U.real * im + U.imag * re)
-    return ExpSpan(v.coef * mult, v.breaks, values + xi)
+    values = np.empty_like(v.values)
+    np.add(U.real * re - U.imag * im, xi.real, out=values.real)
+    np.add(U.real * im + U.imag * re, xi.imag, out=values.imag)
+    return v._on_breaks(v.coef * mult, values)
 
 
 def _compose_apply(params_list, v: ExpSpan) -> ExpSpan:
@@ -397,35 +477,51 @@ def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
     return (x - y.scaled(cmath.exp(2j * lam * mu * v.horizon))).norm() / nv
 
 
-def random_step_function(rng: np.random.Generator, horizon: float) -> StepFunction:
-    """Seeded random step function, used by the relation checks."""
+def _random_steps(rng: np.random.Generator, horizon: float):
+    """The breaks and values of random_step_function's draw."""
     m = int(rng.integers(1, RANDOM_MAX_PIECES + 1))
     cuts = np.sort(rng.uniform(0.0, horizon, size=m - 1))
     vals = RANDOM_AMPLITUDE * (rng.standard_normal(m)
                                + 1j * rng.standard_normal(m)) / 2.0
-    return StepFunction(np.concatenate([[0.0], cuts, [horizon]]), vals)
+    return np.concatenate([[0.0], cuts, [horizon]]), vals
+
+
+def random_step_function(rng: np.random.Generator, horizon: float) -> StepFunction:
+    """Seeded random step function, used by the relation checks."""
+    return StepFunction(*_random_steps(rng, horizon))
 
 
 def random_unit_span(rng: np.random.Generator, t: float,
                      max_units: int = 8) -> ExpSpan:
-    """Seeded random combination of at most max_units unit vectors."""
+    """Seeded random combination of at most max_units unit vectors
+    e^{a t} Exp(zeta on (0, t)), with a, zeta and the coefficient's
+    factor uniform on the squares [-1/2, 1/2]^2, [-1, 1]^2 and [-1, 1]^2.
+    The six uniforms of each unit come from one draw: u - 1/2 and 2u - 1
+    are the doubles that rng.uniform(lo, hi) forms as lo + (hi - lo) u."""
     t = _positive_horizon(t)
     k = int(rng.integers(1, max_units + 1))
-    coef, zetas = np.empty(k, dtype=complex), np.empty((k, 1), dtype=complex)
-    for i in range(k):
-        a = complex(*rng.uniform(-0.5, 0.5, size=2))
-        zetas[i] = complex(*rng.uniform(-1.0, 1.0, size=2))
-        coef[i] = complex(*rng.uniform(-1.0, 1.0, size=2)) * cmath.exp(a * t)
+    u = rng.random(6 * k).reshape(k, 6)
+    zetas = (2.0 * u[:, 2:4] - 1.0).view(complex)
+    coef = np.array([complex(2.0 * cr - 1.0, 2.0 * ci - 1.0)
+                     * cmath.exp(complex(ar - 0.5, ai - 0.5) * t)
+                     for ar, ai, _, _, cr, ci in u.tolist()])
     return ExpSpan(coef, np.array([0.0, t]), zetas)
 
 
 def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
-    """Random mix of unit vectors and step-function exponentials."""
-    out = random_unit_span(rng, t, max_units=RANDOM_MAX_TERMS // 2)
+    """Random mix of unit vectors and step-function exponentials: a
+    random unit span plus terms c Exp(f), each drawn as its c and then a
+    random step function, all read on one merge of their breaks."""
+    units = random_unit_span(rng, t, max_units=RANDOM_MAX_TERMS // 2)
+    coef, steps = [units.coef], []
     for _ in range(int(rng.integers(1, RANDOM_MAX_TERMS // 2 + 1))):
-        c = complex(*rng.uniform(-1.0, 1.0, size=2))
-        out = out + exponential(random_step_function(rng, t)).scaled(c)
-    return out
+        coef.append([complex(*rng.uniform(-1.0, 1.0, size=2))])
+        steps.append(_random_steps(rng, t))
+    cuts = np.unique(np.concatenate([units.breaks, *(b for b, _ in steps)]))
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    values = [_read(units.breaks, units.values, mids)]
+    values += [_read(b, f, mids)[None] for b, f in steps]
+    return ExpSpan(np.concatenate(coef), cuts, np.concatenate(values))
 
 
 @dataclass(frozen=True)
@@ -439,6 +535,17 @@ class RelationReport:
     @property
     def max_residual(self) -> float:
         return float(np.max(list(self.residuals.values())))
+
+
+def _gram_gap(p: AutomorphismParams, v: ExpSpan, w: ExpSpan):
+    """|<A v, A w> - <v, w>| for the automorphism A of parameters p.  The
+    four spans are read on one merge, where span_inner would merge v and
+    w twice; the two inner products keep span_inner's bits."""
+    av, aw = apply_automorphism(p, v), apply_automorphism(p, w)
+    cuts, (a, b, c, d) = _common(av, aw, v, w)
+    widths = _widths(cuts)
+    return np.abs(_span_product(av.coef, a, b, aw.coef, widths)
+                  - _span_product(v.coef, c, d, w.coef, widths))
 
 
 def _named_calls(trial: int, calls) -> list:
@@ -503,9 +610,8 @@ def relation_suite(seed: int, trials: int = 100, t: float = 1.0) -> RelationRepo
                 [shift(U * xi)]),
             "shift_additivity": lambda: gap(
                 [shift(1j * mu), shift(1j * lam)], [shift(1j * (lam + mu))]),
-            "gram_preservation": lambda: np.abs(
-                span_inner(apply_automorphism(p, v), apply_automorphism(p, w))
-                - span_inner(v, w)) / (nv * w.norm() + 1e-300),
+            "gram_preservation": lambda: (
+                _gram_gap(p, v, w) / (nv * w.norm() + 1e-300)),
             "weyl_phase": lambda: ccr_phase_residual(lam, mu, v),
         }
         for name, value in zip(residuals,

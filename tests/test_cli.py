@@ -200,8 +200,18 @@ def test_lemma43_summary_at_zero_mass_calls_the_ratios_undefined(tmp_path,
      "N must be at least 2 and be a whole number, got -4"),
     (NORM_STUDY_HEADER, "oscillator,1,2.0943951,0.5,2.1,0",
      "N must be at least 2 and be a whole number, got 1"),
+    # negative n, m, samples and seed used to reach obstruction.json too
+    (LEMMA43_HEADER, "-4,0.25,-7,-1,0.5,0.01,1.0,0.1,-3",
+     "n must be at least 1 and be a whole number, got -4"),
+    (LEMMA43_HEADER, "4,0.25,2,40,0.5,0.01,1.0,0.1,3",
+     "m must be at least 4 and be a whole number, got 2"),
+    (LEMMA43_HEADER, "4,0.25,256,0,0.5,0.01,1.0,0.1,3",
+     "samples must be at least 1 and be a whole number, got 0"),
+    (LEMMA43_HEADER, "4,0.25,256,40,0.5,0.01,1.0,0.1,-3",
+     "seed must lie in [0, 2**63) and be a whole number, got -3"),
 ], ids=["norm", "lemma43", "norm-nan-value", "lemma43-inf-estimate",
-        "norm-negative-N", "norm-N-below-2"])
+        "norm-negative-N", "norm-N-below-2", "lemma43-negative-n",
+        "lemma43-m-below-4", "lemma43-zero-samples", "lemma43-negative-seed"])
 def test_obstruction_names_file_and_line_of_a_bad_row(tmp_path, capsys,
                                                       header, row, message):
     norm, table = tmp_path / "norm.csv", tmp_path / "table.csv"

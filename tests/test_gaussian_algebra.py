@@ -704,3 +704,158 @@ def test_a_nan_residual_is_the_reports_max_residual():
     for residuals in ({"a": math.nan, "b": 1.0}, {"a": 1.0, "b": math.nan}):
         report = RelationReport(seed=0, trials=1, residuals=residuals)
         assert math.isnan(report.max_residual)
+
+
+def _incremental_random_unit_span(rng, t, max_units=8):
+    """Oracle: random_unit_span as it was, three uniform draws a unit."""
+    k = int(rng.integers(1, max_units + 1))
+    coef, zetas = np.empty(k, dtype=complex), np.empty((k, 1), dtype=complex)
+    for i in range(k):
+        a = complex(*rng.uniform(-0.5, 0.5, size=2))
+        zetas[i] = complex(*rng.uniform(-1.0, 1.0, size=2))
+        coef[i] = complex(*rng.uniform(-1.0, 1.0, size=2)) * cmath.exp(a * t)
+    return ExpSpan(coef, np.array([0.0, t]), zetas)
+
+
+def _incremental_random_span(rng, t):
+    """Oracle: random_span as it was, one term added at a time with +."""
+    half = gaussian_algebra.RANDOM_MAX_TERMS // 2
+    out = _incremental_random_unit_span(rng, t, max_units=half)
+    for _ in range(int(rng.integers(1, half + 1))):
+        c = complex(*rng.uniform(-1.0, 1.0, size=2))
+        out = out + exponential(random_step_function(rng, t)).scaled(c)
+    return out
+
+
+def _expression_apply(p, v):
+    """Oracle: apply_automorphism as it was, U f + xi as one expression
+    and the term integrals taken afresh."""
+    T, U, xi = v.horizon, complex(p.U), complex(p.xi)
+    integrals = v.values @ (v.breaks[1:] - v.breaks[:-1])
+    mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
+                  - xi.conjugate() * U * integrals)
+    re, im = v.values.real, v.values.imag
+    values = (U.real * re - U.imag * im) + 1j * (U.real * im + U.imag * re)
+    return ExpSpan(v.coef * mult, v.breaks, values + xi)
+
+
+def _span_bytes(span):
+    return [span.coef.tobytes(), span.breaks.tobytes(), span.values.tobytes()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_random_spans_match_their_incremental_oracles_to_the_bit(seed, t):
+    # one uniform draw per unit span and one merge per random span give
+    # the spans that the per-term draws and the merge per + gave, and
+    # leave the stream where those left it
+    fast = np.random.Generator(np.random.Philox(key=seed))
+    slow = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(20):
+        if trial % 2 == 0:
+            pair = random_unit_span(fast, t), _incremental_random_unit_span(
+                slow, t)
+        else:
+            pair = random_span(fast, t), _incremental_random_span(slow, t)
+        assert _span_bytes(pair[0]) == _span_bytes(pair[1])
+    assert fast.random() == slow.random()
+
+
+def _automorphisms(rng, t):
+    """Every automorphism that relation_suite applies in one trial, the
+    general one p included."""
+    U, V = (cmath.exp(1j * a) for a in rng.uniform(0.0, 2.0 * math.pi, 2))
+    xi = complex(*rng.uniform(-1.0, 1.0, size=2))
+    lam, mu = rng.uniform(-3.0, 3.0, size=2)
+    p = AutomorphismParams(rng.uniform(-2.0, 2.0), xi, U)
+    return [rotation(V), rotation(U), rotation(U * V), rotation(U).inverse(),
+            shift(xi), shift(U * xi), shift(1j * mu), shift(1j * lam),
+            shift(1j * (lam + mu)), shift(mu), p, p.inverse()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_automorphism_images_match_the_expression_oracle_to_the_bit(seed, t):
+    # U f + xi written by parts into one array, and the cached integrals,
+    # keep the bits of the one expression; so do images of images
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        ps = _automorphisms(rng, t)
+        for p, q in zip(ps, ps[1:] + ps[:1]):
+            image, old = apply_automorphism(p, v), _expression_apply(p, v)
+            assert _span_bytes(image) == _span_bytes(old)
+            assert image.values.flags.c_contiguous
+            assert (_span_bytes(apply_automorphism(q, image))
+                    == _span_bytes(_expression_apply(q, old)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_cached_widths_and_integrals_are_the_direct_ones(seed, t):
+    # every way of building a span; an image or scaled copy shares the
+    # widths of its source, which it holds on the same breaks
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(6):
+        v, w = random_span(rng, t), random_unit_span(rng, t)
+        images = [apply_automorphism(p, v) for p in _automorphisms(rng, t)]
+        for span in (v, w, v + w, v - w, w - v, v.scaled(0.5j),
+                     images[0] - images[1], *images):
+            widths = span.breaks[1:] - span.breaks[:-1]
+            assert span.widths.tobytes() == widths.tobytes()
+            assert (span.integrals.tobytes()
+                    == (span.values @ widths).tobytes())
+            assert span.widths is span.widths
+        assert all(image.widths is v.widths for image in images)
+        assert v.scaled(2.0).widths is v.widths
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_subtraction_on_one_breaks_array_matches_the_shared_read(seed, t):
+    # on one breaks array the values are used as they are; on equal but
+    # distinct breaks, _common's F-ordered copies: the same bits either way
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        for a, b, phase in _relation_sides(rng, t):
+            x, y = _images(a, b, phase, v)
+            twin = ExpSpan(y.coef, y.breaks.copy(), y.values)
+            assert _bits(x - y) == _bits(x - twin)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+def test_gram_gap_on_one_merge_matches_two_span_inner_calls(seed, t):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        # w on v's breaks (equal, not the same array) as well as on others
+        for w in (random_span(rng, t), random_unit_span(rng, t),
+                  ExpSpan(v.coef[::-1], v.breaks.copy(), v.values[::-1])):
+            for p in _automorphisms(rng, t):
+                old = np.abs(span_inner(apply_automorphism(p, v),
+                                        apply_automorphism(p, w))
+                             - span_inner(v, w))
+                assert (gaussian_algebra._gram_gap(p, v, w).tobytes()
+                        == old.tobytes())
+
+
+def test_random_draws_keep_their_pinned_digest():
+    # coef, breaks and values of 20 draws alternating random_unit_span
+    # and random_span, then a random step function's breaks and values,
+    # for each seed and horizon
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for t in (0.3, 1.0, 5.0):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            for i in range(20):
+                draw = random_unit_span if i % 2 == 0 else random_span
+                span = draw(rng, t)
+                for array in (span.coef, span.breaks, span.values):
+                    digest.update(array.tobytes())
+            f = random_step_function(rng, t)
+            digest.update(f.breaks.tobytes())
+            digest.update(f.values.tobytes())
+    assert digest.hexdigest() == (
+        "290b66dae3c7db660c032e5fa96dffaebb3362ff2c5d231c198cfd139f6e6f0c")
