@@ -38,6 +38,19 @@ Gram check reads v, w, A v and A w on one merge instead of merging v
 and w for each inner product.  Each gives the bits of the computation
 it replaces; the tests keep the old ones as oracles.
 
+A relation-suite trial is some hundreds of small numpy calls, so the
+hot paths take fewer of them, again without moving a bit.  An
+automorphism forms U f + xi on the float view of the values, shaped
+(k, m, 2), in four ufunc calls where writing by parts took eight (see
+apply_automorphism).  A norm first asks eigvalsh whether its Gram
+matrix is far inside GRAM_CONDITION_LIMIT and takes the SVD of the
+condition number only when it is not (see ExpSpan.norm): the margin
+covers the roundoff of every span size, so no warning is gained or
+lost.  A difference of two spans on one breaks array whose terms all
+join, with as many terms on each side, is the coefficient difference
+on v's values, which the general path's concatenations gave too; every
+difference of the relation suite is one.
+
 Subtraction pairs terms by index.  In v - w, term i of w joins term i
 of v when their values agree within DEDUP_VALUE_TOL, relative to
 max(1, the larger sup norm), and its coefficient is subtracted from
@@ -62,6 +75,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -115,7 +129,7 @@ def _read(breaks: np.ndarray, values: np.ndarray, t):
     """values (..., m) on the intervals of breaks, read at the times t in
     [0, T]: the value on [breaks[j], breaks[j+1]) holding t, the last
     interval's at T."""
-    j = np.searchsorted(breaks, t, side="right") - 1
+    j = breaks.searchsorted(t, side="right") - 1
     return values[..., np.minimum(j, values.shape[-1] - 1)]
 
 
@@ -224,6 +238,22 @@ def _condition(g: np.ndarray) -> float:
     return sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
 
 
+def _well_conditioned(g: np.ndarray, m: int) -> bool:
+    """True when eigvalsh certifies that the finite Gram matrix g, of k
+    terms on m intervals, is far from GRAM_CONDITION_LIMIT: its
+    eigenvalues w, ascending, have w[0] > (1e-10 + 8 delta) w[-1], where
+    delta = k (m + 6) 710 eps bounds the roundoff relative to the largest
+    eigenvalue.  False when they do not, or when LAPACK does not
+    converge; ExpSpan.norm then takes _condition(g).  The margin
+    argument is in ExpSpan.norm's docstring."""
+    try:
+        w = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError:
+        return False
+    delta = len(g) * (m + 6) * 710.0 * np.finfo(float).eps
+    return w[0] > (1e-10 + 8.0 * delta) * w[-1]
+
+
 def _inner_on(a: np.ndarray, b: np.ndarray, widths: np.ndarray):
     """[<a_i, b_j>] for values a, b on intervals of these widths."""
     return (a * widths) @ b.conj().T
@@ -250,7 +280,9 @@ def step_product(f: StepFunction, g: StepFunction) -> StepFunction:
 class ExpSpan:
     """Finite combination sum_i c_i Exp(f_i) on a common horizon: coef
     (k,), breaks (m + 1,) shared by every term, and values (k, m), held
-    C-contiguous so that norm sums in one order (module docstring).
+    C-contiguous so that norm sums in one order (module docstring), and
+    as complex128, so that apply_automorphism can read them as
+    interleaved float parts; a real input converts exactly.
 
     The package never writes a span's arrays after it is built, and the
     two lazy attributes rely on that: widths, the interval lengths of
@@ -265,7 +297,8 @@ class ExpSpan:
     def __post_init__(self):
         if self.values.shape != (len(self.coef), len(self.breaks) - 1):
             raise ValueError("values must be (terms, intervals) of coef, breaks")
-        object.__setattr__(self, "values", np.ascontiguousarray(self.values))
+        object.__setattr__(self, "values",
+                           np.ascontiguousarray(self.values, dtype=complex))
 
     @_lazy
     def widths(self) -> np.ndarray:
@@ -305,6 +338,9 @@ class ExpSpan:
         joins[:k] = (np.abs(a[:k] - b[:k]).max(axis=1) <= DEDUP_VALUE_TOL
                      * np.maximum(1.0, np.maximum(np.abs(a[:k]).max(axis=1),
                                                   np.abs(b[:k]).max(axis=1))))
+        if cuts is self.breaks and len(a) == len(b) and joins.all():
+            return self._on_breaks(
+                np.subtract(self.coef, other.coef, dtype=complex), self.values)
         coef, i = self.coef.astype(complex), joins.nonzero()
         coef[i] -= other.coef[i]
         return ExpSpan(np.concatenate([coef, -other.coef[~joins]]), cuts,
@@ -318,10 +354,33 @@ class ExpSpan:
         when G's condition number exceeds GRAM_CONDITION_LIMIT.  The
         condition number, taken only of a finite G, is s[0] / s[-1] of
         G's singular values s, and inf where s[-1] is 0: the value of
-        np.linalg.cond, without its wrapper."""
+        np.linalg.cond, without its wrapper.
+
+        It is taken only when _well_conditioned(G, m) fails: when the
+        eigenvalues w of G, ascending, have w[0] <= (1e-10 + 8 delta)
+        w[-1], with delta = k (m + 6) 710 eps for k terms on m intervals,
+        or eigvalsh does not converge.  Otherwise no warning can fire, by
+        this margin.  Let G* be the exact Gram matrix of the stored values
+        and widths, Hermitian and positive semidefinite, with largest
+        eigenvalue L.  Each exponent <f_i, f_j> of G is a sum of m
+        products, off by at most (m + 5) eps sum |f_i| |f_j| widths <=
+        (m + 5) eps sqrt(<f_i, f_i> <f_j, f_j>) <= (m + 5) eps 710 while G
+        is finite, so each entry is off by at most delta / k times
+        |G*_ij| <= L.  So G, and the Hermitian H that eigvalsh reads from
+        G's lower triangle, lie within delta L of G* in norm, whatever k
+        and m are; eigvalsh and the SVD return the exact eigenvalues and
+        singular values of matrices within another delta L of H and of G
+        (their backward errors are some k eps L).  By Weyl's inequality
+        L <= w[-1] / (1 - 2 delta), and the singular values s that the
+        SVD would return have s[-1] >= w[0] - 4 delta L and
+        s[0] <= (1 + 2 delta) L.  A pass needs w[0] > 8 delta w[-1], so
+        delta < 1/8, s[0] < 1.7 w[-1] and s[-1] > 1e-10 w[-1]: a
+        condition number below 1.7e10, under GRAM_CONDITION_LIMIT by a
+        factor of about 60, so skipping the SVD changes no warning."""
         g = np.exp(_inner_on(self.values, self.values, self.widths))
         value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
-        if len(g) >= 2 and np.isfinite(g).all():
+        if (len(g) >= 2 and np.isfinite(g).all()
+                and not _well_conditioned(g, len(self.widths))):
             cond = _condition(g)
             if cond > GRAM_CONDITION_LIMIT:
                 warnings.warn(
@@ -341,12 +400,19 @@ def _positive_horizon(t, bound: float = math.inf) -> float:
     return float(t)
 
 
-def _finite_amplitude(zeta) -> complex:
-    """A coherent amplitude zeta as a complex; ValueError unless both of
-    its parts are finite."""
+def _finite_amplitude(zeta, name: str = "zeta") -> complex:
+    """A coherent amplitude zeta, or the complex parameter of this name,
+    as a complex; ValueError unless both of its parts are finite."""
     if not cmath.isfinite(complex(zeta)):
-        raise ValueError(f"zeta must be finite, got {zeta!r}")
+        raise ValueError(f"{name} must be finite, got {zeta!r}")
     return complex(zeta)
+
+
+def _finite_real(value, name: str) -> None:
+    """ValueError unless the parameter of this name is a finite real
+    number (a numbers.Real: int, float or a numpy real scalar)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _whole(value, name: str, low: int, high: float, rule: str) -> int:
@@ -385,10 +451,12 @@ def exponential(f: StepFunction) -> ExpSpan:
 
 
 def unit(a, zeta, t) -> ExpSpan:
-    """e^{a t} Exp(zeta on (0, t)), the basic factorizing family."""
+    """e^{a t} Exp(zeta on (0, t)), the basic factorizing family;
+    ValueError for a non-finite a or zeta."""
+    a, zeta = _finite_amplitude(a, "a"), _finite_amplitude(zeta)
     t = _positive_horizon(t)
-    return ExpSpan(np.array([cmath.exp(complex(a) * t)]), np.array([0.0, t]),
-                   np.array([[complex(zeta)]]))
+    return ExpSpan(np.array([cmath.exp(a * t)]), np.array([0.0, t]),
+                   np.array([[zeta]]))
 
 
 def _span_product(c, a, b, d, widths) -> complex:
@@ -412,14 +480,18 @@ def gram_matrix(fns) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AutomorphismParams:
-    """Parameters (lam, xi, U) of a white-noise automorphism, |U| = 1."""
+    """Parameters (lam, xi, U) of a white-noise automorphism, |U| = 1;
+    ValueError for a lam that is not a finite real number and for a
+    non-finite xi or U."""
 
     lam: float
     xi: complex
     U: complex
 
     def __post_init__(self):
-        if abs(abs(complex(self.U)) - 1.0) > 1e-12:
+        _finite_real(self.lam, "lam")
+        _finite_amplitude(self.xi, "xi")
+        if abs(abs(_finite_amplitude(self.U, "U")) - 1.0) > 1e-12:
             raise ValueError("|U| must equal 1 within 1e-12")
 
     def inverse(self) -> "AutomorphismParams":
@@ -440,20 +512,28 @@ def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
 
     Each term (c, f) maps to (c * mult, U f + xi), with the closed-form
     multiplier of the module docstring.  The image holds v's breaks and
-    widths, and the multiplier reads v's cached integrals.  U f + xi is
-    written by parts into one array; the expression (real part) + 1j *
-    (imaginary part) + xi gave the same doubles, but for the sign of an
-    exact zero and the nan that 0 * inf put in a real part.
+    widths, and the multiplier reads v's cached integrals.
+
+    U f + xi is formed on the float view of the values, shaped (k, m, 2):
+    the parts times U.real, plus the swapped parts times (-U.imag,
+    U.imag), plus (xi.real, xi.imag): two products and two in-place sums.
+    Each real part is U.real re + (-U.imag im), each imaginary part
+    U.real im + U.imag re, summed in the order in which writing the two
+    parts into one array summed them; IEEE arithmetic defines x - y as
+    x + (-y), and -U.imag im is -(U.imag im) exactly, so no bit moves,
+    the sign of an exact zero included.  (The expression (real part) +
+    1j * (imaginary part) + xi gave the same doubles, but for the sign
+    of an exact zero and the nan that 0 * inf put in a real part.)
     """
     T, U, xi = v.horizon, complex(p.U), complex(p.xi)
     mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
                   - xi.conjugate() * U * v.integrals)
     # U f as Python forms U * zeta; numpy's complex multiply rounds otherwise
-    re, im = v.values.real, v.values.imag
-    values = np.empty_like(v.values)
-    np.add(U.real * re - U.imag * im, xi.real, out=values.real)
-    np.add(U.real * im + U.imag * re, xi.imag, out=values.imag)
-    return v._on_breaks(v.coef * mult, values)
+    parts = v.values.view(float).reshape(*v.values.shape, 2)
+    values = parts * U.real
+    values += parts[..., ::-1] * np.array((-U.imag, U.imag))
+    values += np.array((xi.real, xi.imag))
+    return v._on_breaks(v.coef * mult, values.view(complex)[..., 0])
 
 
 def _compose_apply(params_list, v: ExpSpan) -> ExpSpan:
@@ -468,7 +548,10 @@ def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
     || S_ilam S_mu v - e^{2 i lam mu T} S_mu S_ilam v || / ||v||, where
     S_ilam, S_mu are the imaginary and real shifts.  Exact algebra makes
     this cancel term by term; the residual is pure roundoff (<= 1e-9).
+    ValueError for a lam or mu that is not a finite real number.
     """
+    _finite_real(lam, "lam")
+    _finite_real(mu, "mu")
     nv = v.norm()
     if nv == 0.0:
         raise ValueError("zero vector")

@@ -80,10 +80,13 @@ def test_step_function_validation():
 
 def test_exp_span_rejects_values_of_the_wrong_shape():
     coef, breaks = np.ones(1, dtype=complex), np.array([0.0, 0.5, 1.0])
-    ExpSpan(coef, breaks, np.ones((1, 2)))  # one term, two intervals
+    span = ExpSpan(coef, breaks, np.ones((1, 2)))  # one term, two intervals
     for values in (np.ones((2, 2)), np.ones((1, 3)), np.ones(2)):
         with pytest.raises(ValueError, match="values must be"):
             ExpSpan(coef, breaks, values)
+        # a span built on another's breaks, too
+        with pytest.raises(ValueError, match="values must be"):
+            span._on_breaks(coef, values.astype(complex))
 
 
 def test_step_function_holds_read_only_array_copies():
@@ -859,3 +862,214 @@ def test_random_draws_keep_their_pinned_digest():
             digest.update(f.values.tobytes())
     assert digest.hexdigest() == (
         "290b66dae3c7db660c032e5fa96dffaebb3362ff2c5d231c198cfd139f6e6f0c")
+
+
+def _by_parts_apply(p, v):
+    """Oracle: apply_automorphism as it was before it worked on the float
+    view of the values, U f + xi written by parts into one array."""
+    T, U, xi = v.horizon, complex(p.U), complex(p.xi)
+    mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
+                  - xi.conjugate() * U * v.integrals)
+    re, im = v.values.real, v.values.imag
+    values = np.empty_like(v.values)
+    np.add(U.real * re - U.imag * im, xi.real, out=values.real)
+    np.add(U.real * im + U.imag * re, xi.imag, out=values.imag)
+    return ExpSpan(v.coef * mult, v.breaks, values)
+
+
+# the unit circle's axes, where U.real or U.imag is an exact (signed) zero
+AXES = [rotation(u) for u in (1.0, -1.0, 1j, -1j, complex(-1.0, -0.0),
+                              complex(-0.0, 1.0))] + [shift(-0.0), shift(0.5)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 20.0])
+def test_automorphism_on_the_float_view_matches_the_by_parts_oracle(seed, t):
+    # parts * U.real plus the swapped parts * (-U.imag, U.imag): each part
+    # is U.real re - U.imag im (as re + (-U.imag im)) or U.real im +
+    # U.imag re, summed in the same order; so are images of images
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        ps = _automorphisms(rng, t) + AXES
+        for p, q in zip(ps, ps[1:] + ps[:1]):
+            image, old = apply_automorphism(p, v), _by_parts_apply(p, v)
+            assert _span_bytes(image) == _span_bytes(old)
+            assert image.values.flags.c_contiguous
+            assert image.values.dtype == np.complex128
+            assert (_span_bytes(apply_automorphism(q, image))
+                    == _span_bytes(_by_parts_apply(q, old)))
+
+
+def test_automorphism_of_a_real_valued_span_matches_the_by_parts_oracle():
+    # real values convert exactly to complex128 with +0.0 imaginary
+    # parts, whose signed zeros the rotations by the axes carry along
+    breaks = np.array([0.0, 0.25, 0.5, 1.0])
+    values = np.array([[0.5, -2.0, 0.0], [-0.0, 1.5, -0.75]])
+    v = ExpSpan(np.array([1.0, -2.0]), breaks, values)
+    assert v.values.dtype == np.complex128 and v.values.flags.c_contiguous
+    assert v.values.real.tobytes() == values.tobytes()
+    assert not np.signbit(v.values.imag).any()
+    rng = np.random.Generator(np.random.Philox(key=4))
+    for p in AXES + _automorphisms(rng, 1.0):
+        image = apply_automorphism(p, v)
+        assert _span_bytes(image) == _span_bytes(_by_parts_apply(p, v))
+        assert (_span_bytes(apply_automorphism(p, image))
+                == _span_bytes(_by_parts_apply(p, _by_parts_apply(p, v))))
+
+
+def _general_difference(v, w):
+    """Oracle: v - w through the general path only, the coefficients of
+    the joined terms subtracted in place and every other term of w
+    appended, negated, by concatenation."""
+    if v.breaks is w.breaks:
+        cuts, a, b = v.breaks, v.values, w.values
+    else:
+        cuts, (a, b) = gaussian_algebra._common(v, w)
+    k = min(len(a), len(b))
+    joins = np.zeros(len(b), dtype=bool)
+    tol = gaussian_algebra.DEDUP_VALUE_TOL
+    joins[:k] = (np.abs(a[:k] - b[:k]).max(axis=1) <= tol
+                 * np.maximum(1.0, np.maximum(np.abs(a[:k]).max(axis=1),
+                                              np.abs(b[:k]).max(axis=1))))
+    coef, i = v.coef.astype(complex), joins.nonzero()
+    coef[i] -= w.coef[i]
+    return ExpSpan(np.concatenate([coef, -w.coef[~joins]]), cuts,
+                   np.concatenate([a, b[~joins]]))
+
+
+def _difference_bits(d):
+    return [d.coef.dtype, *_span_bytes(d)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 20.0])
+def test_all_joined_difference_matches_the_general_path(seed, t):
+    # both sides of a relation join term by term: v - w is then the
+    # coefficient difference on v's values, with the general path's bits
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    joined = 0
+    for trial in range(10):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        for a, b, phase in _relation_sides(rng, t):
+            x, y = _images(a, b, phase, v)
+            twin = ExpSpan(y.coef, y.breaks.copy(), y.values)
+            for w in (y, twin):
+                d = x - w
+                joined += len(d.coef) == len(x.coef)
+                assert _difference_bits(d) == _difference_bits(
+                    _general_difference(x, w))
+    assert joined > 0
+
+
+def test_all_joined_difference_keeps_the_general_path_on_its_edges():
+    tol = gaussian_algebra.DEDUP_VALUE_TOL
+    v = _constants([0.5, 3.0, 1.0])
+    cases = [
+        (v, _constants([0.5], coef=[1.0])),  # v has more terms than w
+        (_constants([0.5]), v),  # w has more terms than v
+        (v, _constants([0.5 + 1.5 * tol, 3.0, 1.0])),  # one term apart
+        (v, _constants([0.5, 3.0, 1.0], coef=[4.0, 5.0, 6.0])),
+        # real coefficients on both sides: the difference is complex
+        (ExpSpan(np.array([1.0, 2.0]), v.breaks, v.values[:2]),
+         ExpSpan(np.array([0.5, 4.0]), v.breaks, v.values[:2])),
+        # the same function on two partitions: joined on the merged cuts,
+        # which are finer than v's own breaks when w's are the finer ones
+        (exponential(StepFunction((0.0, 0.25, 1.0), (2.0, 2.0))),
+         exponential(StepFunction.constant(2.0, 1.0)).scaled(0.5)),
+        (exponential(StepFunction.constant(2.0, 1.0)).scaled(0.5),
+         exponential(StepFunction((0.0, 0.25, 1.0), (2.0, 2.0)))),
+    ]
+    for x, w in cases:
+        assert _difference_bits(x - w) == _difference_bits(
+            _general_difference(x, w))
+        assert (x - w).coef.dtype == np.complex128
+    assert (v - _constants([0.5], coef=[1.0])).coef.tolist() == [0.0, 2.0, 3.0]
+
+
+def _gram(span):
+    return np.exp(gaussian_algebra._inner_on(span.values, span.values,
+                                             span.widths))
+
+
+def _near_collinear_spans(rng):
+    """Spans whose Gram matrices range from well conditioned to singular:
+    f + f, f beside small shifts of it, random spans, the differences of
+    shift_additivity's two sides at t = 5 and 20, and spans of step
+    functions of hundreds to thousands of pieces, whose exponents sum
+    that many products."""
+    spans = []
+    for _ in range(6):
+        f = random_step_function(rng, 1.0)
+        spans.append(exponential(f) + exponential(f))
+        for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+            shifted = apply_automorphism(shift(eps * complex(
+                *rng.uniform(-1.0, 1.0, size=2))), exponential(f))
+            spans.append(exponential(f) + shifted)
+        spans.append(random_span(rng, 1.0))
+    for t in (5.0, 20.0):
+        for trial in range(8):
+            v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(
+                rng, t)
+            a, b, phase = _relation_sides(rng, t)[2]
+            x, y = _images(a, b, phase, v)
+            spans += [x - y, v]
+    for pieces in (300, 3000):
+        for eps in (1e-2, 1e-6, 1e-9):
+            f = StepFunction(np.linspace(0.0, 1.0, pieces + 1),
+                             rng.standard_normal(pieces)
+                             + 1j * rng.standard_normal(pieces))
+            g = StepFunction(f.breaks, f.values + eps * rng.standard_normal(
+                pieces))
+            spans.append(exponential(f) + exponential(g)
+                         + exponential(StepFunction(f.breaks, 0.5 * f.values)))
+    return spans
+
+
+def _norm_warnings(spans):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        norms = [np.float64(span.norm()).tobytes() for span in spans]
+    return norms, [(w.category, str(w.message)) for w in record]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_pre_check_changes_no_norm_and_no_warning(monkeypatch, seed):
+    spans = _near_collinear_spans(np.random.Generator(np.random.Philox(
+        key=seed)))
+    checked = _norm_warnings(spans)
+    assert any(c is GramConditionWarning for c, _ in checked[1])
+    monkeypatch.setattr(gaussian_algebra, "_well_conditioned",
+                        lambda g, m: False)
+    assert _norm_warnings(spans) == checked
+
+
+def test_gram_pre_check_falls_back_when_eigvalsh_does_not_converge(
+        monkeypatch):
+    def no_convergence(g):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    f = StepFunction.constant(0.5, 1.0)
+    assert not gaussian_algebra._well_conditioned(np.eye(2), 1)
+    with pytest.warns(GramConditionWarning, match="inf exceeds 1e12"):
+        (exponential(f) + exponential(f)).norm()
+
+
+def test_relation_suite_keeps_its_wide_digest():
+    # sha256 of each residual as "<name> <float.hex>" and each warning as
+    # "<category>: <message>", a line each, over 40 suites of 10 trials,
+    # as the suite gave them before its automorphisms worked on the float
+    # view of the values and its norms took the eigvalsh pre-check
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for t in (0.3, 1.0, 5.0, 20.0):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                report = relation_suite(seed, 10, t)
+            for name, value in report.residuals.items():
+                digest.update(f"{name} {float.hex(value)}\n".encode())
+            for w in record:
+                digest.update(
+                    f"{w.category.__name__}: {w.message}\n".encode())
+    assert digest.hexdigest() == (
+        "a7693d299440630fe07c852e1af38225bf900681d9214e26d62560e44d93ab45")

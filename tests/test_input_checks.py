@@ -1,8 +1,10 @@
 """Every size that a public entry takes (a dimension N, a bucket count n,
 a grid size m, a reach or a number of samples) is checked as a whole
-number before any kernel or draw, and so is a coherent amplitude's
-finiteness: a non-whole size used to be truncated, resized or end in a
-TypeError, and a non-finite amplitude in NaN results."""
+number before any kernel or draw, and so is the finiteness of a coherent
+amplitude, of an automorphism's lam, xi and U, of unit's a and zeta and
+of the Weyl residual's lam and mu: a non-whole size used to be
+truncated, resized or end in a TypeError, and a non-finite amplitude or
+parameter in NaN results."""
 
 import math
 import re
@@ -11,7 +13,14 @@ import numpy as np
 import pytest
 
 from splitnoise import ccr_matrix, warren_sim
-from splitnoise.gaussian_algebra import relation_suite
+from splitnoise import gaussian_algebra
+from splitnoise.gaussian_algebra import (
+    AutomorphismParams,
+    ExpSpan,
+    ccr_phase_residual,
+    relation_suite,
+    unit,
+)
 from splitnoise.ccr_matrix import (
     build_pair,
     coherent_vector,
@@ -138,4 +147,51 @@ def test_non_finite_amplitude_is_rejected_before_any_draw(monkeypatch, zeta):
     for call in (lambda: coherent_vector(zeta, 1.0, 8),
                  lambda: mc_coherent_sign_probe(zeta, 1.0, 100, 0)):
         with pytest.raises(ValueError, match="zeta must be finite"):
+            call()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+SPAN = unit(0.0, 0.5 - 0.25j, 1.0)
+AUTOMORPHISM_CALLS = {
+    "lam": lambda x: AutomorphismParams(x, 0.0, 1.0),
+    "xi": lambda x: AutomorphismParams(0.0, complex(0.5, x), 1.0),
+    "U": lambda x: AutomorphismParams(0.0, 0.0, complex(x, 0.0)),
+    "U-imag": lambda x: AutomorphismParams(0.0, 0.0, complex(1.0, x)),
+    "a": lambda x: unit(x, 0.5, 1.0),
+    "a-imag": lambda x: unit(complex(0.1, x), 0.5, 1.0),
+    "zeta": lambda x: unit(0.1, x, 1.0),
+    "lam-residual": lambda x: ccr_phase_residual(x, 1.0, SPAN),
+    "mu-residual": lambda x: ccr_phase_residual(1.0, x, SPAN),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_CALLS))
+def test_non_finite_automorphism_inputs_are_refused_before_any_work(
+        monkeypatch, name, value):
+    # AutomorphismParams(0, 0, nan) passed the |U| = 1 test, as NaN
+    # compares false, and its images, unit(0.1, nan, 1) and the residual
+    # at a non-finite lam or mu were NaN
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+    monkeypatch.setattr(ExpSpan, "norm", no_work)
+    monkeypatch.setattr(gaussian_algebra, "ExpSpan", no_work)
+    monkeypatch.setattr(gaussian_algebra, "apply_automorphism", no_work)
+    argument = name.split("-")[0]
+    with pytest.raises(ValueError,
+                       match=f"^{argument} must be (a )?finite.*, got "):
+        AUTOMORPHISM_CALLS[name](value)
+
+
+@pytest.mark.parametrize("value", [0.5j, np.complex128(0.5), np.complex64(0.5j),
+                                   "0.5"],
+                         ids=["complex", "complex128", "complex64", "str"])
+def test_a_real_automorphism_parameter_must_be_a_real_number(value):
+    # a complex lam scaled every image by e^{-Im(lam) T}: no automorphism
+    for call, name in ((lambda: AutomorphismParams(value, 0.0, 1.0), "lam"),
+                       (lambda: ccr_phase_residual(value, 1.0, SPAN), "lam"),
+                       (lambda: ccr_phase_residual(1.0, value, SPAN), "mu")):
+        with pytest.raises(ValueError, match=(
+                f"^{name} must be a finite real number, got "
+                f"{re.escape(repr(value))}$")):
             call()
