@@ -198,36 +198,24 @@ class CcrTriple:
     R: np.ndarray
     x: np.ndarray | None = None
 
-    def vacuum(self) -> np.ndarray:
-        """Ground-state vector of the underlying oscillator, unit norm."""
-        if self.x is None:
-            e0 = np.zeros(len(self.Q))
-            e0[0] = 1.0
-            return e0
-        return _grid_vacuum(self.x)
-
 
 def _grid_vacuum(x: np.ndarray) -> np.ndarray:
     v = np.exp(-x * x / 2.0)
     return v / np.linalg.norm(v)
 
 
-def balanced_grid_halfwidth(n: int) -> float:
-    """Half width sqrt(pi n / 2): position and momentum cutoffs coincide."""
-    return math.sqrt(math.pi * n / 2.0)
-
-
 def _grid_points(scheme: str, n: int) -> tuple[int, np.ndarray | None]:
     """The dimension n as an int, and the points x of the grid on [-L, L],
-    L the balanced half width, or None for the oscillator.  The one place
-    where a scheme and its dimensions are checked: ValueError for an
-    unknown scheme, or unless n is a whole number of at least 2; a whole
-    float becomes the int it equals."""
+    L = sqrt(pi n / 2), where the position and momentum cutoffs
+    coincide, or None for the oscillator.  The one place where a scheme
+    and its dimensions are checked: ValueError for an unknown scheme, or
+    unless n is a whole number of at least 2; a whole float becomes the
+    int it equals."""
     n = _whole(n, "n", 2, math.inf, "be at least 2")
     if scheme == "oscillator":
         return n, None
     if scheme == "grid":
-        L = balanced_grid_halfwidth(n)
+        L = math.sqrt(math.pi * n / 2.0)
         return n, np.linspace(-L, L, n)
     raise ValueError(f"unknown scheme {scheme!r}")
 

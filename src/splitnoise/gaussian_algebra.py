@@ -34,22 +34,22 @@ source's breaks array and takes its widths too, and every automorphism
 applied to one span reads that span's integrals.  Reads of several
 spans merge their partitions once: random_span reads its unit part and
 every step term on one merge of all their breaks, and relation_suite's
-Gram check reads v, w, A v and A w on one merge instead of merging v
-and w for each inner product.  Each gives the bits of the computation
-it replaces; the tests keep the old ones as oracles.
+Gram check reads v, w, A v and A w on one merge.  Each gives the bits
+of reading every span on its own; the tests keep those reads as
+oracles.
 
 A relation-suite trial is some hundreds of small numpy calls, so the
-hot paths take fewer of them, again without moving a bit.  An
+hot paths take few of them, again without moving a bit.  An
 automorphism forms U f + xi on the float view of the values, shaped
-(k, m, 2), in four ufunc calls where writing by parts took eight (see
-apply_automorphism).  A norm first asks eigvalsh whether its Gram
-matrix is far inside GRAM_CONDITION_LIMIT and takes the SVD of the
-condition number only when it is not (see ExpSpan.norm): the margin
-covers the roundoff of every span size, so no warning is gained or
-lost.  A difference of two spans on one breaks array whose terms all
-join, with as many terms on each side, is the coefficient difference
-on v's values, which the general path's concatenations gave too; every
-difference of the relation suite is one.
+(k, m, 2), in four ufunc calls (see apply_automorphism).  A norm first
+asks eigvalsh whether its Gram matrix is far inside
+GRAM_CONDITION_LIMIT and takes the SVD of the condition number only
+when it is not (see ExpSpan.norm): the margin covers the roundoff of
+every span size, so no warning is gained or lost.  A difference of two
+spans on one breaks array whose terms all join, with as many terms on
+each side, is the coefficient difference on v's values, which the
+general path's concatenations give too; every difference of the
+relation suite is one.
 
 Subtraction pairs terms by index.  In v - w, term i of w joins term i
 of v when their values agree within DEDUP_VALUE_TOL, relative to
@@ -74,6 +74,7 @@ splitting of the horizon); the tests check the closed form against it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import warnings
@@ -98,7 +99,6 @@ __all__ = [
     "relation_suite",
     "RelationReport",
     "gram_matrix",
-    "random_step_function",
     "random_unit_span",
     "random_span",
 ]
@@ -138,25 +138,6 @@ def _widths(breaks: np.ndarray) -> np.ndarray:
     return breaks[1:] - breaks[:-1]
 
 
-class _lazy:
-    """Attribute computed by fn(obj) on its first read and stored in the
-    instance's __dict__, where every later read finds it first.
-    functools.cached_property does the same, but up to Python 3.11 it
-    takes a lock on each first read."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant complex function on [0, T].
@@ -178,6 +159,8 @@ class StepFunction:
             raise ValueError("need m >= 1 intervals and m + 1 breakpoints")
         if breaks[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        if not np.isfinite(breaks).all():
+            raise ValueError("breakpoints must be finite")
         if not (breaks[1:] > breaks[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not np.isfinite(values).all():
@@ -189,10 +172,6 @@ class StepFunction:
     @property
     def horizon(self) -> float:
         return float(self.breaks[-1])
-
-    @classmethod
-    def constant(cls, value, horizon) -> "StepFunction":
-        return cls([0.0, horizon], [value])
 
     @classmethod
     def indicator(cls, a, b, horizon) -> "StepFunction":
@@ -259,15 +238,10 @@ def _inner_on(a: np.ndarray, b: np.ndarray, widths: np.ndarray):
     return (a * widths) @ b.conj().T
 
 
-def _inner(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
-    """[<a_i, b_j>] for values a, b on the intervals of cuts."""
-    return _inner_on(a, b, _widths(cuts))
-
-
 def step_inner(f: StepFunction, g: StepFunction) -> complex:
     """integral_0^T f(s) conj(g(s)) ds over the merged partition."""
     cuts, (a, b) = _common(f, g)
-    return complex(_inner(a, b, cuts))
+    return complex(_inner_on(a, b, _widths(cuts)))
 
 
 def step_product(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -300,12 +274,12 @@ class ExpSpan:
         object.__setattr__(self, "values",
                            np.ascontiguousarray(self.values, dtype=complex))
 
-    @_lazy
+    @functools.cached_property
     def widths(self) -> np.ndarray:
         """The interval lengths of breaks (m,)."""
         return _widths(self.breaks)
 
-    @_lazy
+    @functools.cached_property
     def integrals(self) -> np.ndarray:
         """integral_0^T f_i(s) ds of each term (k,)."""
         return self.values @ self.widths
@@ -475,7 +449,7 @@ def gram_matrix(fns) -> np.ndarray:
     """[exp(<f_i, f_j>)] for a family of step functions on one horizon."""
     cuts, values = _common(*fns)
     v = np.array(values)
-    return np.exp(_inner(v, v, cuts))
+    return np.exp(_inner_on(v, v, _widths(cuts)))
 
 
 @dataclass(frozen=True)
@@ -518,12 +492,10 @@ def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
     the parts times U.real, plus the swapped parts times (-U.imag,
     U.imag), plus (xi.real, xi.imag): two products and two in-place sums.
     Each real part is U.real re + (-U.imag im), each imaginary part
-    U.real im + U.imag re, summed in the order in which writing the two
-    parts into one array summed them; IEEE arithmetic defines x - y as
-    x + (-y), and -U.imag im is -(U.imag im) exactly, so no bit moves,
-    the sign of an exact zero included.  (The expression (real part) +
-    1j * (imaginary part) + xi gave the same doubles, but for the sign
-    of an exact zero and the nan that 0 * inf put in a real part.)
+    U.real im + U.imag re, the order of the by-parts formula
+    U.real re - U.imag im, U.real im + U.imag re; IEEE arithmetic
+    defines x - y as x + (-y), and -U.imag im is -(U.imag im) exactly,
+    so no bit moves, the sign of an exact zero included.
     """
     T, U, xi = v.horizon, complex(p.U), complex(p.xi)
     mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
@@ -561,17 +533,14 @@ def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
 
 
 def _random_steps(rng: np.random.Generator, horizon: float):
-    """The breaks and values of random_step_function's draw."""
+    """The breaks and values of a seeded random step function of at most
+    RANDOM_MAX_PIECES pieces, each value RANDOM_AMPLITUDE times a
+    standard complex normal over 2."""
     m = int(rng.integers(1, RANDOM_MAX_PIECES + 1))
     cuts = np.sort(rng.uniform(0.0, horizon, size=m - 1))
     vals = RANDOM_AMPLITUDE * (rng.standard_normal(m)
                                + 1j * rng.standard_normal(m)) / 2.0
     return np.concatenate([[0.0], cuts, [horizon]]), vals
-
-
-def random_step_function(rng: np.random.Generator, horizon: float) -> StepFunction:
-    """Seeded random step function, used by the relation checks."""
-    return StepFunction(*_random_steps(rng, horizon))
 
 
 def random_unit_span(rng: np.random.Generator, t: float,

@@ -102,7 +102,6 @@ __all__ = [
     "per_path_integrand",
     "run_replicas",
     "constant_evaluator",
-    "bucket_probe_evaluator",
     "endpoint_sign_evaluator",
     "quad_form_C",
     "lemma43_table",
@@ -283,15 +282,13 @@ class SuperchaosVector:
         """w at every grid time j/m (sign factor excluded)."""
         return self.w.value_at(np.arange(m + 1) / m).real
 
-    def sign_factor(self, path: WarrenPath) -> float:
-        """+-1 (or 0 on a tie) for WS profiles, 1 for deterministic ones."""
-        factor = _sign_factor(self, path.values, path.m, 1)
-        return 1.0 if factor is None else float(factor)
-
 
 def _grid_index(t: float, m: int, name: str) -> int:
     """Index j = t m of a grid time t in [0, 1] on the 1/m grid; ValueError
-    naming the parameter when t is off the grid or outside [0, 1]."""
+    naming the parameter when t is off the grid or outside [0, 1], a
+    non-finite t included."""
+    if not math.isfinite(float(t) * m):
+        raise ValueError(f"{name} = {t} lies outside [0, 1]")
     j = round(t * m)
     if abs(t * m - j) > 1e-9:
         raise ValueError(f"{name} = {t} is not aligned to the 1/{m} grid")
@@ -440,22 +437,6 @@ def _bucket_signs(walks: np.ndarray, m: int, step: int, d: int) -> np.ndarray:
     """Increment sign over d grid steps at each right bucket edge step,
     2 step, ..., m // 2, one column per bucket of width step."""
     return _increment_sign(walks, np.arange(step, m // 2 + 1, step), d)
-
-
-def bucket_probe_evaluator(spec: PsiSpec):
-    """psi(t_j, path) = the increment sign over [edge, edge + delta] at the
-    right edge (j // step + 1) * step of the bucket of width step holding
-    the grid index j < m/2, else 0."""
-    def psi(walks: np.ndarray, m: int) -> np.ndarray:
-        step, d = spec.alignment(m)
-        half = m // 2
-        signs = _bucket_signs(walks, m, step, d)
-        out = np.zeros(walks.shape)
-        out[:, :half] = np.repeat(signs, step, axis=1)
-        return out
-    # the last bucket's right edge is m // 2, probed d steps further on
-    psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
-    return psi
 
 
 @dataclass(frozen=True)
@@ -781,6 +762,8 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
     least 0, where 0 means not given.
     """
     n_dim = _whole(n_dim, "n_dim", 0, math.inf, "be at least 0")
+    if not math.isfinite(float(norm_value)):
+        raise ValueError(f"norm_value must be finite, got {norm_value!r}")
     rows = list(lemma43_rows)
     if not rows:
         raise ValueError("need at least one refinement row")

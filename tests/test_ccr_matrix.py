@@ -9,7 +9,6 @@ from splitnoise import ccr_matrix
 from splitnoise.ccr_matrix import (
     GridAliasingWarning,
     NORM_STUDY_HEADER,
-    balanced_grid_halfwidth,
     build_pair,
     coherent_vector,
     convergence_study,
@@ -35,6 +34,16 @@ from splitnoise.gaussian_algebra import span_inner, unit
 
 def phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def vacuum(pair):
+    """Ground-state vector of the pair's underlying oscillator, unit norm:
+    the first basis vector, or the sampled Gaussian on the grid."""
+    if pair.x is None:
+        e0 = np.zeros(len(pair.Q))
+        e0[0] = 1.0
+        return e0
+    return ccr_matrix._grid_vacuum(pair.x)
 
 
 def _dense_lemma23(alpha, t, n, scheme):
@@ -71,7 +80,7 @@ def test_oscillator_pair_n2_hand_value():
 def test_vacuum_second_moment_oscillator():
     for t in (0.25, 1.0, 2.0):
         pair = build_pair("oscillator", 64, t)
-        v = pair.vacuum()
+        v = vacuum(pair)
         mom = float(np.real(v @ (pair.Q @ (pair.Q @ v))))
         assert mom == pytest.approx(t, abs=1e-12)
 
@@ -112,14 +121,14 @@ def test_grid_q_diagonal_and_sign_diagonal():
 def test_grid_vacuum_moment_within_aliasing_threshold():
     # |<vac| Q^2 |vac> - t|, from the dense Q rather than from the points
     pair = build_pair("grid", 256, 2.0)
-    v = pair.vacuum()
+    v = vacuum(pair)
     moment = float(np.real(v.conj() @ (pair.Q @ (pair.Q @ v))))
     assert abs(moment - pair.t) <= 1e-6
 
 
 def test_grid_default_window_is_the_balanced_window():
     n = 64
-    L = balanced_grid_halfwidth(n)
+    L = math.sqrt(math.pi * n / 2.0)  # position and momentum cutoffs coincide
     for t in (0.25, 0.5, 2.0):
         pair = build_pair("grid", n, t)
         assert (pair.x[0], pair.x[-1]) == (-L, L)
@@ -523,7 +532,7 @@ def test_coherent_tail_mass_guard():
 
 def test_sgn_expectation_vacuum_is_zero():
     pair = build_pair("oscillator", 64, 0.5)
-    v = pair.vacuum()
+    v = vacuum(pair)
     assert abs(sgn_expectation(pair.Q, v)) <= 1e-12
 
 

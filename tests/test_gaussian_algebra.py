@@ -18,7 +18,6 @@ from splitnoise.gaussian_algebra import (
     exponential,
     gram_matrix,
     random_span,
-    random_step_function,
     random_unit_span,
     relation_suite,
     rotation,
@@ -30,36 +29,47 @@ from splitnoise.gaussian_algebra import (
 )
 
 
+def constant(value, horizon):
+    """The step function equal to value on all of [0, horizon]."""
+    return StepFunction([0.0, horizon], [value])
+
+
+def random_step_function(rng, horizon):
+    """A seeded random step function: the draw of one of random_span's
+    step terms."""
+    return StepFunction(*gaussian_algebra._random_steps(rng, horizon))
+
+
 def test_step_inner_unit_indicator():
-    f = StepFunction.constant(1.0, 1.0)
+    f = constant(1.0, 1.0)
     assert step_inner(f, f) == 1.0
 
 
 def test_step_inner_conjugates_second_slot():
     t = 0.7
-    f = StepFunction.constant(1j, t)
-    g = StepFunction.constant(1.0, t)
+    f = constant(1j, t)
+    g = constant(1.0, t)
     assert step_inner(f, g) == pytest.approx(1j * t)
     assert step_inner(g, f) == pytest.approx(-1j * t)
 
 
 def test_step_inner_piecewise_example():
     f = StepFunction((0.0, 0.5, 1.0), (1.0, 2.0))
-    g = StepFunction.constant(1j, 1.0)
+    g = constant(1j, 1.0)
     assert step_inner(f, g) == pytest.approx(-1.5j)
 
 
 def test_step_inner_merges_partitions():
     # same function carved up two different ways
     f1 = StepFunction((0.0, 0.25, 1.0), (2.0, 2.0))
-    f2 = StepFunction.constant(2.0, 1.0)
+    f2 = constant(2.0, 1.0)
     g = StepFunction((0.0, 0.6, 1.0), (1.0 - 1j, 0.5))
     assert step_inner(f1, g) == pytest.approx(step_inner(f2, g))
 
 
 def test_step_inner_horizon_mismatch():
     with pytest.raises(ValueError):
-        step_inner(StepFunction.constant(1.0, 1.0), StepFunction.constant(1.0, 2.0))
+        step_inner(constant(1.0, 1.0), constant(1.0, 2.0))
 
 
 def test_step_function_validation():
@@ -76,6 +86,16 @@ def test_step_function_validation():
     for a, b in ((0.5, 0.5), (0.75, 0.25)):    # an empty indicator interval
         with pytest.raises(ValueError, match="need 0 <= a < b <= horizon"):
             StepFunction.indicator(a, b, 1.0)
+
+
+def test_step_function_refuses_a_non_finite_breakpoint():
+    # an infinite horizon used to pass, and exponential(f).norm() was then
+    # nan after two RuntimeWarnings
+    for make in (lambda: StepFunction([0.0, 1.0, math.inf], [1, 2]),
+                 lambda: StepFunction([0.0, math.nan, 1.0], [1, 2]),
+                 lambda: StepFunction.indicator(0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="^breakpoints must be finite$"):
+            make()
 
 
 def test_exp_span_rejects_values_of_the_wrong_shape():
@@ -137,13 +157,13 @@ def test_step_product_pointwise():
 
 
 def test_span_inner_vacuum():
-    v = exponential(StepFunction.constant(0.0, 1.0))
+    v = exponential(constant(0.0, 1.0))
     assert span_inner(v, v) == pytest.approx(1.0)
 
 
 def test_span_inner_single_exponential_norm():
     zeta, t = 0.8 - 0.3j, 1.7
-    v = exponential(StepFunction.constant(zeta, t))
+    v = exponential(constant(zeta, t))
     assert span_inner(v, v) == pytest.approx(math.exp(abs(zeta) ** 2 * t))
 
 
@@ -187,7 +207,7 @@ def test_span_inner_conjugate_symmetry():
 def test_exp_difference_norm_against_two_term_gram():
     # oracle: expand || Exp(f) - Exp(g) ||^2 sesquilinearly by hand
     f = StepFunction((0.0, 0.3, 1.0), (0.5 + 0.2j, -0.4))
-    g = StepFunction.constant(0.3 - 0.6j, 1.0)
+    g = constant(0.3 - 0.6j, 1.0)
     expected = (math.exp(step_inner(f, f).real) + math.exp(step_inner(g, g).real)
                 - 2.0 * cmath.exp(step_inner(f, g)).real)
     diff = exponential(f) - exponential(g)
@@ -253,7 +273,7 @@ def test_multiplication_identification_term_by_term():
     f = StepFunction((0.0, 0.4, 1.0), (0.2 + 0.1j, -0.5 + 0.3j))
     out = apply_automorphism(shift(1j * lam), exponential(f))
     (c,) = out.coef
-    integral = step_inner(f, StepFunction.constant(1.0, f.horizon))
+    integral = step_inner(f, constant(1.0, f.horizon))
     expected_c = cmath.exp(-0.5 * lam ** 2 * f.horizon + 1j * lam * integral)
     assert c == pytest.approx(expected_c, rel=1e-12)
     assert all(gv == pytest.approx(fv + 1j * lam)
@@ -355,7 +375,7 @@ def test_relation_suite_specific_cases():
     b = apply_automorphism(rotation(U * U), v)
     assert (a - b).norm() <= 1e-12
 
-    vac = exponential(StepFunction.constant(0.0, 1.0))
+    vac = exponential(constant(0.0, 1.0))
     lhs = apply_automorphism(rotation(1j), apply_automorphism(
         shift(1.0), apply_automorphism(rotation(1j).inverse(), vac)))
     rhs = apply_automorphism(shift(1j), vac)
@@ -569,9 +589,9 @@ def test_gram_condition_number_is_numpys():
 def test_a_singular_gram_warns_inf_without_a_runtime_warning():
     # two equal terms: the Gram matrix has rank 1 and, in floating point,
     # a smallest singular value of exactly 0
-    f = exponential(StepFunction.constant(0.5, 1.0))
+    f = exponential(constant(0.5, 1.0))
     v = f + f
-    g = np.exp(gaussian_algebra._inner(v.values, v.values, v.breaks))
+    g = np.exp(gaussian_algebra._inner_on(v.values, v.values, v.widths))
     assert np.linalg.svd(g, compute_uv=False)[-1] == 0.0
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -616,7 +636,7 @@ def _constants(values, coef=None):
 
 def test_subtraction_joins_a_term_to_the_term_of_the_same_index():
     tol = gaussian_algebra.DEDUP_VALUE_TOL
-    f = exponential(StepFunction.constant(0.5, 1.0))
+    f = exponential(constant(0.5, 1.0))
     d = f - f
     assert d.coef.tolist() == [0.0] and d.norm() == 0.0
     # within tol, or within tol times the sup norm past 1, the coefficient
@@ -651,7 +671,7 @@ def test_subtraction_pairs_terms_on_the_merged_partition():
     f = StepFunction((0.0, 0.25, 1.0), (2.0, 2.0))
     g = StepFunction((0.0, 0.5, 1.0), (1.0 - 1j, 0.5))
     v = exponential(f) + exponential(g)
-    w = (exponential(StepFunction.constant(2.0, 1.0))
+    w = (exponential(constant(2.0, 1.0))
          + exponential(StepFunction((0.0, 0.5, 1.0), (1.0 - 1j, 0.75))))
     d = v - w
     assert d.breaks.tolist() == [0.0, 0.25, 0.5, 1.0]
@@ -681,8 +701,8 @@ def test_relation_suite_names_the_source_of_a_gram_warning():
 
 
 def test_norm_warns_on_ill_conditioned_gram():
-    f = StepFunction.constant(0.5, 1.0)
-    g = StepFunction.constant(0.5 + 1e-9, 1.0)
+    f = constant(0.5, 1.0)
+    g = constant(0.5 + 1e-9, 1.0)
     v = exponential(f) + exponential(g).scaled(-1.0)
     with pytest.warns(GramConditionWarning):
         v.norm()
@@ -691,7 +711,7 @@ def test_norm_warns_on_ill_conditioned_gram():
 def test_norm_of_a_non_finite_gram_skips_the_condition_check(capfd):
     # exp(<f, f>) = exp(900) overflows: the norm is not finite, and no
     # condition number is taken of a matrix that LAPACK rejects
-    big = [exponential(StepFunction.constant(c, 1.0)) for c in (30.0, 29.0)]
+    big = [exponential(constant(c, 1.0)) for c in (30.0, 29.0)]
     with pytest.warns(RuntimeWarning) as record:
         value = (big[0] - big[1]).norm()
     assert any("overflow" in str(w.message) for w in record)
@@ -976,8 +996,8 @@ def test_all_joined_difference_keeps_the_general_path_on_its_edges():
         # the same function on two partitions: joined on the merged cuts,
         # which are finer than v's own breaks when w's are the finer ones
         (exponential(StepFunction((0.0, 0.25, 1.0), (2.0, 2.0))),
-         exponential(StepFunction.constant(2.0, 1.0)).scaled(0.5)),
-        (exponential(StepFunction.constant(2.0, 1.0)).scaled(0.5),
+         exponential(constant(2.0, 1.0)).scaled(0.5)),
+        (exponential(constant(2.0, 1.0)).scaled(0.5),
          exponential(StepFunction((0.0, 0.25, 1.0), (2.0, 2.0)))),
     ]
     for x, w in cases:
@@ -1049,7 +1069,7 @@ def test_gram_pre_check_falls_back_when_eigvalsh_does_not_converge(
     def no_convergence(g):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    f = StepFunction.constant(0.5, 1.0)
+    f = constant(0.5, 1.0)
     assert not gaussian_algebra._well_conditioned(np.eye(2), 1)
     with pytest.warns(GramConditionWarning, match="inf exceeds 1e12"):
         (exponential(f) + exponential(f)).norm()

@@ -1,10 +1,11 @@
 """Every size that a public entry takes (a dimension N, a bucket count n,
 a grid size m, a reach or a number of samples) is checked as a whole
 number before any kernel or draw, and so is the finiteness of a coherent
-amplitude, of an automorphism's lam, xi and U, of unit's a and zeta and
-of the Weyl residual's lam and mu: a non-whole size used to be
-truncated, resized or end in a TypeError, and a non-finite amplitude or
-parameter in NaN results."""
+amplitude, of an automorphism's lam, xi and U, of unit's a and zeta, of
+the Weyl residual's lam and mu and of an evaluator's probe times: a
+non-whole size used to be truncated, resized or end in a TypeError, a
+non-finite amplitude or parameter in NaN results, and a non-finite probe
+time in an OverflowError that named no parameter."""
 
 import math
 import re
@@ -33,6 +34,8 @@ from splitnoise.ccr_matrix import (
 from splitnoise.warren_sim import (
     PsiSpec,
     WarrenPath,
+    chaos_eval_under_probe,
+    endpoint_sign_evaluator,
     half_interval_profile,
     lemma43_table,
     constant_evaluator,
@@ -195,3 +198,26 @@ def test_a_real_automorphism_parameter_must_be_a_real_number(value):
                 f"^{name} must be a finite real number, got "
                 f"{re.escape(repr(value))}$")):
             call()
+
+
+PROBE_CALLS = {
+    "quad_form_C": lambda psi: quad_form_C(psi, half_interval_profile(), 4, 1,
+                                           m=64),
+    "chaos_eval_under_probe": lambda psi: chaos_eval_under_probe(
+        half_interval_profile(), WarrenPath(4, np.zeros(5)), np.empty(0), psi),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
+                         ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("call", sorted(PROBE_CALLS))
+def test_a_non_finite_probe_time_is_refused_naming_it(monkeypatch, call,
+                                                      name, value):
+    # an infinite time, or one whose grid index overflows, raised
+    # OverflowError, and NaN an unnamed "cannot convert float NaN"
+    refuse_to_work(monkeypatch)
+    times = {"a": 0.0, "b": 0.5, name: value}
+    with pytest.raises(ValueError, match=(
+            f"^{name} = {re.escape(str(value))} lies outside \\[0, 1\\]$")):
+        PROBE_CALLS[call](endpoint_sign_evaluator(times["a"], times["b"]))

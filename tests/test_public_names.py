@@ -84,6 +84,32 @@ def test_no_module_has_an_unused_import(source):
     assert sorted(imported - used) == []
 
 
+def names_read(path):
+    """Every name a module loads and every attribute it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+# the dense P + Q + R = 0 triple is the oracle that the tests hold the
+# reduced sign-sum kernel to; nothing outside the tests needs it
+TEST_ONLY_EXPORTS = {"symmetric_triple"}
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # an exported name that only tests reach is surface kept alive for its
+    # tests: its body belongs in tests/ as an oracle
+    readers = [*(ROOT / "src" / "splitnoise").glob("*.py"), *DEMOS,
+               ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(names_read, readers),
+                       *(q.split(".") for _, q in traced_names()))
+    exported = set().union(*(importlib.import_module(f"splitnoise.{m}").__all__
+                             for m in MODULES))
+    assert sorted(exported - read - TEST_ONLY_EXPORTS) == []
+    assert TEST_ONLY_EXPORTS <= exported - read
+
+
 def test_every_private_helper_is_used_by_the_package():
     # a private module-level name that only tests reach is dead code kept
     # alive for its tests: the tests should use the public names instead

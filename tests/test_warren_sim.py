@@ -18,7 +18,6 @@ from splitnoise.warren_sim import (
     SuperchaosVector,
     WarrenPath,
     apply_matched_sign_probe,
-    bucket_probe_evaluator,
     chaos_eval,
     chaos_eval_under_probe,
     constant_evaluator,
@@ -41,6 +40,35 @@ from splitnoise.warren_sim import (
 
 def phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def constant(value, horizon):
+    """The step function equal to value on all of [0, horizon]."""
+    return StepFunction([0.0, horizon], [value])
+
+
+def sign_factor(f, path):
+    """f's sign factor on one path: +-1 (or 0 on a tie) for a WS profile,
+    1 for a deterministic one."""
+    factor = warren_sim._sign_factor(f, path.values, path.m, 1)
+    return 1.0 if factor is None else float(factor)
+
+
+def bucket_probe_evaluator(spec):
+    """psi(t_j, path) = the increment sign over [edge, edge + delta] at the
+    right edge (j // step + 1) * step of the bucket of width step holding
+    the grid index j < m/2, else 0: the probe of the estimate column,
+    evaluated on the grid."""
+    def psi(walks, m):
+        step, d = spec.alignment(m)
+        half = m // 2
+        signs = warren_sim._bucket_signs(walks, m, step, d)
+        out = np.zeros(walks.shape)
+        out[:, :half] = np.repeat(signs, step, axis=1)
+        return out
+    # the last bucket's right edge is m // 2, probed d steps further on
+    psi.reach = lambda m: m // 2 + spec.alignment(m)[1]
+    return psi
 
 
 def make_path(values):
@@ -206,9 +234,9 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SuperchaosVector("X", w)
     with pytest.raises(ValueError):
-        SuperchaosVector("W", StepFunction.constant(1.0, 2.0))
+        SuperchaosVector("W", constant(1.0, 2.0))
     with pytest.raises(ValueError):
-        SuperchaosVector("W", StepFunction.constant(1j, 1.0))
+        SuperchaosVector("W", constant(1j, 1.0))
     with pytest.raises(ValueError):
         SuperchaosVector.sign_modulated(w, 0.7, 0.2)
 
@@ -234,7 +262,7 @@ def test_chaos_eval_no_minima_in_support():
 
 def test_chaos_eval_single_minimum_gives_sign():
     path = make_path([0.0, -1.0, 1.0, 2.0])
-    f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
+    f = SuperchaosVector.deterministic(constant(1.0, 1.0))
     assert chaos_eval(f, path, np.array([-1], dtype=np.int8)) == -1.0
 
 
@@ -246,21 +274,21 @@ def test_chaos_eval_odd_in_signs():
 
 def test_ws_sign_factor():
     path = make_path([0.0, -1.0, 1.0, 1.0, 2.0])
-    w = StepFunction.constant(1.0, 1.0)
+    w = constant(1.0, 1.0)
     up = SuperchaosVector.sign_modulated(w, 0.0, 1.0)    # B_1 > B_0
     down = SuperchaosVector.sign_modulated(w, 0.25, 0.5)  # B_.5 > B_.25
-    assert up.sign_factor(path) == 1.0
-    assert down.sign_factor(path) == 1.0
+    assert sign_factor(up, path) == 1.0
+    assert sign_factor(down, path) == 1.0
     tie = SuperchaosVector.sign_modulated(w, 0.5, 0.75)   # exact tie -> 0
-    assert tie.sign_factor(path) == 0.0
+    assert sign_factor(tie, path) == 0.0
 
 
 def test_ws_misaligned_probe_raises():
     path = make_path([0.0, -1.0, 1.0, 0.0, 2.0])
-    f = SuperchaosVector.sign_modulated(StepFunction.constant(1.0, 1.0),
+    f = SuperchaosVector.sign_modulated(constant(1.0, 1.0),
                                         0.1, 0.9)
     with pytest.raises(ValueError):
-        f.sign_factor(path)
+        sign_factor(f, path)
 
 
 # --- quadratic forms -----------------------------------------------------
@@ -296,7 +324,7 @@ def test_matched_probe_strips_sign_factor_per_path():
     hits = 0
     for r in range(10):
         path, signs = signed_path(64, 19, r)
-        if f_ws.sign_factor(path) != 0.0:
+        if sign_factor(f_ws, path) != 0.0:
             hits += 1
             assert chaos_eval_under_probe(f_ws, path, signs, psi) == \
                 chaos_eval(f_w, path, signs)
@@ -315,7 +343,7 @@ def test_matched_probe_quadratic_form_mean_zero():
     psi2 = lambda walks, m: psi(walks, m) ** 2  # noqa: E731
     for r in range(5):
         path = sample_path(256, replica_rng(29, r))
-        if f_ws.sign_factor(path) != 0.0:
+        if sign_factor(f_ws, path) != 0.0:
             assert per_path_integrand(psi2, f_ws, path) == \
                 per_path_integrand(constant_evaluator(1.0),
                                    apply_matched_sign_probe(f_ws), path)
@@ -458,7 +486,7 @@ def test_lemma43_bucket_probe_estimate_is_centered():
 
 
 def test_lemma43_requires_half_supported_profile():
-    f = SuperchaosVector.deterministic(StepFunction.constant(1.0, 1.0))
+    f = SuperchaosVector.deterministic(constant(1.0, 1.0))
     with pytest.raises(ValueError):
         lemma43_table(f, [2], [1 / 64], 64, 4, 0)
 
@@ -589,7 +617,7 @@ def test_whole_float_grid_size_and_reach_are_taken_as_ints():
 def test_zero_profile_gives_zero_ratio_stderr_without_warnings():
     # mass is 0 on every path: the ratio u_mass / mass has no delta-method
     # standard error, reported as 0.0 rather than a division by zero
-    f = SuperchaosVector.deterministic(StepFunction.constant(0.0, 1.0))
+    f = SuperchaosVector.deterministic(constant(0.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = lemma43_table(f, [2], [1 / 64], 64, 8, 0)
@@ -645,7 +673,7 @@ def lemma43_columns(f, n_list, delta_list, m, samples, seed):
         path = sample_path(m, replica_rng(seed, r))
         keep = path.minima < m // 2
         jj = path.minima[keep]
-        s = f.sign_factor(path)
+        s = sign_factor(f, path)
         w2 = f.weight_profile(m)[jj] ** 2 * (s * s)
         B = path.values
         cols.setdefault("mass", []).append(w2.sum())
@@ -1126,6 +1154,15 @@ def test_obstruction_requires_rows_and_mass():
             obstruction_report(2.1, rows, mass)
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             obstruction_report(2.1, [synthetic_row(16, 1 / 256, 0.9, mass)])
+
+
+def test_obstruction_report_refuses_a_non_finite_norm():
+    # nan gave margin nan, and inf a JSON file holding Infinity
+    rows = [synthetic_row(16, 1 / 256, est=0.9, mass=1.0)]
+    for norm_value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=(
+                f"^norm_value must be finite, got {norm_value!r}$")):
+            obstruction_report(norm_value, rows)
 
 
 def test_obstruction_report_dimension_is_whole_and_not_negative():
