@@ -26,17 +26,33 @@ _read returns its gathers F-ordered, and so does the shared case, which
 keeps every bit of the merged read; a span stores V C-contiguous
 whatever built it, so that one layout gives one norm, to the bit.
 
+A span built by ExpSpan(coef, breaks, values) is checked as a step
+function is: a finite 1-D coef, breaks that are 1-D, start at 0, are
+finite and strictly increase, and finite values of shape (k, m), each
+refusal a ValueError naming the field.  The spans the package derives
+from checked ones (images, sums, differences, scaled copies and its
+random draws) skip all but the shape check, so the hot paths pay
+nothing for it.
+
 The package never writes a span's arrays after it is built, so what
 depends on them alone is computed once: a span keeps its interval
-widths and its term integrals (values @ widths) as lazy attributes,
-filled on first read.  An automorphism image or a scaled copy holds its
-source's breaks array and takes its widths too, and every automorphism
-applied to one span reads that span's integrals.  Reads of several
+widths, its term integrals (values @ widths) and its norm as lazy
+attributes, filled on first read.  The kept norm carries the condition
+number that warns, so every call warns as the first did; one that
+overflowed is not kept, and each call takes it afresh with numpy's
+warnings (see ExpSpan.norm).  An automorphism image or a scaled copy
+holds its source's breaks array and takes its widths too, and every
+automorphism applied to one span reads that span's integrals.  A chain
+of automorphisms runs in one pass over the coefficient and value
+arrays and builds one span, its last image (see _compose_apply); each
+step after the first takes values @ widths, the product that the
+integrals attribute of that step's span would take.  Reads of several
 spans merge their partitions once: random_span reads its unit part and
 every step term on one merge of all their breaks, and relation_suite's
 Gram check reads v, w, A v and A w on one merge.  Each gives the bits
 of reading every span on its own; the tests keep those reads as
-oracles.
+oracles.  None of this moves a bit of any result, or gains or loses a
+warning.
 
 A relation-suite trial is some hundreds of small numpy calls, so the
 hot paths take few of them, again without moving a bit.  An
@@ -119,6 +135,9 @@ RANDOM_MAX_TERMS = 6
 # Longest horizon of the relation checks, 2 ln(DBL_MAX) (about 1419.57):
 # a random unit span's e^{a t}, Re a < 1/2, stays finite up to it.
 MAX_RELATION_HORIZON = 2.0 * math.log(np.finfo(float).max)
+
+# Machine epsilon of float64, read once.
+_EPS = float(np.finfo(float).eps)
 
 
 class GramConditionWarning(UserWarning):
@@ -214,7 +233,9 @@ def _condition(g: np.ndarray) -> float:
     ratio of the largest to the smallest singular value, inf where the
     smallest is 0."""
     sv = np.linalg.svd(g, compute_uv=False)
-    return sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+    # Python floats, so that an overflow to inf raises no RuntimeWarning,
+    # as np.linalg.cond raises none
+    return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
 
 
 def _well_conditioned(g: np.ndarray, m: int) -> bool:
@@ -229,7 +250,7 @@ def _well_conditioned(g: np.ndarray, m: int) -> bool:
         w = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError:
         return False
-    delta = len(g) * (m + 6) * 710.0 * np.finfo(float).eps
+    delta = len(g) * (m + 6) * 710.0 * _EPS
     return w[0] > (1e-10 + 8.0 * delta) * w[-1]
 
 
@@ -258,21 +279,61 @@ class ExpSpan:
     as complex128, so that apply_automorphism can read them as
     interleaved float parts; a real input converts exactly.
 
+    A span built here refuses what StepFunction refuses, with a
+    ValueError naming the field: coef must be 1-D and finite (it is
+    stored as complex128), breaks 1-D, starting at 0, finite and
+    strictly increasing (stored as float64), and values finite, of shape
+    (k, m).  The spans the package derives from checked ones (sums,
+    differences, images, scaled copies and its random draws) take
+    _derived, which checks the shape alone.
+
     The package never writes a span's arrays after it is built, and the
-    two lazy attributes rely on that: widths, the interval lengths of
-    breaks, and integrals, values @ widths, each computed on first read
-    and kept.  A span built on another's breaks by _on_breaks shares its
-    widths."""
+    lazy attributes rely on that: widths, the interval lengths of
+    breaks, integrals, values @ widths, and the norm, each computed on
+    first read and kept.  A span built on another's breaks by _on_breaks
+    shares its widths."""
 
     coef: np.ndarray
     breaks: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (len(self.coef), len(self.breaks) - 1):
+        coef = np.asarray(self.coef, dtype=complex)
+        breaks = np.asarray(self.breaks, dtype=float)
+        values = np.asarray(self.values, dtype=complex)
+        if coef.ndim != 1:
+            raise ValueError("coef must be 1-D")
+        if not np.isfinite(coef).all():
+            raise ValueError("coef must be finite")
+        if breaks.ndim != 1 or len(breaks) < 2:
+            raise ValueError("breaks must be 1-D with at least 2 breakpoints")
+        if breaks[0] != 0.0:
+            raise ValueError("breaks must start at 0")
+        if not np.isfinite(breaks).all():
+            raise ValueError("breaks must be finite")
+        if not (breaks[1:] > breaks[:-1]).all():
+            raise ValueError("breaks must be strictly increasing")
+        self._store(coef, breaks, values)
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
+
+    def _store(self, coef, breaks, values) -> None:
+        """Set the fields, values C-contiguous and complex128, after the
+        one check that every span takes: the shape of values."""
+        if values.shape != (len(coef), len(breaks) - 1):
             raise ValueError("values must be (terms, intervals) of coef, breaks")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values",
-                           np.ascontiguousarray(self.values, dtype=complex))
+                           np.ascontiguousarray(values, dtype=complex))
+
+    @classmethod
+    def _derived(cls, coef, breaks, values) -> "ExpSpan":
+        """The span of these arrays, which the package built from checked
+        ones: only the shape of values is checked."""
+        span = object.__new__(cls)
+        span._store(coef, breaks, values)
+        return span
 
     @functools.cached_property
     def widths(self) -> np.ndarray:
@@ -286,7 +347,7 @@ class ExpSpan:
 
     def _on_breaks(self, coef, values) -> "ExpSpan":
         """The span of coef and values on these breaks, with their widths."""
-        span = ExpSpan(coef, self.breaks, values)
+        span = ExpSpan._derived(coef, self.breaks, values)
         span.__dict__["widths"] = self.widths
         return span
 
@@ -296,8 +357,8 @@ class ExpSpan:
 
     def __add__(self, other: "ExpSpan") -> "ExpSpan":
         cuts, (a, b) = _common(self, other)
-        return ExpSpan(np.concatenate([self.coef, other.coef]), cuts,
-                       np.concatenate([a, b]))
+        return ExpSpan._derived(np.concatenate([self.coef, other.coef]), cuts,
+                                np.concatenate([a, b]))
 
     def __sub__(self, other: "ExpSpan") -> "ExpSpan":
         """Terms paired by index on the merged partition, by the rule of
@@ -317,8 +378,8 @@ class ExpSpan:
                 np.subtract(self.coef, other.coef, dtype=complex), self.values)
         coef, i = self.coef.astype(complex), joins.nonzero()
         coef[i] -= other.coef[i]
-        return ExpSpan(np.concatenate([coef, -other.coef[~joins]]), cuts,
-                       np.concatenate([a, b[~joins]]))
+        return ExpSpan._derived(np.concatenate([coef, -other.coef[~joins]]),
+                                cuts, np.concatenate([a, b[~joins]]))
 
     def scaled(self, factor) -> "ExpSpan":
         return self._on_breaks(complex(factor) * self.coef, self.values)
@@ -350,18 +411,35 @@ class ExpSpan:
         s[0] <= (1 + 2 delta) L.  A pass needs w[0] > 8 delta w[-1], so
         delta < 1/8, s[0] < 1.7 w[-1] and s[-1] > 1e-10 w[-1]: a
         condition number below 1.7e10, under GRAM_CONDITION_LIMIT by a
-        factor of about 60, so skipping the SVD changes no warning."""
+        factor of about 60, so skipping the SVD changes no warning.
+
+        The first call keeps the norm and the condition number past
+        GRAM_CONDITION_LIMIT (0.0 for none), and every call warns from
+        them alike.  A norm is not kept when its Gram matrix or quadratic
+        form is not finite: only an overflow gives one, numpy warns of
+        it, and each call takes it afresh and warns again."""
+        norm, cond = self.__dict__.get("_norm") or self._gram_norm()
+        if cond:
+            warnings.warn(
+                f"Gram condition number {cond:.2e} exceeds 1e12; "
+                "norm digits are unreliable", GramConditionWarning,
+                stacklevel=2)
+        return norm
+
+    def _gram_norm(self) -> tuple:
+        """(norm, condition number past the limit or 0.0) by the rule of
+        norm, kept in _norm when the Gram matrix and the form are finite."""
         g = np.exp(_inner_on(self.values, self.values, self.widths))
-        value = max(float((self.coef @ g @ self.coef.conj()).real), 0.0)
-        if (len(g) >= 2 and np.isfinite(g).all()
-                and not _well_conditioned(g, len(self.widths))):
+        form = float((self.coef @ g @ self.coef.conj()).real)
+        finite = np.isfinite(g).all()
+        cond = 0.0
+        if len(g) >= 2 and finite and not _well_conditioned(g, len(self.widths)):
             cond = _condition(g)
-            if cond > GRAM_CONDITION_LIMIT:
-                warnings.warn(
-                    f"Gram condition number {cond:.2e} exceeds 1e12; "
-                    "norm digits are unreliable", GramConditionWarning,
-                    stacklevel=2)
-        return math.sqrt(value)
+        memo = math.sqrt(max(form, 0.0)), (
+            cond if cond > GRAM_CONDITION_LIMIT else 0.0)
+        if finite and math.isfinite(form):
+            self.__dict__["_norm"] = memo
+        return memo
 
 
 def _positive_horizon(t, bound: float = math.inf) -> float:
@@ -384,8 +462,10 @@ def _finite_amplitude(zeta, name: str = "zeta") -> complex:
 
 def _finite_real(value, name: str) -> None:
     """ValueError unless the parameter of this name is a finite real
-    number (a numbers.Real: int, float or a numpy real scalar)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    number (a numbers.Real: int, float or a numpy real scalar).  A float,
+    numpy's float64 included, is one, so it skips the slower ABC check."""
+    if not ((isinstance(value, float) or isinstance(value, numbers.Real))
+            and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -482,7 +562,8 @@ def rotation(U) -> AutomorphismParams:
 
 
 def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
-    """Image of the span under the automorphism with parameters p.
+    """Image of the span under the automorphism with parameters p: the
+    one-step chain of _compose_apply.
 
     Each term (c, f) maps to (c * mult, U f + xi), with the closed-form
     multiplier of the module docstring.  The image holds v's breaks and
@@ -497,21 +578,33 @@ def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:
     defines x - y as x + (-y), and -U.imag im is -(U.imag im) exactly,
     so no bit moves, the sign of an exact zero included.
     """
-    T, U, xi = v.horizon, complex(p.U), complex(p.xi)
-    mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
-                  - xi.conjugate() * U * v.integrals)
-    # U f as Python forms U * zeta; numpy's complex multiply rounds otherwise
-    parts = v.values.view(float).reshape(*v.values.shape, 2)
-    values = parts * U.real
-    values += parts[..., ::-1] * np.array((-U.imag, U.imag))
-    values += np.array((xi.real, xi.imag))
-    return v._on_breaks(v.coef * mult, values.view(complex)[..., 0])
+    return _compose_apply((p,), v)
 
 
 def _compose_apply(params_list, v: ExpSpan) -> ExpSpan:
+    """Image of the span v under the automorphisms of params_list, the
+    first applied first, in one pass over its arrays (the step of
+    apply_automorphism's docstring, repeated).  Only the last image is
+    built as a span; each later step reads its term integrals as
+    values @ widths on the step before's values, the product that
+    ExpSpan.integrals takes on the same array, so every bit is that of
+    applying the automorphisms one at a time."""
+    T, widths = v.horizon, v.widths
+    coef, values, integrals = v.coef, v.values, v.integrals
+    parts = values.view(float).reshape(*values.shape, 2)
     for p in params_list:
-        v = apply_automorphism(p, v)
-    return v
+        if integrals is None:
+            integrals = values @ widths
+        U, xi = complex(p.U), complex(p.xi)
+        mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
+                      - xi.conjugate() * U * integrals)
+        # U f as Python forms U * zeta; numpy's complex multiply rounds otherwise
+        image = parts * U.real
+        image += parts[..., ::-1] * np.array((-U.imag, U.imag))
+        image += np.array((xi.real, xi.imag))
+        coef, parts = coef * mult, image
+        values, integrals = image.view(complex)[..., 0], None
+    return v._on_breaks(coef, values)
 
 
 def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
@@ -527,8 +620,9 @@ def ccr_phase_residual(lam: float, mu: float, v: ExpSpan) -> float:
     nv = v.norm()
     if nv == 0.0:
         raise ValueError("zero vector")
-    x = _compose_apply([shift(mu), shift(1j * lam)], v)
-    y = _compose_apply([shift(1j * lam), shift(mu)], v)
+    real, imaginary = shift(mu), shift(1j * lam)
+    x = _compose_apply([real, imaginary], v)
+    y = _compose_apply([imaginary, real], v)
     return (x - y.scaled(cmath.exp(2j * lam * mu * v.horizon))).norm() / nv
 
 
@@ -557,7 +651,7 @@ def random_unit_span(rng: np.random.Generator, t: float,
     coef = np.array([complex(2.0 * cr - 1.0, 2.0 * ci - 1.0)
                      * cmath.exp(complex(ar - 0.5, ai - 0.5) * t)
                      for ar, ai, _, _, cr, ci in u.tolist()])
-    return ExpSpan(coef, np.array([0.0, t]), zetas)
+    return ExpSpan._derived(coef, np.array([0.0, t]), zetas)
 
 
 def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
@@ -573,7 +667,7 @@ def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
     mids = (cuts[:-1] + cuts[1:]) / 2.0
     values = [_read(units.breaks, units.values, mids)]
     values += [_read(b, f, mids)[None] for b, f in steps]
-    return ExpSpan(np.concatenate(coef), cuts, np.concatenate(values))
+    return ExpSpan._derived(np.concatenate(coef), cuts, np.concatenate(values))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,68 @@ def test_exp_span_rejects_values_of_the_wrong_shape():
             span._on_breaks(coef, values.astype(complex))
 
 
+# arguments of ExpSpan(coef, breaks, values) that StepFunction's checks
+# refuse, and the message naming the field; a list coef used to fail
+# inside norm, breaks [0, 1, 0.5] gave a wrong norm, a NaN coef a NaN
+# norm and breaks [0, inf] a numpy RuntimeWarning
+EXP_SPAN_REFUSALS = {
+    "coef-2d": ([[1.0]], [0.0, 1.0], [[0.5]], "coef must be 1-D"),
+    "coef-nan": ([math.nan], [0.0, 1.0], [[0.5]], "coef must be finite"),
+    "coef-inf": ([complex(1.0, -math.inf)], [0.0, 1.0], [[0.5]],
+                 "coef must be finite"),
+    "breaks-2d": ([1.0], [[0.0, 1.0]], [[0.5]], "breaks must be 1-D"),
+    "breaks-one": ([1.0], [0.0], np.empty((1, 0)), "breaks must be 1-D"),
+    "breaks-start": ([1.0], [0.5, 1.0], [[0.5]], "breaks must start at 0"),
+    "breaks-nan": ([1.0], [0.0, math.nan, 1.0], [[0.5, 0.5]],
+                   "breaks must be finite"),
+    "breaks-inf": ([1.0], [0.0, math.inf], [[0.5]], "breaks must be finite"),
+    "breaks-order": ([1.0], [0.0, 1.0, 0.5], [[0.5, 0.5]],
+                     "breaks must be strictly increasing"),
+    "breaks-repeat": ([1.0], [0.0, 0.5, 0.5, 1.0], [[0.5, 0.5, 0.5]],
+                      "breaks must be strictly increasing"),
+    "values-nan": ([1.0], [0.0, 1.0], [[math.nan]], "values must be finite"),
+    "values-inf": ([1.0, 2.0], [0.0, 1.0], [[0.5], [complex(0.0, math.inf)]],
+                   "values must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_SPAN_REFUSALS))
+def test_exp_span_refuses_what_step_function_refuses(name):
+    coef, breaks, values, message = EXP_SPAN_REFUSALS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExpSpan(coef, breaks, values)
+
+
+def test_exp_span_stores_list_input_as_the_arrays_it_converts_to():
+    listed = ExpSpan([1, 2.0], [0, 0.5, 1], [[0.5, 1j], [0, -0.25]])
+    arrays = ExpSpan(np.array([1.0, 2.0], dtype=complex),
+                     np.array([0.0, 0.5, 1.0]),
+                     np.array([[0.5, 1j], [0.0, -0.25]]))
+    assert listed.coef.dtype == np.complex128
+    assert listed.breaks.dtype == np.float64
+    assert _span_bytes(listed) == _span_bytes(arrays)
+    assert (np.float64(listed.norm()).tobytes()
+            == np.float64(arrays.norm()).tobytes())
+    # a float64 breaks array is held as it is, so spans built on one
+    # share it and skip the merge
+    assert ExpSpan(arrays.coef, arrays.breaks, arrays.values).breaks \
+        is arrays.breaks
+
+
+def test_derived_spans_keep_only_the_shape_check():
+    # an image whose multiplier overflowed is still a span: the relation
+    # suite at long horizons reports its residual as nan
+    v = exponential(constant(0.5, 1.0))
+    with pytest.raises(ValueError, match="^coef must be finite$"):
+        ExpSpan(np.array([math.inf + 0j]), v.breaks, v.values)
+    assert math.isinf(v._on_breaks(np.array([math.inf + 0j]),
+                                   v.values).coef[0].real)
+    with pytest.raises(ValueError, match="^values must be"):
+        ExpSpan._derived(v.coef, v.breaks, v.values[:, :0])
+
+
 def test_step_function_holds_read_only_array_copies():
     breaks, values = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0])
     f = StepFunction(breaks, values)
@@ -1055,13 +1117,14 @@ def _norm_warnings(spans):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gram_pre_check_changes_no_norm_and_no_warning(monkeypatch, seed):
-    spans = _near_collinear_spans(np.random.Generator(np.random.Philox(
-        key=seed)))
-    checked = _norm_warnings(spans)
+    def spans():  # drawn afresh for each side, as a span keeps its norm
+        return _near_collinear_spans(np.random.Generator(np.random.Philox(
+            key=seed)))
+    checked = _norm_warnings(spans())
     assert any(c is GramConditionWarning for c, _ in checked[1])
     monkeypatch.setattr(gaussian_algebra, "_well_conditioned",
                         lambda g, m: False)
-    assert _norm_warnings(spans) == checked
+    assert _norm_warnings(spans()) == checked
 
 
 def test_gram_pre_check_falls_back_when_eigvalsh_does_not_converge(
@@ -1093,3 +1156,123 @@ def test_relation_suite_keeps_its_wide_digest():
                     f"{w.category.__name__}: {w.message}\n".encode())
     assert digest.hexdigest() == (
         "a7693d299440630fe07c852e1af38225bf900681d9214e26d62560e44d93ab45")
+
+
+def _step_apply(p, v):
+    """Oracle: apply_automorphism as it was before the chain kernel, a
+    span built at every step."""
+    T, U, xi = v.horizon, complex(p.U), complex(p.xi)
+    mult = np.exp(1j * p.lam * T - 0.5 * abs(xi) ** 2 * T
+                  - xi.conjugate() * U * v.integrals)
+    parts = v.values.view(float).reshape(*v.values.shape, 2)
+    values = parts * U.real
+    values += parts[..., ::-1] * np.array((-U.imag, U.imag))
+    values += np.array((xi.real, xi.imag))
+    return v._on_breaks(v.coef * mult, values.view(complex)[..., 0])
+
+
+def _chains(rng, t):
+    """Chains of one to three automorphisms: each of relation_suite's
+    and each rotation by an axis alone, then every run of two and three
+    in their order, wrapping around."""
+    ps = _automorphisms(rng, t) + AXES
+    return ([[p] for p in ps] + [list(c) for c in zip(ps, ps[1:] + ps[:1])]
+            + [list(c) for c in zip(ps, ps[1:] + ps[:1], ps[2:] + ps[:2])])
+
+
+def _chain_bits(chain, v):
+    image = gaussian_algebra._compose_apply(chain, v)
+    assert image.values.flags.c_contiguous
+    assert image.breaks is v.breaks and image.widths is v.widths
+    expected = v
+    for p in chain:
+        expected = _step_apply(p, expected)
+    return _span_bytes(image), _span_bytes(expected)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 20.0])
+def test_chain_kernel_matches_one_span_per_step_to_the_bit(seed, t):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for trial in range(6):
+        v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)
+        for chain in _chains(rng, t):
+            image, expected = _chain_bits(chain, v)
+            assert image == expected
+        p = _automorphisms(rng, t)[-2]
+        assert (_span_bytes(apply_automorphism(p, v))
+                == _span_bytes(_step_apply(p, v)))
+
+
+def test_chain_kernel_on_a_real_valued_span_with_signed_zeros():
+    # real values carry +0.0 imaginary parts, and -0.0 real ones, through
+    # the rotations by the axes (U = +-1, +-i, with signed zero parts)
+    breaks = np.array([0.0, 0.25, 0.5, 1.0])
+    v = ExpSpan(np.array([1.0, -2.0, 0.0]), breaks,
+                np.array([[0.5, -2.0, 0.0], [-0.0, 1.5, -0.75],
+                          [-0.0, -0.0, 0.0]]))
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for chain in _chains(rng, 1.0):
+        image, expected = _chain_bits(chain, v)
+        assert image == expected
+
+
+def test_a_kept_norm_warns_on_every_call(monkeypatch):
+    # the singular Gram matrix of test_a_singular_gram_warns_inf_without_
+    # a_runtime_warning: the second call reads the kept norm and warns
+    # from it, attributed to its own caller
+    f = exponential(constant(0.5, 1.0))
+    v = f + f
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        first = v.norm()
+
+        def no_work(self):
+            raise AssertionError("the norm was taken again")
+        monkeypatch.setattr(ExpSpan, "_gram_norm", no_work)
+        second = v.norm()
+    assert np.float64(first).tobytes() == np.float64(second).tobytes()
+    assert [(w.category, str(w.message), w.filename) for w in record] == [
+        (GramConditionWarning, "Gram condition number inf exceeds 1e12; "
+                               "norm digits are unreliable", __file__)] * 2
+
+
+def test_the_weyl_residual_keeps_its_warnings_on_a_span_with_a_kept_norm():
+    # its first v.norm() reads the norm kept by the call before; the list
+    # is the one ccr_phase_residual gave when it took that norm afresh
+    f = exponential(constant(0.5, 1.0))
+    v = f + f
+    expected = [(GramConditionWarning, "Gram condition number inf exceeds "
+                                        "1e12; norm digits are unreliable")] * 2
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert ccr_phase_residual(0.7, -1.3, v) == 0.0
+        assert [(w.category, str(w.message)) for w in record] == expected
+        assert "_norm" in v.__dict__
+
+
+def test_an_overflowing_norm_is_taken_afresh_and_warns_on_every_call():
+    # exp(<f, f>) = exp(900) overflows; numpy's warning comes from the
+    # computation, so that norm is not kept
+    big = exponential(constant(30.0, 1.0))
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning) as record:
+            assert not math.isfinite(big.norm())
+        assert any("overflow encountered in exp" in str(w.message)
+                   for w in record)
+    assert "_norm" not in big.__dict__
+
+
+def test_relation_suite_keeps_its_warnings_where_norms_overflow():
+    # at t = 500 the trial spans' own norms overflow: the Weyl residual
+    # still warns of them, as it did when it took them afresh; md5 as in
+    # PINNED_RELATION_SUITES
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report = relation_suite(1, 2, 500.0)
+    text = repr(report.residuals) + "".join(
+        f"\n{w.category.__name__}: {w.message}" for w in record)
+    assert len(record) == 36
+    assert (hashlib.md5(text.encode()).hexdigest()
+            == "b4e0e6ef742939322f9384fb6dcc07dc")

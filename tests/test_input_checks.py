@@ -180,6 +180,7 @@ def test_non_finite_automorphism_inputs_are_refused_before_any_work(
     monkeypatch.setattr(ExpSpan, "norm", no_work)
     monkeypatch.setattr(gaussian_algebra, "ExpSpan", no_work)
     monkeypatch.setattr(gaussian_algebra, "apply_automorphism", no_work)
+    monkeypatch.setattr(gaussian_algebra, "_compose_apply", no_work)
     argument = name.split("-")[0]
     with pytest.raises(ValueError,
                        match=f"^{argument} must be (a )?finite.*, got "):
