@@ -111,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_algebra import (_check_count, _finite_amplitude,
-                               _positive_horizon, _whole)
+                               _finite_real, _positive_horizon, _whole)
 
 __all__ = [
     "CcrTriple",
@@ -432,10 +432,11 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     The block that does not depend on the angle is built once: the sign
     of q's even/odd block from the Gauss-Hermite nodes (oscillator), or
     the folded sinc block E (grid).  Every angle, t and the dimension n
-    are checked before any work; t feeds only the grid aliasing check.
+    are checked before any work, each angle a finite real number first;
+    t feeds only the grid aliasing check.
     """
     for alpha in alphas:
-        if not (math.pi / 2.0 < alpha <= math.pi):
+        if not (math.pi / 2.0 < _finite_real(alpha, "alpha") <= math.pi):
             raise ValueError("alpha must lie in (pi/2, pi]")
     t = _positive_horizon(t)
     n, x = _grid_points(scheme, n)
@@ -551,11 +552,13 @@ def convergence_study(schemes, n_list, alpha_list=(TWO_THIRDS_PI,),
     (scheme, N) is one kernel call for all the angles, so its wall time
     is split evenly across them: the seconds of a row are that call's
     time over the number of angles.  Every input is checked before any
-    work starts: each scheme and each N, a whole number of at least 2.
+    work starts: each angle, a finite real number, each scheme and each
+    N, a whole number of at least 2.
     """
     if isinstance(schemes, str):
         schemes = (schemes,)
-    n_list, alphas = list(n_list), [float(a) for a in alpha_list]
+    n_list = list(n_list)
+    alphas = [_finite_real(a, "alpha") for a in alpha_list]
     if not schemes or not n_list or not alphas:
         raise ValueError("schemes, n_list and alpha_list must be nonempty")
     for scheme in schemes:  # each name and each N, before any kernel

@@ -15,24 +15,24 @@ its m values.  A span is held the same way: coefficients c (k,), one
 partition of every term, and the values V (k, m) of the f_i on its
 intervals.  Both are read by one rule, _read: at time t, the value on
 the interval [s_j, s_j+1) holding t, and the last interval's at T.  The
-Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one matrix product; step
-functions and spans on different partitions are first read on their
-merge.  Operands on one partition (the same breaks, or equal ones) skip
-the merge: it would give back those breaks and each operand's own
-values, so _common returns them as they are.  A shift or rotation keeps
-a span on its partition, so both sides of every relation share one.
-The summation order of the Gram product follows the memory layout:
-_read returns its gathers F-ordered, and so does the shared case, which
-keeps every bit of the merged read; a span stores V C-contiguous
-whatever built it, so that one layout gives one norm, to the bit.
+Gram matrix is exp(V diag(s_j+1 - s_j) V^H), one matrix product.  Step
+functions and spans read together are read on the merge of their
+partitions, _merge, every time: on one partition the merge gives back
+those breaks and each operand's own values.  A shift or rotation keeps
+a span on its partition, so both sides of every relation share one,
+and their difference is the one read that skips the merge (see
+Subtraction below).  The summation order of the Gram product follows
+the memory layout: _read returns its gathers F-ordered, and a span
+stores V C-contiguous whatever built it, so that one layout gives one
+norm, to the bit.
 
 A span built by ExpSpan(coef, breaks, values) is checked as a step
-function is: a finite 1-D coef, breaks that are 1-D, start at 0, are
-finite and strictly increase, and finite values of shape (k, m), each
-refusal a ValueError naming the field.  The spans the package derives
-from checked ones (images, sums, differences, scaled copies and its
-random draws) skip all but the shape check, so the hot paths pay
-nothing for it.
+function is: a finite 1-D coef, breaks that pass the one partition
+check, _check_breaks (1-D, start at 0, finite, strictly increasing),
+and finite values of shape (k, m), each refusal a ValueError naming
+the field.  The spans the package derives from checked ones (images,
+sums, differences, scaled copies and its random draws) skip all but
+the shape check, so the hot paths pay nothing for it.
 
 The package never writes a span's arrays after it is built, so what
 depends on them alone is computed once: a span keeps its interval
@@ -48,7 +48,7 @@ arrays and builds one span, its last image (see _compose_apply); each
 step after the first takes values @ widths, the product that the
 integrals attribute of that step's span would take.  Reads of several
 spans merge their partitions once: random_span reads its unit part and
-every step term on one merge of all their breaks, and relation_suite's
+every step term on one _merge of all their breaks, and relation_suite's
 Gram check reads v, w, A v and A w on one merge.  Each gives the bits
 of reading every span on its own; the tests keep those reads as
 oracles.  None of this moves a bit of any result, or gains or loses a
@@ -59,8 +59,8 @@ hot paths take few of them, again without moving a bit.  An
 automorphism forms U f + xi on the float view of the values, shaped
 (k, m, 2), in four ufunc calls (see apply_automorphism).  A norm first
 asks eigvalsh whether its Gram matrix is far inside
-GRAM_CONDITION_LIMIT and takes the SVD of the condition number only
-when it is not (see ExpSpan.norm): the margin covers the roundoff of
+GRAM_CONDITION_LIMIT and takes np.linalg.cond, an SVD, only when it is
+not (see ExpSpan.norm): the margin covers the roundoff of
 every span size, so no warning is gained or lost.  A difference of two
 spans on one breaks array whose terms all join, with as many terms on
 each side, is the coefficient difference on v's values, which the
@@ -73,9 +73,10 @@ max(1, the larger sup norm), and its coefficient is subtracted from
 v's; every other term of w is appended, negated, in order.  The two
 sides of a relation map each term of one span to one term, in the same
 order, so their difference cancels term by term and its Gram matrix
-stays away from exact degeneracy.  On one breaks array, the two sides'
-values are paired as they are, without _common's F-ordered copies:
-the pairing is elementwise, so the layout moves no bit.
+stays away from exact degeneracy.  On one breaks array (the same
+array, not equal ones), the two sides' values are paired as they are,
+without the merge: it would give back the same breaks and values, and
+the pairing is elementwise, so no bit moves.
 
 The one-parameter automorphism family acts on these spans by
 
@@ -157,6 +158,20 @@ def _widths(breaks: np.ndarray) -> np.ndarray:
     return breaks[1:] - breaks[:-1]
 
 
+def _check_breaks(breaks: np.ndarray) -> None:
+    """The one partition check of step functions and spans: ValueError,
+    naming breaks, unless the float array breaks is 1-D with at least 2
+    entries, starts at 0, is finite and strictly increases."""
+    if breaks.ndim != 1 or len(breaks) < 2:
+        raise ValueError("breaks must be 1-D with at least 2 breakpoints")
+    if breaks[0] != 0.0:
+        raise ValueError("breaks must start at 0")
+    if not np.isfinite(breaks).all():
+        raise ValueError("breaks must be finite")
+    if not (breaks[1:] > breaks[:-1]).all():
+        raise ValueError("breaks must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant complex function on [0, T].
@@ -164,7 +179,8 @@ class StepFunction:
     breaks: float64 (m + 1,), strictly increasing, breaks[0] == 0 and
     breaks[-1] == T.  values: complex128 (m,), values[j] on the interval
     [breaks[j], breaks[j+1]).  Both arrays are read-only copies of the
-    arguments.
+    arguments; breaks is checked by _check_breaks, and values must be
+    finite, one per interval.
     """
 
     breaks: np.ndarray
@@ -173,15 +189,9 @@ class StepFunction:
     def __post_init__(self):
         breaks = np.array(self.breaks, dtype=float)
         values = np.array(self.values, dtype=complex)
-        if (breaks.ndim != 1 or len(breaks) < 2
-                or values.shape != (len(breaks) - 1,)):
+        _check_breaks(breaks)
+        if values.shape != (len(breaks) - 1,):
             raise ValueError("need m >= 1 intervals and m + 1 breakpoints")
-        if breaks[0] != 0.0:
-            raise ValueError("first breakpoint must be 0")
-        if not np.isfinite(breaks).all():
-            raise ValueError("breakpoints must be finite")
-        if not (breaks[1:] > breaks[:-1]).all():
-            raise ValueError("breakpoints must be strictly increasing")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         for name, array in (("breaks", breaks), ("values", values)):
@@ -211,31 +221,20 @@ class StepFunction:
         return out if times.ndim else complex(out)
 
 
+def _merge(pairs):
+    """The merged cuts of (breaks, values) pairs, and the values of each
+    read by _read at the merged midpoints."""
+    cuts = np.unique(np.concatenate([breaks for breaks, _ in pairs]))
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    return cuts, [_read(breaks, values, mids) for breaks, values in pairs]
+
+
 def _common(*fns):
-    """Merged cuts of step functions or spans on one horizon, and the
-    values of each read by _read at the merged midpoints.  When every
-    operand holds the same breaks, those and each one's values, in
-    _read's F order (module docstring)."""
+    """_merge of step functions or spans; ValueError unless they share
+    one horizon."""
     if len({f.horizon for f in fns}) > 1:
         raise ValueError("horizon mismatch")
-    first = fns[0].breaks
-    if all(f.breaks is first or (len(f.breaks) == len(first)
-                                 and (f.breaks == first).all())
-           for f in fns[1:]):
-        return first, [np.asfortranarray(f.values) for f in fns]
-    cuts = np.unique(np.concatenate([f.breaks for f in fns]))
-    mids = (cuts[:-1] + cuts[1:]) / 2.0
-    return cuts, [_read(f.breaks, f.values, mids) for f in fns]
-
-
-def _condition(g: np.ndarray) -> float:
-    """np.linalg.cond(g) of a finite matrix g, without its wrapper: the
-    ratio of the largest to the smallest singular value, inf where the
-    smallest is 0."""
-    sv = np.linalg.svd(g, compute_uv=False)
-    # Python floats, so that an overflow to inf raises no RuntimeWarning,
-    # as np.linalg.cond raises none
-    return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
+    return _merge([(f.breaks, f.values) for f in fns])
 
 
 def _well_conditioned(g: np.ndarray, m: int) -> bool:
@@ -244,7 +243,7 @@ def _well_conditioned(g: np.ndarray, m: int) -> bool:
     eigenvalues w, ascending, have w[0] > (1e-10 + 8 delta) w[-1], where
     delta = k (m + 6) 710 eps bounds the roundoff relative to the largest
     eigenvalue.  False when they do not, or when LAPACK does not
-    converge; ExpSpan.norm then takes _condition(g).  The margin
+    converge; ExpSpan.norm then takes np.linalg.cond(g).  The margin
     argument is in ExpSpan.norm's docstring."""
     try:
         w = np.linalg.eigvalsh(g)
@@ -305,14 +304,7 @@ class ExpSpan:
             raise ValueError("coef must be 1-D")
         if not np.isfinite(coef).all():
             raise ValueError("coef must be finite")
-        if breaks.ndim != 1 or len(breaks) < 2:
-            raise ValueError("breaks must be 1-D with at least 2 breakpoints")
-        if breaks[0] != 0.0:
-            raise ValueError("breaks must start at 0")
-        if not np.isfinite(breaks).all():
-            raise ValueError("breaks must be finite")
-        if not (breaks[1:] > breaks[:-1]).all():
-            raise ValueError("breaks must be strictly increasing")
+        _check_breaks(breaks)
         self._store(coef, breaks, values)
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
@@ -387,9 +379,9 @@ class ExpSpan:
     def norm(self) -> float:
         """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
         when G's condition number exceeds GRAM_CONDITION_LIMIT.  The
-        condition number, taken only of a finite G, is s[0] / s[-1] of
-        G's singular values s, and inf where s[-1] is 0: the value of
-        np.linalg.cond, without its wrapper.
+        condition number, taken only of a finite G, is np.linalg.cond(G):
+        s[0] / s[-1] of G's singular values s, and inf, with no
+        RuntimeWarning, where s[-1] is 0.
 
         It is taken only when _well_conditioned(G, m) fails: when the
         eigenvalues w of G, ascending, have w[0] <= (1e-10 + 8 delta)
@@ -434,7 +426,7 @@ class ExpSpan:
         finite = np.isfinite(g).all()
         cond = 0.0
         if len(g) >= 2 and finite and not _well_conditioned(g, len(self.widths)):
-            cond = _condition(g)
+            cond = float(np.linalg.cond(g))
         memo = math.sqrt(max(form, 0.0)), (
             cond if cond > GRAM_CONDITION_LIMIT else 0.0)
         if finite and math.isfinite(form):
@@ -460,13 +452,15 @@ def _finite_amplitude(zeta, name: str = "zeta") -> complex:
     return complex(zeta)
 
 
-def _finite_real(value, name: str) -> None:
-    """ValueError unless the parameter of this name is a finite real
-    number (a numbers.Real: int, float or a numpy real scalar).  A float,
-    numpy's float64 included, is one, so it skips the slower ABC check."""
+def _finite_real(value, name: str) -> float:
+    """The parameter of this name as a float; ValueError unless it is a
+    finite real number (a numbers.Real: int, float or a numpy real
+    scalar).  A float, numpy's float64 included, is one, so it skips the
+    slower ABC check."""
     if not ((isinstance(value, float) or isinstance(value, numbers.Real))
             and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _whole(value, name: str, low: int, high: float, rule: str) -> int:
@@ -663,10 +657,8 @@ def random_span(rng: np.random.Generator, t: float) -> ExpSpan:
     for _ in range(int(rng.integers(1, RANDOM_MAX_TERMS // 2 + 1))):
         coef.append([complex(*rng.uniform(-1.0, 1.0, size=2))])
         steps.append(_random_steps(rng, t))
-    cuts = np.unique(np.concatenate([units.breaks, *(b for b, _ in steps)]))
-    mids = (cuts[:-1] + cuts[1:]) / 2.0
-    values = [_read(units.breaks, units.values, mids)]
-    values += [_read(b, f, mids)[None] for b, f in steps]
+    cuts, values = _merge([(units.breaks, units.values),
+                           *((b, f[None]) for b, f in steps)])
     return ExpSpan._derived(np.concatenate(coef), cuts, np.concatenate(values))
 
 

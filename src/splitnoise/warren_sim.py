@@ -78,8 +78,8 @@ import numpy as np
 from . import __version__
 from .ccr_matrix import _write_csv
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
-                               _finite_amplitude, _positive_horizon, _whole,
-                               step_product)
+                               _finite_amplitude, _finite_real,
+                               _positive_horizon, _whole, step_product)
 
 __all__ = [
     "WarrenPath",
@@ -252,7 +252,10 @@ def draw_signs(path: WarrenPath, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperchaosVector:
-    """First-superchaos coefficient profile from the two-member catalog."""
+    """First-superchaos coefficient profile from the two-member catalog.
+
+    A WS profile's a and b are finite real grid times, 0 <= a < b <= 1;
+    each refusal is a ValueError, naming a or b when it is not a number."""
 
     kind: str
     w: StepFunction
@@ -267,7 +270,8 @@ class SuperchaosVector:
         if np.any(self.w.values.imag != 0.0):
             raise ValueError("profile weight must be real")
         if self.kind == "WS":
-            if self.a is None or self.b is None or not 0.0 <= self.a < self.b <= 1.0:
+            a, b = _finite_real(self.a, "a"), _finite_real(self.b, "b")
+            if not 0.0 <= a < b <= 1.0:
                 raise ValueError("WS profile needs grid times 0 <= a < b <= 1")
 
     @classmethod

@@ -94,7 +94,7 @@ def test_step_function_refuses_a_non_finite_breakpoint():
     for make in (lambda: StepFunction([0.0, 1.0, math.inf], [1, 2]),
                  lambda: StepFunction([0.0, math.nan, 1.0], [1, 2]),
                  lambda: StepFunction.indicator(0.0, 1.0, math.inf)):
-        with pytest.raises(ValueError, match="^breakpoints must be finite$"):
+        with pytest.raises(ValueError, match="^breaks must be finite$"):
             make()
 
 
@@ -154,7 +154,7 @@ def test_exp_span_stores_list_input_as_the_arrays_it_converts_to():
     assert (np.float64(listed.norm()).tobytes()
             == np.float64(arrays.norm()).tobytes())
     # a float64 breaks array is held as it is, so spans built on one
-    # share it and skip the merge
+    # share it, and their difference skips the merge
     assert ExpSpan(arrays.coef, arrays.breaks, arrays.values).breaks \
         is arrays.breaks
 
@@ -584,8 +584,9 @@ def test_subtraction_of_relation_images_equals_the_all_pairs_merge(seed, t):
 
 
 def _merged_common(*fns):
-    """Oracle: _common as it was, merging the partitions of every call,
-    shared or not, and reading each operand at the merged midpoints."""
+    """Oracle: the merge written out, merging the partitions of every
+    call, shared or not, and reading each operand at the merged
+    midpoints."""
     if len({f.horizon for f in fns}) > 1:
         raise ValueError("horizon mismatch")
     cuts = np.unique(np.concatenate([f.breaks for f in fns]))
@@ -630,22 +631,42 @@ def _operation_bits(rng, t):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
 def test_shared_partitions_skip_the_merge_to_the_bit(monkeypatch, seed, t):
-    # spans on one partition (the same array, or equal breaks) are read
-    # as they are; every result must keep the bits of the merged read
+    # v - w on one breaks array reads the values as they are; every
+    # result must keep the bits of the merged read, which the oracle run
+    # forces on every operation, v - w included, by giving v a copy of
+    # its breaks
     rng = np.random.Generator(np.random.Philox(key=seed))
     fast = [_operation_bits(rng, t) for _ in range(6)]
     monkeypatch.setattr(gaussian_algebra, "_common", _merged_common)
+    subtract = ExpSpan.__sub__
+    monkeypatch.setattr(ExpSpan, "__sub__", lambda v, w: subtract(
+        ExpSpan._derived(v.coef, v.breaks.copy(), v.values), w))
     rng = np.random.Generator(np.random.Philox(key=seed))
     assert fast == [_operation_bits(rng, t) for _ in range(6)]
 
 
 def test_gram_condition_number_is_numpys():
-    rng = np.random.Generator(np.random.Philox(key=17))
-    for _ in range(40):
-        fns = [random_step_function(rng, 2.0) for _ in range(rng.integers(2, 7))]
-        g = gram_matrix(fns)
-        assert (np.float64(gaussian_algebra._condition(g)).tobytes()
-                == np.linalg.cond(g).tobytes())
+    # the norm warns with np.linalg.cond of its Gram matrix, kept to the
+    # bit, exactly when that exceeds GRAM_CONDITION_LIMIT
+    warned = 0
+    for span in _near_collinear_spans(np.random.Generator(
+            np.random.Philox(key=17))):
+        g = np.exp(gaussian_algebra._inner_on(span.values, span.values,
+                                              span.widths))
+        cond = np.linalg.cond(g)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            span.norm()
+        if cond <= gaussian_algebra.GRAM_CONDITION_LIMIT:
+            assert record == []
+            continue
+        warned += 1
+        assert [(w.category, str(w.message)) for w in record] == [
+            (GramConditionWarning, f"Gram condition number {cond:.2e} "
+                                   "exceeds 1e12; norm digits are unreliable")]
+        assert (np.float64(span._gram_norm()[1]).tobytes()
+                == cond.tobytes())
+    assert warned >= 10
 
 
 def test_a_singular_gram_warns_inf_without_a_runtime_warning():
@@ -899,7 +920,7 @@ def test_cached_widths_and_integrals_are_the_direct_ones(seed, t):
 @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
 def test_subtraction_on_one_breaks_array_matches_the_shared_read(seed, t):
     # on one breaks array the values are used as they are; on equal but
-    # distinct breaks, _common's F-ordered copies: the same bits either way
+    # distinct breaks, the merge: the same bits either way
     rng = np.random.Generator(np.random.Philox(key=seed))
     for trial in range(10):
         v = random_unit_span(rng, t) if trial % 2 == 0 else random_span(rng, t)

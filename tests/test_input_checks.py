@@ -5,7 +5,9 @@ amplitude, of an automorphism's lam, xi and U, of unit's a and zeta, of
 the Weyl residual's lam and mu and of an evaluator's probe times: a
 non-whole size used to be truncated, resized or end in a TypeError, a
 non-finite amplitude or parameter in NaN results, and a non-finite probe
-time in an OverflowError that named no parameter."""
+time in an OverflowError that named no parameter.  An angle alpha and a
+WS profile's times a and b must be real numbers: one that was not, such
+as a string, ended in a TypeError or a ValueError that named neither."""
 
 import math
 import re
@@ -18,6 +20,7 @@ from splitnoise import gaussian_algebra
 from splitnoise.gaussian_algebra import (
     AutomorphismParams,
     ExpSpan,
+    StepFunction,
     ccr_phase_residual,
     relation_suite,
     unit,
@@ -33,6 +36,7 @@ from splitnoise.ccr_matrix import (
 )
 from splitnoise.warren_sim import (
     PsiSpec,
+    SuperchaosVector,
     WarrenPath,
     chaos_eval_under_probe,
     endpoint_sign_evaluator,
@@ -198,6 +202,46 @@ def test_a_real_automorphism_parameter_must_be_a_real_number(value):
         with pytest.raises(ValueError, match=(
                 f"^{name} must be a finite real number, got "
                 f"{re.escape(repr(value))}$")):
+            call()
+
+
+WS_WEIGHT = StepFunction([0.0, 1.0], [1.0])
+REAL_NUMBER_CALLS = {
+    "lemma23_value": ("alpha", lambda x: lemma23_value(x, 0.5, 16)),
+    "lemma23_value-grid": ("alpha",
+                           lambda x: lemma23_value(x, 0.5, 16, "grid")),
+    "convergence_study": ("alpha", lambda x: convergence_study(
+        "oscillator", [16], [2.0, x])),
+    "ws-a": ("a", lambda x: SuperchaosVector("WS", WS_WEIGHT, x, 1.0)),
+    "ws-b": ("b", lambda x: SuperchaosVector("WS", WS_WEIGHT, 0.5, x)),
+}
+
+
+@pytest.mark.parametrize("value", ["2.0", "x", None, 0.5j],
+                         ids=["numeric-str", "str", "none", "complex"])
+@pytest.mark.parametrize("entry", sorted(REAL_NUMBER_CALLS))
+def test_angles_and_profile_times_must_be_real_numbers(monkeypatch, entry,
+                                                       value):
+    # lemma23_value("2.0", 0.5, 16) and SuperchaosVector("WS", w, "0.5",
+    # "1.0") raised TypeError: '<' not supported, and convergence_study
+    # with an angle "x" "could not convert string to float: 'x'"
+    name, call = REAL_NUMBER_CALLS[entry]
+    refuse_to_work(monkeypatch)
+    with pytest.raises(ValueError, match=(
+            f"^{name} must be a finite real number, got "
+            f"{re.escape(repr(value))}$")):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.0, 4.0],
+                         ids=["nan", "inf", "below", "above"])
+def test_a_non_finite_or_out_of_range_angle_is_refused_naming_alpha(
+        monkeypatch, value):
+    refuse_to_work(monkeypatch)
+    for call in (lambda: lemma23_value(value, 0.5, 16),
+                 lambda: lemma23_value(value, 0.5, 16, "grid"),
+                 lambda: convergence_study("oscillator", [16], [value])):
+        with pytest.raises(ValueError, match="alpha"):
             call()
 
 
