@@ -57,43 +57,52 @@ so its spectrum is +-(singular values of the real block M), padded with
 zeros for odd N, and the value is the top singular value of M.  The sign
 of a bipartite [[0, B], [B^*, 0]] is [[0, U], [U^*, 0]] with U = W V^*
 the polar factor of B = W Sigma V^* (Higham, Functions of Matrices,
-SIAM 2008).  The top singular value of M is the square root of the top
-eigenvalue of the smaller of M^T M and M M^T, found by Lanczos with full
-reorthogonalization (Golub & Van Loan, Matrix Computations, ch. 10) from
-the start vector cos(1.234 j + 0.5), until the Ritz residual is at most
-1e-15 times the Ritz value.  The top is isolated (1.256 against 1.171 at
-N = 1024), so that takes about 10 steps.  What does not depend on the
-angle is built once per N, so a study at several angles shares it.
+SIAM 2008).  `_top_singular_value` finds the top singular value by
+Lanczos on the smaller of M^T M and M M^T (Golub & Van Loan, Matrix
+Computations, ch. 10), and it sees M only through a product
+z -> M z or M^T z; the top is isolated (1.256 against 1.171 at
+N = 1024), so it takes about 10 steps.  Each scheme supplies its block's
+product for one angle, and no N/2 matrix is formed per angle.  What does
+not depend on the angle is built once per N, so a study at several
+angles shares it.
 
 * oscillator: e^{i theta N} q e^{-i theta N} = q cos theta + p sin theta
   holds exactly in the truncation, so S = sgn q o [1 + 2 cos(alpha (j - l))]
   entrywise, which is real.  q couples even levels to odd levels only,
-  so M = U_q o [1 + 2 cos(alpha (even - odd))], with U_q the polar
-  factor of the bidiagonal even-row/odd-column block B_q of q.  The
-  truncation is the N-point Gauss-Hermite rule (Golub & Welsch, Math.
-  Comp. 23, 1969): the eigenvalues of q are the zeros of the degree-N
-  Hermite polynomial, and the eigenvector at a node x has the components
-  v_j(x) of the orthonormal three-term recurrence.  Parity gives
-  v_j(-x) = (-1)^j v_j(x), so U_q = 2 Psi_even Psi_odd^T, with Psi the
-  normalized eigenvectors at the positive nodes.  The nodes are
-  sqrt(eigvalsh(B_q^T B_q)), with the tridiagonal B_q^T B_q in closed
-  form, each refined by one Newton step on v_N; no SVD is taken.  One
-  rescaled recurrence does both jobs: run at the eigvalsh nodes it gives
-  the Newton step, whose derivative v_N' the Christoffel-Darboux
-  identity sum_{j<N} v_j^2 = beta_N v_N' v_{N-1} (at v_N = 0; Szego,
-  Orthogonal Polynomials, Thm 3.2.2) takes from sums it already forms,
-  and run at the refined nodes it gives Psi.  It divides out a power of
-  two every 32 levels: unscaled, v_j reaches about 1.6e214 at N = 512,
-  so its squared norms overflow.  U_q is built once per N; only the
-  weight depends on alpha.
+  so M = U_q o [1 + 2 cos(alpha (2r - 2l - 1))] couples level 2r to level
+  2l + 1, with U_q the polar factor of the bidiagonal even-row/odd-column
+  block B_q of q.  The truncation is the N-point Gauss-Hermite rule
+  (Golub & Welsch, Math. Comp. 23, 1969): the eigenvalues of q are the
+  zeros of the degree-N Hermite polynomial, and the eigenvector at a
+  node x has the components v_j(x) of the orthonormal three-term
+  recurrence.  Parity gives v_j(-x) = (-1)^j v_j(x), so
+  U_q = 2 Psi_even Psi_odd^T, with Psi the normalized eigenvectors at
+  the positive nodes.  The nodes are sqrt(eigvalsh(B_q^T B_q)), with the
+  tridiagonal B_q^T B_q in closed form, each refined by one Newton step
+  on v_N; no SVD is taken.  One rescaled recurrence does both jobs: run
+  at the eigvalsh nodes it gives the Newton step, whose derivative v_N'
+  the Christoffel-Darboux identity sum_{j<N} v_j^2 = beta_N v_N' v_{N-1}
+  (at v_N = 0; Szego, Orthogonal Polynomials, Thm 3.2.2) takes from
+  sums it already forms, and run at the refined nodes it gives Psi.  It
+  divides out a power of two every 32 levels: unscaled, v_j reaches
+  about 1.6e214 at N = 512, so its squared norms overflow.  U_q is
+  built once per N.  Per angle the weight splits into three terms,
+  1 + 2 cos(2 alpha r) cos(alpha (2l + 1))
+  + 2 sin(2 alpha r) sin(alpha (2l + 1)), so M is the sum over j of
+  diag(left_j) U_q diag(right_j) for a (rows, 3) factor left and a
+  (cols, 3) factor right, and M z = sum_j left_j o U_q (right_j o z) is
+  one 3-column product with U_q each way.
 * grid: Q is real diagonal and P imaginary, so sgn(c Q - s P) is the
   complex conjugate of sgn(c Q + s P) and S = sgn Q + 2 Re sgn(c Q + s P).
   Both Q and P are odd under the reflection x -> -x, so in the basis of
-  reflection-odd and reflection-even vectors M = 2 Re polar(B) - [I | 0],
-  with B the block of c Q + s P and -[I | 0] that of sgn Q.  Only the
-  top N/2 rows of the derivative enter B = c diag(x_j) - i s E: E, the
-  folded top rows, is built once per N, and B and its polar factor,
-  from a thin SVD, once per angle.
+  reflection-odd and reflection-even vectors M = 2 Re(W V^*) - [I | 0],
+  with W V^* the polar factor of the block B of c Q + s P and -[I | 0]
+  the block of sgn Q.  Only the top N/2 rows of the derivative enter
+  B = c diag(x_j) - i s E: E, the folded top rows, is built once per N,
+  and B and its thin SVD once per angle.  The product applies
+  M z = 2 Re(W (V^* z)) - z[:N/2] and M^T z = 2 Re(conj(V) (W^T z))
+  - [z; 0] without forming W V^* or its real part, and each angle's B,
+  W and V^* are freed before the next angle's SVD.
 
 For odd N the block is (N+1)/2 x (N-1)/2 or its transpose.  Its polar
 factor vanishes on the kernel vector (the oscillator's sum over nodes
@@ -290,16 +299,11 @@ def sgn_op(a: np.ndarray) -> np.ndarray:
     return (v * np.where(np.abs(w) <= tol, 0.0, np.sign(w))) @ v.conj().T
 
 
-def _polar(b: np.ndarray) -> np.ndarray:
-    """Polar factor W V^* of b = W Sigma V^* (thin SVD); for a full-rank
-    rectangular b it vanishes on the complement of b's range."""
-    w, _, vh = np.linalg.svd(b, full_matrices=False)
-    return w @ vh
-
-
-def _top_singular_value(m: np.ndarray) -> float:
-    """Largest singular value of a real matrix: Lanczos on the smaller of
-    the Gram matrices m^T m and m m^T, applied as two products and never
+def _top_singular_value(product, shape: tuple[int, int]) -> float:
+    """Largest singular value of a real rows x cols matrix M of the given
+    shape, known only by its product: product(z, transpose) returns M z,
+    or M^T z when transpose is set.  Lanczos runs on the smaller of the
+    Gram matrices M^T M and M M^T, applied as two products and never
     formed (Golub & Van Loan, Matrix Computations, ch. 10).
 
     Every step is reorthogonalized against all earlier ones, twice.  The
@@ -309,13 +313,13 @@ def _top_singular_value(m: np.ndarray) -> float:
     space is invariant, so theta is exact), or after as many steps as the
     Gram matrix has rows.
     """
-    a = m.T if m.shape[0] > m.shape[1] else m  # the Gram matrix is a a^T
-    q = np.cos(1.234 * np.arange(a.shape[0]) + 0.5)
+    tall = shape[0] > shape[1]  # the Gram matrix is then M^T M
+    q = np.cos(1.234 * np.arange(min(shape)) + 0.5)
     basis = [q / math.sqrt(q @ q)]
     alphas, betas = [], []
     while True:
         qs = np.array(basis)
-        w = a @ (a.T @ basis[-1])
+        w = product(product(basis[-1], not tall), tall)
         h = qs @ w
         w -= qs.T @ h
         w -= qs.T @ (qs @ w)
@@ -326,7 +330,7 @@ def _top_singular_value(m: np.ndarray) -> float:
         t.flat[1::steps + 1] = t.flat[steps::steps + 1] = betas
         theta, y = np.linalg.eigh(t)
         if (beta == 0.0 or beta * abs(y[-1, -1]) <= 1e-15 * theta[-1]
-                or steps == a.shape[0]):
+                or steps == len(q)):
             return math.sqrt(max(theta[-1], 0.0))
         betas.append(beta)
         basis.append(w / beta)
@@ -399,17 +403,18 @@ def _hermite_nodes(n: int) -> np.ndarray:
     return x + _hermite_levels(x, n)[2]
 
 
-def _oscillator_sign_block(n: int) -> np.ndarray:
-    """sgn(q)[0::2, 1::2], q's sign coupling even levels to odd ones.
-
-    The eigenvector of q at the node x has components v_j(x), the levels
-    of _hermite_levels.  Parity gives v_j(-x) = (-1)^j v_j(x), so with
-    columns normalized (the Christoffel weights) the block is
-    2 Psi_even Psi_odd^T over the positive nodes.  For odd n the zero
-    node drops out, so sgn(0) = 0 holds exactly.
-    """
-    v, norms, _ = _hermite_levels(_hermite_nodes(n), n)
-    return (v[0::2] * (2.0 / norms)) @ v[1::2].T
+def _oscillator_product(u: np.ndarray, alpha: float):
+    """The product, as _top_singular_value takes it, of the oscillator's
+    block M = u o [1 + 2 cos(alpha (2r - 2l - 1))] at the angle alpha,
+    u = sgn(q)[0::2, 1::2], by the module docstring's three-term split of
+    the weight: left holds 1, 2 cos and 2 sin of alpha times the even
+    levels, right 1, cos and sin of alpha times the odd ones."""
+    a = alpha * np.arange(sum(u.shape))  # alpha times the levels 0..N-1
+    f = np.stack([np.ones_like(a), np.cos(a), np.sin(a)], axis=1)
+    left, right = f[0::2] * (1.0, 2.0, 2.0), f[1::2]
+    return lambda z, transpose: (
+        np.einsum("ij,ij->i", right, u.T @ (left * z[:, None])) if transpose
+        else np.einsum("ij,ij->i", left, u @ (right * z[:, None])))
 
 
 def _grid_block(x: np.ndarray) -> np.ndarray:
@@ -426,14 +431,33 @@ def _grid_block(x: np.ndarray) -> np.ndarray:
     return e
 
 
+def _grid_product(e: np.ndarray, x: np.ndarray, alpha: float):
+    """The product, as _top_singular_value takes it, of the grid's block
+    M = 2 Re(W V^*) - [I | 0] at the angle alpha, from the thin SVD
+    B = c diag(x[:k]) - i s E = W Sigma V^*, E = _grid_block(x), without
+    forming W V^*.  Only W and V^* outlive the call, held by the
+    product."""
+    k = len(e)
+    b = (-1j * math.sin(alpha)) * e
+    b[np.diag_indices(k)] += math.cos(alpha) * x[:k]
+    w, _, vh = np.linalg.svd(b, full_matrices=False)
+
+    def product(z, transpose):
+        y = 2.0 * ((vh.T @ (w.T @ z)) if transpose else (w @ (vh @ z))).real
+        y[:k] -= z[:k]  # sgn Q: x_j < 0 for j < N/2
+        return y
+    return product
+
+
 def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     """Raw sign-sum norm of the angle-alpha triple for each alpha, one N.
 
     The block that does not depend on the angle is built once: the sign
     of q's even/odd block from the Gauss-Hermite nodes (oscillator), or
-    the folded sinc block E (grid).  Every angle, t and the dimension n
-    are checked before any work, each angle a finite real number first;
-    t feeds only the grid aliasing check.
+    the folded sinc block E (grid); then each angle is one
+    _top_singular_value call on that angle's product.  Every angle, t and
+    the dimension n are checked before any work, each angle a finite real
+    number first; t feeds only the grid aliasing check.
     """
     for alpha in alphas:
         if not (math.pi / 2.0 < _finite_real(alpha, "alpha") <= math.pi):
@@ -441,26 +465,15 @@ def _sign_sum_values(scheme: str, n: int, alphas, t: float) -> list[float]:
     t = _positive_horizon(t)
     n, x = _grid_points(scheme, n)
     _warn_if_aliased(x, t, stacklevel=4)
-    k = n // 2
     if x is None:
-        u = _oscillator_sign_block(n)
-        # u[r, l] couples level 2r to level 2l + 1: r - l + k - 1 indexes
-        # the level differences 1 - 2k, 3 - 2k, ..., 2n - 2k - 3
-        diffs = np.arange(1 - 2 * k, 2 * (n - k) - 2, 2.0)
-        return [_top_singular_value(
-                    u * _toeplitz(1.0 + 2.0 * np.cos(alpha * diffs), k))
+        v, norms, _ = _hermite_levels(_hermite_nodes(n), n)
+        u = (v[0::2] * (2.0 / norms)) @ v[1::2].T  # sgn(q)[0::2, 1::2]
+        return [_top_singular_value(_oscillator_product(u, alpha), u.shape)
                 for alpha in alphas]
     # basis (e_j -+ e_{N-1-j})/sqrt 2 for j < N/2, then the centre point
     e = _grid_block(x)
-    diag = np.arange(k)
-    values = []
-    for alpha in alphas:
-        b = (-1j * math.sin(alpha)) * e
-        b[diag, diag] += math.cos(alpha) * x[:k]
-        m = 2.0 * _polar(b).real
-        m[diag, diag] -= 1.0  # sgn Q: x_j < 0 for j < N/2
-        values.append(_top_singular_value(m))
-    return values
+    return [_top_singular_value(_grid_product(e, x, alpha), e.shape)
+            for alpha in alphas]
 
 
 def sign_sum_norm(scheme: str, n: int) -> float:

@@ -254,8 +254,9 @@ def draw_signs(path: WarrenPath, rng: np.random.Generator) -> np.ndarray:
 class SuperchaosVector:
     """First-superchaos coefficient profile from the two-member catalog.
 
-    A WS profile's a and b are finite real grid times, 0 <= a < b <= 1;
-    each refusal is a ValueError, naming a or b when it is not a number."""
+    A WS profile's a and b are finite real grid times, 0 <= a < b <= 1,
+    kept as floats; each refusal is a ValueError, naming a or b when it is
+    not a number."""
 
     kind: str
     w: StepFunction
@@ -273,6 +274,8 @@ class SuperchaosVector:
             a, b = _finite_real(self.a, "a"), _finite_real(self.b, "b")
             if not 0.0 <= a < b <= 1.0:
                 raise ValueError("WS profile needs grid times 0 <= a < b <= 1")
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
 
     @classmethod
     def deterministic(cls, w: StepFunction) -> "SuperchaosVector":
@@ -280,7 +283,7 @@ class SuperchaosVector:
 
     @classmethod
     def sign_modulated(cls, w: StepFunction, a: float, b: float) -> "SuperchaosVector":
-        return cls("WS", w, float(a), float(b))
+        return cls("WS", w, a, b)
 
     def weight_profile(self, m: int) -> np.ndarray:
         """w at every grid time j/m (sign factor excluded)."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from splitnoise import ccr_matrix, gaussian_algebra, warren_sim
@@ -329,6 +330,25 @@ def test_monte_carlo_artifacts_keep_their_pinned_bytes(command, threads,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of a norm study over even and odd N and every angle class: the
+# symmetric triple's 2 pi / 3, an angle on each side of it, and the
+# degenerate alpha = pi, where both rotated terms reduce to -sgn Q; at odd
+# N both schemes' blocks must keep sgn(0) = 0 on the kernel vector
+PINNED_ODD_N_NORM_STUDY = (["norm-study", "--scheme", "both",
+                            "--dims", "16,17,32,33,64", "--alpha",
+                            "2.0943951023931953,2.9,1.7,3.141592653589793"],
+                           "440526b0804c01aa2661dcf93dd005e1"
+                           "3ef5dc35b2ce54aab19189efffebac74")
+
+
+def test_norm_study_keeps_its_pinned_bytes_at_odd_n_and_every_angle(
+        tmp_path, capsys):
+    argv, digest = PINNED_ODD_N_NORM_STUDY
+    out = tmp_path / "norm_study.csv"
+    assert run([*argv, "--out", str(out)], capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # md5 of weyl-suite's standard output at seed 1 and 50 trials: the span
 # algebra must keep its residuals to the bit
 PINNED_WEYL_STDOUT = (["weyl-suite", "--seed", "1", "--trials", "50"],
@@ -447,11 +467,11 @@ INPUT_FILES = {
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
 def test_bad_inputs_exit_two_before_any_work(argv, tmp_path, capsys,
                                              monkeypatch):
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
     monkeypatch.setattr(warren_sim, "draw_walks", no_work)
     monkeypatch.setattr(warren_sim, "sample_path", no_work)
-    monkeypatch.setattr(ccr_matrix, "_polar", no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
     monkeypatch.setattr(ccr_matrix, "_hermite_nodes", no_work)
     monkeypatch.setattr(gaussian_algebra, "random_unit_span", no_work)
     monkeypatch.chdir(tmp_path)

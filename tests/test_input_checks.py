@@ -51,13 +51,14 @@ from splitnoise.warren_sim import (
 
 
 def refuse_to_work(monkeypatch):
-    """Make every dense builder, sign kernel and walk or endpoint draw
-    fail, so that a check that comes too late is caught."""
+    """Make every dense builder, sign kernel (the grid's through numpy's
+    SVD) and walk or endpoint draw fail, so that a check that comes too
+    late is caught."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
-    for name in ("_ladder_entries", "_sinc_diagonals", "_hermite_nodes",
-                 "_polar"):
+    for name in ("_ladder_entries", "_sinc_diagonals", "_hermite_nodes"):
         monkeypatch.setattr(ccr_matrix, name, no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
     for name in ("draw_walks", "sample_path", "replica_rng"):
         monkeypatch.setattr(warren_sim, name, no_work)
 
@@ -214,6 +215,10 @@ REAL_NUMBER_CALLS = {
         "oscillator", [16], [2.0, x])),
     "ws-a": ("a", lambda x: SuperchaosVector("WS", WS_WEIGHT, x, 1.0)),
     "ws-b": ("b", lambda x: SuperchaosVector("WS", WS_WEIGHT, 0.5, x)),
+    "sign_modulated-a": ("a", lambda x: SuperchaosVector.sign_modulated(
+        WS_WEIGHT, x, 1.0)),
+    "sign_modulated-b": ("b", lambda x: SuperchaosVector.sign_modulated(
+        WS_WEIGHT, 0.5, x)),
 }
 
 
@@ -223,8 +228,10 @@ REAL_NUMBER_CALLS = {
 def test_angles_and_profile_times_must_be_real_numbers(monkeypatch, entry,
                                                        value):
     # lemma23_value("2.0", 0.5, 16) and SuperchaosVector("WS", w, "0.5",
-    # "1.0") raised TypeError: '<' not supported, and convergence_study
-    # with an angle "x" "could not convert string to float: 'x'"
+    # "1.0") raised TypeError: '<' not supported, convergence_study with
+    # an angle "x" "could not convert string to float: 'x'", and
+    # sign_modulated converted "2.0" to a float before the constructor
+    # checked it
     name, call = REAL_NUMBER_CALLS[entry]
     refuse_to_work(monkeypatch)
     with pytest.raises(ValueError, match=(

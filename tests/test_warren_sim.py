@@ -241,6 +241,15 @@ def test_profile_validation():
         SuperchaosVector.sign_modulated(w, 0.7, 0.2)
 
 
+def test_ws_profile_keeps_its_times_as_the_floats_it_checked():
+    # SuperchaosVector("WS", w, 0, 1).a was the int 0; sign_modulated's
+    # refusals are in test_input_checks.py's REAL_NUMBER_CALLS
+    w = StepFunction.indicator(0.0, 0.5, 1.0)
+    for f in (SuperchaosVector("WS", w, 0, 1),
+              SuperchaosVector.sign_modulated(w, np.int64(0), np.float32(1))):
+        assert (type(f.a), type(f.b), f.a, f.b) == (float, float, 0.0, 1.0)
+
+
 def test_weight_profile_reads_w_at_the_grid_times():
     # breaks off the 1/64 grid, and one on it (0.25 = 16/64), which opens
     # the interval to its right
