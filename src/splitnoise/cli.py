@@ -26,7 +26,8 @@ import sys
 
 from . import ccr_matrix, warren_sim
 from .ccr_matrix import TWO_THIRDS_PI
-from .gaussian_algebra import _check_count, _check_seed, _whole, relation_suite
+from .gaussian_algebra import (_check_count, _check_seed, _finite_real,
+                               _whole, relation_suite)
 from .warren_sim import Lemma43Row, _check_grid
 
 
@@ -180,13 +181,6 @@ def _cmd_lemma43(args) -> str:
             f"delta={best.delta:.6g}): {ratios} -> {out}")
 
 
-def _finite(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not a finite number")
-    return x
-
-
 def _checked_int(check, *args):
     """A CSV field converter: the field as an int, passed through check
     (one of the library's checks, with args after the value)."""
@@ -195,9 +189,10 @@ def _checked_int(check, *args):
 
 def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
     """Each row of a CSV artifact below its header line, its fields
-    converted by types (one callable per column).  A row of the wrong
-    width or with a field that does not convert raises ValueError naming
-    the file and the line."""
+    converted by types (one callable per column); a float column's field
+    is parsed by float() and checked by _finite_real, named by its
+    column.  A row of the wrong width or with a field that does not
+    convert raises ValueError naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)
                  if ln.strip()]
@@ -209,7 +204,9 @@ def _read_csv(path: str, header: str, what: str, types) -> list[tuple]:
         try:
             if len(fields) != len(types):
                 raise ValueError(f"{len(fields)} fields, expected {len(types)}")
-            rows.append(tuple(f(x) for f, x in zip(types, fields)))
+            rows.append(tuple(
+                _finite_real(f(x), name) if f is float else f(x)
+                for f, x, name in zip(types, fields, header.split(","))))
         except ValueError as exc:
             raise ValueError(f"{path} line {no}: {exc}") from None
     if not rows:
@@ -223,19 +220,23 @@ def _read_norm_row(path: str) -> tuple:
     value; ties go to the first such row.  N must be at least 2."""
     dimension = _checked_int(_whole, "N", 2, math.inf, "be at least 2")
     rows = _read_csv(path, ccr_matrix.NORM_STUDY_HEADER, "norm-study",
-                     (str, dimension, _finite, _finite, _finite, _finite))
+                     (str, dimension, float, float, float, float))
     return max(rows, key=lambda r: (r[1], -abs(r[2] - TWO_THIRDS_PI), r[4]))
 
 
 def _read_lemma43_rows(path: str) -> list[Lemma43Row]:
     """The rows of a lemma43 table, n and samples at least 1, m at least
-    4 and the seed in [0, 2**63), as the library checks them.  The CSV
-    carries no u_mass columns: they read back as 0.0."""
-    types = (_checked_int(_check_count, "n"), _finite,
+    4 and the seed in [0, 2**63), as the library checks them.  Each field
+    is read by its LEMMA43_HEADER name; the CSV holds no u_mass,
+    u_mass_stderr or u_ratio_stderr, and they read back as NaN."""
+    header = warren_sim.LEMMA43_HEADER
+    types = (_checked_int(_check_count, "n"), float,
              _checked_int(_check_grid), _checked_int(_check_count, "samples"),
-             _finite, _finite, _finite, _finite, _checked_int(_check_seed))
-    return [Lemma43Row(*r[:8], 0.0, 0.0, r[8]) for r in
-            _read_csv(path, warren_sim.LEMMA43_HEADER, "lemma43", types)]
+             float, float, float, float, _checked_int(_check_seed))
+    unread = dict.fromkeys(("u_mass", "u_mass_stderr", "u_ratio_stderr"),
+                           math.nan)
+    return [Lemma43Row(**dict(zip(header.split(","), r)), **unread)
+            for r in _read_csv(path, header, "lemma43", types)]
 
 
 def _cmd_obstruction(args) -> str:

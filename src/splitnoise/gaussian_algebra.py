@@ -204,8 +204,13 @@ class StepFunction:
 
     @classmethod
     def indicator(cls, a, b, horizon) -> "StepFunction":
-        """1 on (a, b), zero elsewhere on [0, horizon]."""
-        a, b, horizon = float(a), float(b), float(horizon)
+        """1 on (a, b), zero elsewhere on [0, horizon]: a and b finite
+        real numbers and horizon a real number (_is_real), each refusal a
+        ValueError naming it; a non-finite horizon is the breaks check's
+        to refuse."""
+        a, b = _finite_real(a, "a"), _finite_real(b, "b")
+        if not _is_real(horizon):
+            raise ValueError(f"horizon must be a real number, got {horizon!r}")
         if not 0.0 <= a < b <= horizon:
             raise ValueError("need 0 <= a < b <= horizon")
         breaks = np.array(sorted({0.0, a, b, horizon}))
@@ -374,7 +379,10 @@ class ExpSpan:
                                 cuts, np.concatenate([a, b[~joins]]))
 
     def scaled(self, factor) -> "ExpSpan":
-        return self._on_breaks(complex(factor) * self.coef, self.values)
+        """The span with every coefficient times factor, a finite complex
+        number (_finite_amplitude)."""
+        return self._on_breaks(_finite_amplitude(factor, "factor") * self.coef,
+                               self.values)
 
     def norm(self) -> float:
         """sqrt(c^T G conj(c)) over the Gram matrix G of the terms; warns
@@ -434,33 +442,51 @@ class ExpSpan:
         return memo
 
 
+def _is_real(value) -> bool:
+    """The real rule: True for a numbers.Real (int, float or a numpy real
+    scalar) that is not a bool, which numbers.Real would take as 0 or 1;
+    a numeric string such as "0.5" is not one.  A float, numpy's float64
+    included, is one, so it skips the slower ABC check.  A range check
+    whose refusal has its own words (a grid time, an indicator's horizon)
+    calls it directly; every other real goes through _finite_real."""
+    return isinstance(value, (float, numbers.Real)) and type(value) is not bool
+
+
+def _finite_real(value, name: str, low=-math.inf, high=math.inf,
+                 rule="be a finite real number") -> float:
+    """value as a float; ValueError unless it passes the real rule,
+    _is_real, and lies in the open interval (low, high), which rule says
+    in words: "{name} must {rule}, got {value!r}".  With the default
+    bounds that is a finite real number.  The one check of every real
+    parameter: angles, times, lam and mu, a constant evaluator's value,
+    a probe offset delta, a norm or mass, and each float field of a CSV
+    artifact.  A float, numpy's float64 included, skips _is_real's call
+    and is compared as a Python float, which keeps the relation suite's
+    dozens of checks per trial cheap."""
+    x = float(value) if isinstance(value, float) or _is_real(value) else math.nan
+    if not low < x < high:
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return x
+
+
 def _positive_horizon(t, bound: float = math.inf) -> float:
-    """t as a float; ValueError unless it is positive and finite, and at
-    most bound."""
-    if not 0.0 < float(t) < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t!r}")
-    if float(t) > bound:
+    """t as a float, by _finite_real's rule with the range (0, inf), "t
+    must be positive and finite"; ValueError too for t above bound."""
+    t = _finite_real(t, "t", 0.0, rule="be positive and finite")
+    if t > bound:
         raise ValueError(f"t must be at most {bound!r}, got {t!r}")
-    return float(t)
+    return t
 
 
 def _finite_amplitude(zeta, name: str = "zeta") -> complex:
     """A coherent amplitude zeta, or the complex parameter of this name,
-    as a complex; ValueError unless both of its parts are finite."""
-    if not cmath.isfinite(complex(zeta)):
+    as a complex; ValueError unless it is a numbers.Complex that is not a
+    bool (a numeric string such as "1+1j" is not one) with both parts
+    finite.  A complex or a float skips the slower ABC check."""
+    if not ((isinstance(zeta, (complex, float)) or type(zeta) is not bool
+             and isinstance(zeta, numbers.Complex)) and cmath.isfinite(zeta)):
         raise ValueError(f"{name} must be finite, got {zeta!r}")
     return complex(zeta)
-
-
-def _finite_real(value, name: str) -> float:
-    """The parameter of this name as a float; ValueError unless it is a
-    finite real number (a numbers.Real: int, float or a numpy real
-    scalar).  A float, numpy's float64 included, is one, so it skips the
-    slower ABC check."""
-    if not ((isinstance(value, float) or isinstance(value, numbers.Real))
-            and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
 
 
 def _whole(value, name: str, low: int, high: float, rule: str) -> int:
@@ -500,7 +526,8 @@ def exponential(f: StepFunction) -> ExpSpan:
 
 def unit(a, zeta, t) -> ExpSpan:
     """e^{a t} Exp(zeta on (0, t)), the basic factorizing family;
-    ValueError for a non-finite a or zeta."""
+    ValueError, naming it, for an a or zeta that is not a finite complex
+    number and a t that is not positive and finite."""
     a, zeta = _finite_amplitude(a, "a"), _finite_amplitude(zeta)
     t = _positive_horizon(t)
     return ExpSpan(np.array([cmath.exp(a * t)]), np.array([0.0, t]),
@@ -528,9 +555,10 @@ def gram_matrix(fns) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AutomorphismParams:
-    """Parameters (lam, xi, U) of a white-noise automorphism, |U| = 1;
-    ValueError for a lam that is not a finite real number and for a
-    non-finite xi or U."""
+    """Parameters (lam, xi, U) of a white-noise automorphism, |U| = 1,
+    kept as given; ValueError, naming the field, for a lam that is not a
+    finite real number (_finite_real) and for an xi or U that is not a
+    finite complex number (_finite_amplitude)."""
 
     lam: float
     xi: complex
@@ -548,11 +576,15 @@ class AutomorphismParams:
 
 
 def shift(xi) -> AutomorphismParams:
-    return AutomorphismParams(0.0, complex(xi), 1.0 + 0.0j)
+    """The shift by xi, passed as given, so that AutomorphismParams
+    checks it and names it."""
+    return AutomorphismParams(0.0, xi, 1.0 + 0.0j)
 
 
 def rotation(U) -> AutomorphismParams:
-    return AutomorphismParams(0.0, 0.0 + 0.0j, complex(U))
+    """The rotation by U, passed as given, so that AutomorphismParams
+    checks it and names it."""
+    return AutomorphismParams(0.0, 0.0 + 0.0j, U)
 
 
 def apply_automorphism(p: AutomorphismParams, v: ExpSpan) -> ExpSpan:

@@ -78,7 +78,7 @@ import numpy as np
 from . import __version__
 from .ccr_matrix import _write_csv
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
-                               _finite_amplitude, _finite_real,
+                               _finite_amplitude, _finite_real, _is_real,
                                _positive_horizon, _whole, step_product)
 
 __all__ = [
@@ -292,9 +292,12 @@ class SuperchaosVector:
 
 def _grid_index(t: float, m: int, name: str) -> int:
     """Index j = t m of a grid time t in [0, 1] on the 1/m grid; ValueError
-    naming the parameter when t is off the grid or outside [0, 1], a
-    non-finite t included."""
-    if not math.isfinite(float(t) * m):
+    naming the parameter when t is not a real number (_is_real), when it
+    is off the grid or when it lies outside [0, 1], a non-finite t
+    included."""
+    if not _is_real(t):
+        raise ValueError(f"{name} must be a real number, got {t!r}")
+    if not math.isfinite(t * m):
         raise ValueError(f"{name} = {t} lies outside [0, 1]")
     j = round(t * m)
     if abs(t * m - j) > 1e-9:
@@ -393,7 +396,8 @@ def chaos_eval(f: SuperchaosVector, path: WarrenPath, signs: np.ndarray) -> floa
 # Every factory below declares it.
 
 def constant_evaluator(c: float):
-    value = float(c)
+    """psi = c everywhere, for a finite real number c (_finite_real)."""
+    value = _finite_real(c, "c")
 
     def psi(walks: np.ndarray, m: int) -> float:
         return value
@@ -402,7 +406,9 @@ def constant_evaluator(c: float):
 
 
 def endpoint_sign_evaluator(a: float, b: float):
-    """psi(t, path) = sgn(B_b - B_a) for t < 1/2, else 0."""
+    """psi(t, path) = sgn(B_b - B_a) for t < 1/2, else 0.  a and b are
+    kept as given and checked as grid times by _grid_index on first use:
+    quad_form_C calls reach(m) before any draw."""
     def psi(walks: np.ndarray, m: int) -> np.ndarray:
         sign = _endpoint_sign(walks, m, a, b)
         return np.where(np.arange(walks.shape[1]) < m / 2, sign[:, None], 0.0)
@@ -415,20 +421,16 @@ class PsiSpec:
     """Bucket decomposition on (0, 1/2): n buckets of width 1/(2n), each
     probed by the path increment over [k/(2n), k/(2n) + delta].  n is a
     whole number of at least 1 (a whole float becomes the int it equals)
-    and delta, converted with float(), lies in (0, 1/2)."""
+    and delta, a real number by _finite_real's rule (not a numeric
+    string), lies in (0, 1/2) and is kept as a float."""
 
     n: int
     delta: float
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n, "n"))
-        try:
-            delta = float(self.delta)
-        except (TypeError, ValueError):
-            delta = math.nan
-        if not 0.0 < delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta!r}")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _finite_real(
+            self.delta, "delta", 0.0, 0.5, "lie in (0, 0.5)"))
 
     def alignment(self, m: int) -> tuple[int, int]:
         """(bucket width, probe offset) in grid steps; raises if misaligned."""
@@ -597,7 +599,8 @@ class Lemma43Row:
     u_mass_stderr: float
     seed: int
     # delta-method standard error of u_mass / mass over the shared paths;
-    # 0.0 where it is not known, as for rows read back from the CSV
+    # 0.0 when a row is built without it.  The CSV holds none of the three
+    # u_ columns, so a row read back from it carries NaN in each
     u_ratio_stderr: float = 0.0
 
 
@@ -766,33 +769,33 @@ def obstruction_report(norm_value: float, lemma43_rows, f_mass: float | None = N
     minimum-anchored u_mass and u_mass_stderr (dataclasses.replace), as
     acceptance criterion 9 does.  See the README section on criteria 8
     and 9.  n_dim, the dimension N of norm_value, is a whole number of at
-    least 0, where 0 means not given.
+    least 0, where 0 means not given.  norm_value must be a finite real
+    number and f_mass, when given, a positive one, by _finite_real's
+    rule; each refusal names it.
     """
     n_dim = _whole(n_dim, "n_dim", 0, math.inf, "be at least 0")
-    if not math.isfinite(float(norm_value)):
-        raise ValueError(f"norm_value must be finite, got {norm_value!r}")
+    norm_value = _finite_real(norm_value, "norm_value", rule="be finite")
     rows = list(lemma43_rows)
     if not rows:
         raise ValueError("need at least one refinement row")
     best = best_row(rows)
-    denom = float(f_mass) if f_mass is not None else best.mass
-    if not 0.0 < denom < math.inf:
-        raise ValueError(f"mass must be positive and finite, got {denom!r}")
-    m_hat = best.estimate / denom
+    mass, name = (best.mass, "mass") if f_mass is None else (f_mass, "f_mass")
+    m_hat = best.estimate / _finite_real(mass, name, 0.0,
+                                         rule="be positive and finite")
     return ObstructionReport(
-        norm_value=float(norm_value), scheme=scheme, N=n_dim,
+        norm_value=norm_value, scheme=scheme, N=n_dim,
         m_hat=m_hat, n=best.n, delta=best.delta, grid_m=best.m,
-        samples=best.samples, margin=3.0 * m_hat - float(norm_value),
+        samples=best.samples, margin=3.0 * m_hat - norm_value,
         master_seed=best.seed, versions=_environment_versions())
 
 
 def write_lemma43_csv(rows, path) -> None:
-    """CSV artifact under LEMMA43_HEADER, written by ccr_matrix's
-    _write_csv (UTF-8, LF, 12 significant digits); the u_mass columns
-    are not written."""
+    """CSV artifact of each row's fields named by LEMMA43_HEADER, in its
+    order, written by ccr_matrix's _write_csv (UTF-8, LF, 12 significant
+    digits); the u_mass columns are not written."""
+    columns = LEMMA43_HEADER.split(",")
     _write_csv(path, LEMMA43_HEADER,
-               ([r.n, r.delta, r.m, r.samples, r.estimate, r.stderr, r.mass,
-                 r.mass_stderr, r.seed] for r in rows))
+               ([getattr(r, c) for c in columns] for r in rows))
 
 
 def write_obstruction_json(report: ObstructionReport, path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from splitnoise import ccr_matrix, gaussian_algebra, warren_sim
-from splitnoise.cli import _build_parser, main
+from splitnoise.cli import _build_parser, _read_lemma43_rows, main
 from splitnoise.ccr_matrix import NORM_STUDY_HEADER, TWO_THIRDS_PI
 from splitnoise.warren_sim import LEMMA43_HEADER
 
@@ -191,11 +192,12 @@ def test_lemma43_summary_at_zero_mass_calls_the_ratios_undefined(tmp_path,
     (NORM_STUDY_HEADER, "oscillator,16", "2 fields, expected 6"),
     (LEMMA43_HEADER, "4,0.00390625,256,40,0.1,0.01,1.0,0.1",
      "8 fields, expected 9"),
-    # a nan or inf would reach obstruction.json, which is then not JSON
+    # a nan or inf would reach obstruction.json, which is then not JSON;
+    # the real rule names the column
     (NORM_STUDY_HEADER, "oscillator,16,2.0943951,0.5,nan,0",
-     "'nan' is not a finite number"),
+     "value must be a finite real number, got nan"),
     (LEMMA43_HEADER, "4,0.00390625,256,40,inf,0.01,1.0,0.1,3",
-     "'inf' is not a finite number"),
+     "estimate must be a finite real number, got inf"),
     # a dimension below 2 used to reach obstruction.json as it was
     (NORM_STUDY_HEADER, "oscillator,-4,2.0943951,0.5,2.1,0",
      "N must be at least 2 and be a whole number, got -4"),
@@ -230,6 +232,26 @@ def test_obstruction_names_file_and_line_of_a_bad_row(tmp_path, capsys,
                         "--out", str(tmp_path / "o.json")], capsys)
     assert code == 2
     assert f"{bad} line 3: {message}" in err and "Traceback" not in err
+
+
+def test_lemma43_table_reads_back_its_columns_and_nan_for_the_rest(tmp_path):
+    # the three u_ columns are not in the CSV; they used to read back as
+    # 0.0, which looks like a measured value
+    rows = warren_sim.lemma43_table(warren_sim.half_interval_profile(),
+                                    [4, 8], [1 / 256, 1 / 64], 256, 40, 3)
+    table = tmp_path / "lemma43.csv"
+    warren_sim.write_lemma43_csv(rows, table)
+    back = _read_lemma43_rows(str(table))
+    assert len(back) == len(rows) == 4
+    columns = LEMMA43_HEADER.split(",")
+    for row, read in zip(rows, back):
+        for column in columns:
+            value = getattr(row, column)
+            expected = value if type(value) is int else float(f"{value:.12g}")
+            assert getattr(read, column) == expected
+            assert type(getattr(read, column)) is type(value)
+        for column in ("u_mass", "u_mass_stderr", "u_ratio_stderr"):
+            assert column not in columns and math.isnan(getattr(read, column))
 
 
 def test_single_sample_runs_write_zero_stderr_without_warnings(tmp_path, capsys):

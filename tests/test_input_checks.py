@@ -1,13 +1,24 @@
-"""Every size that a public entry takes (a dimension N, a bucket count n,
-a grid size m, a reach or a number of samples) is checked as a whole
-number before any kernel or draw, and so is the finiteness of a coherent
-amplitude, of an automorphism's lam, xi and U, of unit's a and zeta, of
-the Weyl residual's lam and mu and of an evaluator's probe times: a
-non-whole size used to be truncated, resized or end in a TypeError, a
-non-finite amplitude or parameter in NaN results, and a non-finite probe
-time in an OverflowError that named no parameter.  An angle alpha and a
-WS profile's times a and b must be real numbers: one that was not, such
-as a string, ended in a TypeError or a ValueError that named neither."""
+"""Every scalar number that a public entry takes is checked before any
+kernel, draw or span is built, by one of three rules, each refusal a
+ValueError that names the parameter:
+
+* a size or a seed (a dimension N, a bucket count n, a grid size m, a
+  reach, a number of samples or trials) by _whole: a whole number in its
+  range, never a bool, a fraction or a string;
+* a real number (an angle alpha, a horizon t, lam and mu, a WS profile's
+  or an indicator's a and b, a constant evaluator's c, a probe time, a
+  probe offset delta, a norm_value or f_mass) by _finite_real's rule: a
+  numbers.Real that is not a bool, within the parameter's range;
+* a complex number (a coherent amplitude zeta, unit's a, an
+  automorphism's xi and U, a scaling factor) by _finite_amplitude: a
+  numbers.Complex that is not a bool, with finite parts.
+
+A numeric string such as "0.5" is none of them.  Before these checks a
+non-whole size was truncated, resized or ended in a TypeError, a
+non-finite amplitude or parameter gave NaN results, a non-finite probe
+time an OverflowError that named no parameter, and float() or complex()
+took "0.5" and True as numbers, raised TypeError on None and, on "x",
+an error that named nothing."""
 
 import math
 import re
@@ -23,6 +34,8 @@ from splitnoise.gaussian_algebra import (
     StepFunction,
     ccr_phase_residual,
     relation_suite,
+    rotation,
+    shift,
     unit,
 )
 from splitnoise.ccr_matrix import (
@@ -35,6 +48,7 @@ from splitnoise.ccr_matrix import (
     symmetric_triple,
 )
 from splitnoise.warren_sim import (
+    Lemma43Row,
     PsiSpec,
     SuperchaosVector,
     WarrenPath,
@@ -44,6 +58,7 @@ from splitnoise.warren_sim import (
     lemma43_table,
     constant_evaluator,
     mc_coherent_sign_probe,
+    obstruction_report,
     quad_form_C,
     run_replicas,
     sample_path,
@@ -52,8 +67,8 @@ from splitnoise.warren_sim import (
 
 def refuse_to_work(monkeypatch):
     """Make every dense builder, sign kernel (the grid's through numpy's
-    SVD) and walk or endpoint draw fail, so that a check that comes too
-    late is caught."""
+    SVD), walk or endpoint draw and span build fail, so that a check that
+    comes too late is caught."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
     for name in ("_ladder_entries", "_sinc_diagonals", "_hermite_nodes"):
@@ -61,6 +76,8 @@ def refuse_to_work(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_work)
     for name in ("draw_walks", "sample_path", "replica_rng"):
         monkeypatch.setattr(warren_sim, name, no_work)
+    for name in ("ExpSpan", "random_unit_span"):
+        monkeypatch.setattr(gaussian_algebra, name, no_work)
 
 
 def first_column(walks):
@@ -222,8 +239,8 @@ REAL_NUMBER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", ["2.0", "x", None, 0.5j],
-                         ids=["numeric-str", "str", "none", "complex"])
+@pytest.mark.parametrize("value", ["2.0", "x", None, 0.5j, True],
+                         ids=["numeric-str", "str", "none", "complex", "bool"])
 @pytest.mark.parametrize("entry", sorted(REAL_NUMBER_CALLS))
 def test_angles_and_profile_times_must_be_real_numbers(monkeypatch, entry,
                                                        value):
@@ -231,7 +248,7 @@ def test_angles_and_profile_times_must_be_real_numbers(monkeypatch, entry,
     # "1.0") raised TypeError: '<' not supported, convergence_study with
     # an angle "x" "could not convert string to float: 'x'", and
     # sign_modulated converted "2.0" to a float before the constructor
-    # checked it
+    # checked it; a bool passed as 0.0 or 1.0
     name, call = REAL_NUMBER_CALLS[entry]
     refuse_to_work(monkeypatch)
     with pytest.raises(ValueError, match=(
@@ -273,3 +290,62 @@ def test_a_non_finite_probe_time_is_refused_naming_it(monkeypatch, call,
     with pytest.raises(ValueError, match=(
             f"^{name} = {re.escape(str(value))} lies outside \\[0, 1\\]$")):
         PROBE_CALLS[call](endpoint_sign_evaluator(times["a"], times["b"]))
+
+
+ROWS = [Lemma43Row(n=16, delta=1 / 256, m=1024, samples=100, estimate=0.9,
+                   stderr=0.01, mass=1.0, mass_stderr=0.01, u_mass=1.0,
+                   u_mass_stderr=0.01, seed=5)]
+SCALAR_CALLS = {
+    "relation_suite-t": ("t", lambda v: relation_suite(1, 2, v)),
+    "unit-t": ("t", lambda v: unit(0.1, 0.5, v)),
+    "build_pair-t": ("t", lambda v: build_pair("oscillator", 8, v)),
+    "lemma23_value-t": ("t", lambda v: lemma23_value(2.0, v, 16)),
+    "convergence_study-t": ("t", lambda v: convergence_study(
+        "oscillator", [16], t=v)),
+    "coherent_vector-t": ("t", lambda v: coherent_vector(0.5, v, 8)),
+    "mc_coherent_sign_probe-t": ("t", lambda v: mc_coherent_sign_probe(
+        0.5, v, 100, 0)),
+    "unit-a": ("a", lambda v: unit(v, 0.5, 1.0)),
+    "unit-zeta": ("zeta", lambda v: unit(0.1, v, 1.0)),
+    "AutomorphismParams-lam": ("lam", lambda v: AutomorphismParams(v, 0.0,
+                                                                   1.0)),
+    "AutomorphismParams-xi": ("xi", lambda v: AutomorphismParams(0.0, v, 1.0)),
+    "AutomorphismParams-U": ("U", lambda v: AutomorphismParams(0.0, 0.0, v)),
+    "shift-xi": ("xi", shift),
+    "rotation-U": ("U", rotation),
+    "scaled-factor": ("factor", SPAN.scaled),
+    "indicator-a": ("a", lambda v: StepFunction.indicator(v, 0.5, 1.0)),
+    "indicator-b": ("b", lambda v: StepFunction.indicator(0.0, v, 1.0)),
+    "indicator-horizon": ("horizon", lambda v: StepFunction.indicator(
+        0.0, 0.5, v)),
+    "constant_evaluator-c": ("c", constant_evaluator),
+    "endpoint-a": ("a", lambda v: quad_form_C(
+        endpoint_sign_evaluator(v, 0.5), half_interval_profile(), 4, 1, m=64)),
+    "endpoint-b": ("b", lambda v: quad_form_C(
+        endpoint_sign_evaluator(0.0, v), half_interval_profile(), 4, 1, m=64)),
+    "PsiSpec-delta": ("delta", lambda v: PsiSpec(4, v)),
+    "obstruction_report-norm_value": ("norm_value", lambda v:
+                                      obstruction_report(v, ROWS)),
+    "obstruction_report-f_mass": ("f_mass", lambda v: obstruction_report(
+        2.1, ROWS, v)),
+}
+
+
+# None is f_mass's default, which takes the best row's own mass
+SCALAR_CASES = [pytest.param(entry, value, id=f"{entry}-{label}")
+                for entry in sorted(SCALAR_CALLS)
+                for label, value in (("numeric-str", "0.5"), ("str", "x"),
+                                     ("none", None), ("bool", True))
+                if not (entry.endswith("f_mass") and value is None)]
+
+
+@pytest.mark.parametrize("entry,value", SCALAR_CASES)
+def test_every_scalar_number_is_refused_by_its_rule_naming_it(
+        monkeypatch, entry, value):
+    # float() and complex() used to take "0.5" and True as numbers, raise
+    # TypeError on None and, on "x", an error that named nothing
+    name, call = SCALAR_CALLS[entry]
+    refuse_to_work(monkeypatch)
+    with pytest.raises(ValueError, match=(
+            f"^{name} must .+, got {re.escape(repr(value))}$")):
+        call(value)

@@ -135,3 +135,46 @@ def test_every_private_helper_is_used_by_the_package():
                if n.startswith("_") and not n.endswith("__")}
     assert {"_store", "_derived", "_on_breaks", "_gram_norm"} <= private
     assert sorted(private - used) == []
+
+
+def public_functions(tree):
+    """(qualified name, node) of each public function, and of each public
+    method of a public class, at the top level of a module."""
+    def public(node, kind):
+        return isinstance(node, kind) and not node.name.startswith("_")
+    for node in tree.body:
+        if public(node, ast.FunctionDef):
+            yield node.name, node
+        elif public(node, ast.ClassDef):
+            yield from ((f"{node.name}.{n.name}", n) for n in node.body
+                        if public(n, ast.FunctionDef))
+
+
+def coerced_parameters(path):
+    """'function: parameter' for each parameter of a public function or
+    method whose first read, in source order, is float(p) or complex(p)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    found = []
+    for qualname, fn in public_functions(tree):
+        a = fn.args
+        for param in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+            reads = [n for stmt in fn.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and n.id == param
+                     and isinstance(n.ctx, ast.Load)]
+            if not reads:
+                continue
+            call = parents[min(reads, key=lambda n: (n.lineno, n.col_offset))]
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in ("float", "complex")):
+                found.append(f"{qualname}: {param}")
+    return found
+
+
+def test_no_public_entry_coerces_a_parameter_before_its_check():
+    # float() and complex() take "0.5" and True as numbers and name no
+    # parameter when they fail; a scalar enters through _whole,
+    # _finite_real or _finite_amplitude instead
+    assert [f"{source.stem}.{read}" for source in SOURCES
+            for read in coerced_parameters(source)] == []

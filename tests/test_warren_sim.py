@@ -518,11 +518,13 @@ def refuse_to_draw(monkeypatch):
         monkeypatch.setattr(warren_sim, drawer, no_walk)
 
 
-def test_psi_spec_converts_delta_with_float():
-    spec = PsiSpec(4, "0.25")  # used to raise TypeError
+def test_psi_spec_takes_delta_by_the_real_rule():
+    # "0.25" used to be converted with float(); delta now takes the real
+    # rule of every real parameter, and is kept as the float it checked
+    spec = PsiSpec(4, np.float64(0.25))
     assert spec.delta == 0.25 and type(spec.delta) is float
     assert spec == PsiSpec(4, 0.25)
-    for delta in ("x", None, 0.5, math.nan):
+    for delta in ("0.25", "x", None, True, 0.5, math.nan):
         with pytest.raises(ValueError, match=(
                 "^delta must lie in \\(0, 0.5\\), got "
                 f"{re.escape(repr(delta))}$")):
