@@ -119,7 +119,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_algebra import (_check_count, _finite_amplitude,
+from .gaussian_algebra import (_check_count, _finite_amplitude, _finite_array,
                                _finite_real, _positive_horizon, _whole)
 
 __all__ = [
@@ -151,8 +151,9 @@ class GridAliasingWarning(UserWarning):
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate the Hermitian-matrix contract, max-norm relative to entries,
-    within 1e-12."""
-    a = np.asarray(a)
+    within 1e-12, on a finite real or complex a (_finite_array), returned
+    as the read-only array that rule gives."""
+    a = _finite_array(a, "a")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(a).max()
@@ -534,13 +535,12 @@ def coherent_vector(zeta: complex, t: float, n: int) -> np.ndarray:
 
 
 def sgn_expectation(a: np.ndarray, v: np.ndarray) -> float:
-    """<sgn(a) v, v>, not normalized by ||v||^2."""
-    v = np.asarray(v)
-    a = np.asarray(a)
-    if a.shape[0] != v.shape[0]:
-        raise ValueError("dimension mismatch")
-    if not np.any(v):
-        raise ValueError("zero vector")
+    """<sgn(a) v, v>, not normalized by ||v||^2, for a Hermitian a
+    (require_hermitian) and a finite nonzero vector v (_finite_array) of
+    its dimension."""
+    a, v = require_hermitian(a), _finite_array(v, "v")
+    if v.shape != a.shape[:1] or not v.any():
+        raise ValueError("v must be a nonzero vector of a's dimension")
     return float(np.real(v.conj() @ (sgn_op(a) @ v)))
 
 

@@ -26,18 +26,24 @@ the memory layout: _read returns its gathers F-ordered, and a span
 stores V C-contiguous whatever built it, so that one layout gives one
 norm, to the bit.
 
-A span built by ExpSpan(coef, breaks, values) is checked as a step
-function is: a finite 1-D coef, breaks that pass the one partition
-check, _check_breaks (1-D, start at 0, finite, strictly increasing),
-and finite values of shape (k, m), each refusal a ValueError naming
-the field.  The spans the package derives from checked ones (images,
-sums, differences, scaled copies and its random draws) skip all but
-the shape check, so the hot paths pay nothing for it.
+Every array a public entry takes passes one rule, _finite_array: it
+must hold numbers (never bools, strings or objects), real ones where
+the parameter is real, all finite ("{name} must be finite"), and it is
+held as a read-only array, a copy of any array the caller could still
+write.  A span built by ExpSpan(coef, breaks, values) is checked as a
+step function is: its three arrays by that rule, a 1-D coef, breaks
+that pass the one partition check, _check_breaks (1-D, start at 0,
+strictly increasing), and values of shape (k, m), each refusal a
+ValueError naming the field.  The spans the package derives from
+checked ones (images, sums, differences, scaled copies and its random
+draws) skip all but the shape check, so the hot paths pay nothing for
+it.
 
-The package never writes a span's arrays after it is built, so what
-depends on them alone is computed once: a span keeps its interval
-widths, its term integrals (values @ widths) and its norm as lazy
-attributes, filled on first read.  The kept norm carries the condition
+No one writes a checked span's arrays after it is built, as no caller
+holds a writeable view of them, and the package never writes a derived
+span's, so what depends on them alone is computed once: a span keeps
+its interval widths, its term integrals (values @ widths) and its norm
+as lazy attributes, filled on first read.  The kept norm carries the condition
 number that warns, so every call warns as the first did; one that
 overflowed is not kept, and each call takes it afresh with numpy's
 warnings (see ExpSpan.norm).  An automorphism image or a scaled copy
@@ -160,14 +166,12 @@ def _widths(breaks: np.ndarray) -> np.ndarray:
 
 def _check_breaks(breaks: np.ndarray) -> None:
     """The one partition check of step functions and spans: ValueError,
-    naming breaks, unless the float array breaks is 1-D with at least 2
-    entries, starts at 0, is finite and strictly increases."""
+    naming breaks, unless the finite float array breaks (_finite_array)
+    is 1-D with at least 2 entries, starts at 0 and strictly increases."""
     if breaks.ndim != 1 or len(breaks) < 2:
         raise ValueError("breaks must be 1-D with at least 2 breakpoints")
     if breaks[0] != 0.0:
         raise ValueError("breaks must start at 0")
-    if not np.isfinite(breaks).all():
-        raise ValueError("breaks must be finite")
     if not (breaks[1:] > breaks[:-1]).all():
         raise ValueError("breaks must be strictly increasing")
 
@@ -178,25 +182,21 @@ class StepFunction:
 
     breaks: float64 (m + 1,), strictly increasing, breaks[0] == 0 and
     breaks[-1] == T.  values: complex128 (m,), values[j] on the interval
-    [breaks[j], breaks[j+1]).  Both arrays are read-only copies of the
-    arguments; breaks is checked by _check_breaks, and values must be
-    finite, one per interval.
+    [breaks[j], breaks[j+1]).  Both pass _finite_array, which holds them
+    read-only and copies an array the caller could still write; breaks
+    is checked by _check_breaks, and values are one per interval.
     """
 
     breaks: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        breaks = np.array(self.breaks, dtype=float)
-        values = np.array(self.values, dtype=complex)
+        breaks = _finite_array(self.breaks, "breaks", float)
+        values = _finite_array(self.values, "values", complex)
         _check_breaks(breaks)
         if values.shape != (len(breaks) - 1,):
             raise ValueError("need m >= 1 intervals and m + 1 breakpoints")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        for name, array in (("breaks", breaks), ("values", values)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        self.__dict__.update(breaks=breaks, values=values)  # frozen fields
 
     @property
     def horizon(self) -> float:
@@ -214,12 +214,12 @@ class StepFunction:
         if not 0.0 <= a < b <= horizon:
             raise ValueError("need 0 <= a < b <= horizon")
         breaks = np.array(sorted({0.0, a, b, horizon}))
-        return cls(breaks, (breaks[:-1] >= a) & (breaks[1:] <= b))
+        return cls(breaks, 1.0 * ((breaks[:-1] >= a) & (breaks[1:] <= b)))
 
     def value_at(self, t):
-        """The value at t (one time, or an array of times) by _read;
-        ValueError for a time outside [0, T]."""
-        times = np.asarray(t, dtype=float)
+        """The value at t (one time, or an array of times, finite reals by
+        _finite_array) by _read; ValueError for a time outside [0, T]."""
+        times = _finite_array(t, "t", float)
         if not np.all((0.0 <= times) & (times <= self.horizon)):
             raise ValueError("t outside horizon")
         out = _read(self.breaks, self.values, times)
@@ -284,35 +284,32 @@ class ExpSpan:
     interleaved float parts; a real input converts exactly.
 
     A span built here refuses what StepFunction refuses, with a
-    ValueError naming the field: coef must be 1-D and finite (it is
-    stored as complex128), breaks 1-D, starting at 0, finite and
-    strictly increasing (stored as float64), and values finite, of shape
-    (k, m).  The spans the package derives from checked ones (sums,
-    differences, images, scaled copies and its random draws) take
-    _derived, which checks the shape alone.
+    ValueError naming the field: each array must pass _finite_array
+    (coef and values stored as complex128, breaks as float64), coef must
+    be 1-D, breaks 1-D, starting at 0 and strictly increasing, and
+    values of shape (k, m).  The spans the package derives from checked
+    ones (sums, differences, images, scaled copies and its random draws)
+    take _derived, which checks the shape alone.
 
-    The package never writes a span's arrays after it is built, and the
-    lazy attributes rely on that: widths, the interval lengths of
-    breaks, integrals, values @ widths, and the norm, each computed on
-    first read and kept.  A span built on another's breaks by _on_breaks
-    shares its widths."""
+    The lazy attributes rely on the arrays never changing: widths, the
+    interval lengths of breaks, integrals, values @ widths, and the
+    norm, each computed on first read and kept.  A checked span holds
+    read-only arrays, copies of any that its caller could still write,
+    and keeps a read-only one as it is, so spans built on one checked
+    span's arrays share them; the package never writes a derived span's.
+    A span built on another's breaks by _on_breaks shares its widths."""
 
     coef: np.ndarray
     breaks: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        coef = np.asarray(self.coef, dtype=complex)
-        breaks = np.asarray(self.breaks, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        coef = _finite_array(self.coef, "coef", complex)
+        breaks = _finite_array(self.breaks, "breaks", float)
         if coef.ndim != 1:
             raise ValueError("coef must be 1-D")
-        if not np.isfinite(coef).all():
-            raise ValueError("coef must be finite")
         _check_breaks(breaks)
-        self._store(coef, breaks, values)
-        if not np.isfinite(self.values).all():
-            raise ValueError("values must be finite")
+        self._store(coef, breaks, _finite_array(self.values, "values", complex))
 
     def _store(self, coef, breaks, values) -> None:
         """Set the fields, values C-contiguous and complex128, after the
@@ -462,11 +459,36 @@ def _finite_real(value, name: str, low=-math.inf, high=math.inf,
     a probe offset delta, a norm or mass, and each float field of a CSV
     artifact.  A float, numpy's float64 included, skips _is_real's call
     and is compared as a Python float, which keeps the relation suite's
-    dozens of checks per trial cheap."""
-    x = float(value) if isinstance(value, float) or _is_real(value) else math.nan
+    dozens of checks per trial cheap.  An int too large for a float,
+    such as 10**400, is refused as a non-finite one is."""
+    try:
+        x = float(value) if isinstance(value, float) or _is_real(value) else math.nan
+    except OverflowError:
+        x = math.nan
     if not low < x < high:
         raise ValueError(f"{name} must {rule}, got {value!r}")
     return x
+
+
+def _finite_array(value, name: str, dtype=None) -> np.ndarray:
+    """value as a read-only, C-contiguous array of dtype, float or
+    complex (None: complex for a complex input, float for any other);
+    ValueError, naming it, unless it holds numbers (never bools,
+    strings or objects, such as [1, 10**400]), real ones for a float
+    dtype, all of them finite: "{name} must be finite".  The one check
+    of every array parameter.  A writeable array is copied, so that no
+    caller can change what a value object keeps; a read-only one of the
+    dtype and layout, such as a checked span's, is kept as it is."""
+    arr, real = np.asarray(value), dtype is float
+    if arr.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{name} must hold {'real ' * real}numbers, got {arr.dtype}")
+    dtype = dtype or (complex if arr.dtype.kind == "c" else float)
+    if arr.dtype != dtype or arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, dtype=dtype, order="C")
+        arr.flags.writeable = False
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _positive_horizon(t, bound: float = math.inf) -> float:
@@ -482,9 +504,14 @@ def _finite_amplitude(zeta, name: str = "zeta") -> complex:
     """A coherent amplitude zeta, or the complex parameter of this name,
     as a complex; ValueError unless it is a numbers.Complex that is not a
     bool (a numeric string such as "1+1j" is not one) with both parts
-    finite.  A complex or a float skips the slower ABC check."""
-    if not ((isinstance(zeta, (complex, float)) or type(zeta) is not bool
-             and isinstance(zeta, numbers.Complex)) and cmath.isfinite(zeta)):
+    finite, which an int too large for a float is not.  A complex or a
+    float skips the slower ABC check."""
+    try:
+        finite = (isinstance(zeta, (complex, float)) or type(zeta) is not bool
+                  and isinstance(zeta, numbers.Complex)) and cmath.isfinite(zeta)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {zeta!r}")
     return complex(zeta)
 
@@ -530,8 +557,7 @@ def unit(a, zeta, t) -> ExpSpan:
     number and a t that is not positive and finite."""
     a, zeta = _finite_amplitude(a, "a"), _finite_amplitude(zeta)
     t = _positive_horizon(t)
-    return ExpSpan(np.array([cmath.exp(a * t)]), np.array([0.0, t]),
-                   np.array([[zeta]]))
+    return ExpSpan([cmath.exp(a * t)], [0.0, t], [[zeta]])
 
 
 def _span_product(c, a, b, d, widths) -> complex:

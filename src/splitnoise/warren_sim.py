@@ -78,8 +78,8 @@ import numpy as np
 from . import __version__
 from .ccr_matrix import _write_csv
 from .gaussian_algebra import (StepFunction, _check_count, _check_seed,
-                               _finite_amplitude, _finite_real, _is_real,
-                               _positive_horizon, _whole, step_product)
+                               _finite_amplitude, _finite_array, _finite_real,
+                               _is_real, _positive_horizon, _whole, step_product)
 
 __all__ = [
     "WarrenPath",
@@ -194,8 +194,9 @@ def local_minima(values) -> np.ndarray:
     """Interior indices j with values[j-1] > values[j] < values[j+1].
 
     Strict on both sides; ties never qualify; endpoints never returned.
+    values are finite reals (_finite_array).
     """
-    v = np.asarray(values, dtype=float)
+    v = _finite_array(values, "values", float)
     if v.ndim != 1 or len(v) < 3:
         raise ValueError("need at least three values")
     return np.flatnonzero(_minima_mask(v[None, :], len(v) - 1)[0])
@@ -207,8 +208,10 @@ class WarrenPath:
 
     values holds the walk on the grid {0, 1/m, ..., 1} up to some index
     h <= m (h + 1 entries, values[0] == 0; the whole walk when h == m),
-    so m is a whole number of at least 2; a whole float becomes the int
-    it equals.  minima is derived from values, not passed:
+    as a read-only float64 array by _finite_array, a copy of an array
+    the caller could still write, so minima cannot go stale; m is a
+    whole number of at least 2, and a whole float becomes the int it
+    equals.  minima is derived from values, not passed:
     local_minima(values), the complete ascending set of interior strict
     minima below h.  The fair signs at the minima are a separate draw,
     draw_signs.
@@ -220,6 +223,8 @@ class WarrenPath:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_grid(self.m, 2))
+        object.__setattr__(self, "values",
+                           _finite_array(self.values, "values", float))
         if not 3 <= len(self.values) <= self.m + 1:
             raise ValueError("values must have 3 to m + 1 entries")
         if self.values[0] != 0.0:
@@ -293,17 +298,15 @@ class SuperchaosVector:
 def _grid_index(t: float, m: int, name: str) -> int:
     """Index j = t m of a grid time t in [0, 1] on the 1/m grid; ValueError
     naming the parameter when t is not a real number (_is_real), when it
-    is off the grid or when it lies outside [0, 1], a non-finite t
-    included."""
+    is off the grid or when it lies outside [0, 1], a non-finite t and an
+    int too large for a float included."""
     if not _is_real(t):
         raise ValueError(f"{name} must be a real number, got {t!r}")
-    if not math.isfinite(t * m):
+    if not 0 <= t <= 1:
         raise ValueError(f"{name} = {t} lies outside [0, 1]")
     j = round(t * m)
     if abs(t * m - j) > 1e-9:
         raise ValueError(f"{name} = {t} is not aligned to the 1/{m} grid")
-    if not 0 <= j <= m:
-        raise ValueError(f"{name} = {t} lies outside [0, 1]")
     return int(j)
 
 
@@ -681,8 +684,10 @@ def chaos_eval_under_probe(f: SuperchaosVector, path: WarrenPath,
                            signs: np.ndarray, psi) -> float:
     """(C_psi f)(path, signs): term k picks up the factor psi(t_k, path).
     The one-row case of the grid terms that quad_form_C sums, with f's
-    weight and sign factor to the first power and one sign per minimum."""
-    if np.shape(signs) != path.minima.shape:
+    weight and sign factor to the first power and one finite real sign
+    per minimum (_finite_array)."""
+    signs = _finite_array(signs, "signs", float)
+    if signs.shape != path.minima.shape:
         raise ValueError("one sign per minimum required")
     terms = _path_terms(f, path, 1, psi)
     keep = np.searchsorted(path.minima, len(terms))

@@ -1,6 +1,6 @@
-"""Every scalar number that a public entry takes is checked before any
-kernel, draw or span is built, by one of three rules, each refusal a
-ValueError that names the parameter:
+"""Every number that a public entry takes is checked before any kernel,
+draw or span is built, by one of four rules, each refusal a ValueError
+that names the parameter:
 
 * a size or a seed (a dimension N, a bucket count n, a grid size m, a
   reach, a number of samples or trials) by _whole: a whole number in its
@@ -11,14 +11,24 @@ ValueError that names the parameter:
   numbers.Real that is not a bool, within the parameter's range;
 * a complex number (a coherent amplitude zeta, unit's a, an
   automorphism's xi and U, a scaling factor) by _finite_amplitude: a
-  numbers.Complex that is not a bool, with finite parts.
+  numbers.Complex that is not a bool, with finite parts;
+* an array (a step function's or span's breaks, values and coef, a
+  time t to read at, a walk's values, a path's signs, a matrix a and a
+  vector v) by _finite_array: numbers, never bools, strings or objects,
+  real ones where the parameter is real, all finite, held as a
+  read-only copy of an array the caller could still write.
 
-A numeric string such as "0.5" is none of them.  Before these checks a
-non-whole size was truncated, resized or ended in a TypeError, a
-non-finite amplitude or parameter gave NaN results, a non-finite probe
-time an OverflowError that named no parameter, and float() or complex()
-took "0.5" and True as numbers, raised TypeError on None and, on "x",
-an error that named nothing."""
+A numeric string such as "0.5" is none of them, and an int too large
+for a float, such as 10**400, is not a finite number.  Before these
+checks a non-whole size was truncated, resized or ended in a TypeError,
+a non-finite amplitude or parameter gave NaN results, a non-finite
+probe time or an int too large for a float an OverflowError that named
+no parameter, and float() or complex() took "0.5" and True as numbers,
+raised TypeError on None and, on "x", an error that named nothing.
+Arrays of strings or bools built objects, a NaN walk gave minima, a
+NaN matrix a NaN sign, and a value object kept the caller's array, so
+a write to it left a span's kept norm and widths, or a path's minima,
+stale."""
 
 import math
 import re
@@ -44,6 +54,9 @@ from splitnoise.ccr_matrix import (
     convergence_study,
     lemma23_value,
     position_momentum,
+    require_hermitian,
+    sgn_expectation,
+    sgn_op,
     sign_sum_norm,
     symmetric_triple,
 )
@@ -56,6 +69,7 @@ from splitnoise.warren_sim import (
     endpoint_sign_evaluator,
     half_interval_profile,
     lemma43_table,
+    local_minima,
     constant_evaluator,
     mc_coherent_sign_probe,
     obstruction_report,
@@ -277,14 +291,16 @@ PROBE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
-                         ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308,
+                                   10 ** 400],
+                         ids=["nan", "inf", "-inf", "overflow", "huge-int"])
 @pytest.mark.parametrize("name", ["a", "b"])
 @pytest.mark.parametrize("call", sorted(PROBE_CALLS))
 def test_a_non_finite_probe_time_is_refused_naming_it(monkeypatch, call,
                                                       name, value):
-    # an infinite time, or one whose grid index overflows, raised
-    # OverflowError, and NaN an unnamed "cannot convert float NaN"
+    # an infinite time, one whose grid index overflows, or an int too
+    # large for a float raised OverflowError, and NaN an unnamed "cannot
+    # convert float NaN"
     refuse_to_work(monkeypatch)
     times = {"a": 0.0, "b": 0.5, name: value}
     with pytest.raises(ValueError, match=(
@@ -331,21 +347,126 @@ SCALAR_CALLS = {
 }
 
 
-# None is f_mass's default, which takes the best row's own mass
+# None is f_mass's default, which takes the best row's own mass.  10**400
+# is a real number: a probe time's range check refuses it in its own
+# words (test_a_non_finite_probe_time_is_refused_naming_it), and an
+# indicator's horizon, like a non-finite one, is its breaks' to refuse
+# (test_an_indicator_past_the_float_range_is_refused_naming_breaks)
+OWN_WORDS_FOR_HUGE = {"endpoint-a", "endpoint-b", "indicator-horizon"}
 SCALAR_CASES = [pytest.param(entry, value, id=f"{entry}-{label}")
                 for entry in sorted(SCALAR_CALLS)
                 for label, value in (("numeric-str", "0.5"), ("str", "x"),
-                                     ("none", None), ("bool", True))
-                if not (entry.endswith("f_mass") and value is None)]
+                                     ("none", None), ("bool", True),
+                                     ("huge-int", 10 ** 400))
+                if not (entry.endswith("f_mass") and value is None)
+                and not (entry in OWN_WORDS_FOR_HUGE and value == 10 ** 400)]
 
 
 @pytest.mark.parametrize("entry,value", SCALAR_CASES)
 def test_every_scalar_number_is_refused_by_its_rule_naming_it(
         monkeypatch, entry, value):
     # float() and complex() used to take "0.5" and True as numbers, raise
-    # TypeError on None and, on "x", an error that named nothing
+    # TypeError on None and, on "x", an error that named nothing, and
+    # 10**400 raised an OverflowError that named no parameter
     name, call = SCALAR_CALLS[entry]
     refuse_to_work(monkeypatch)
     with pytest.raises(ValueError, match=(
             f"^{name} must .+, got {re.escape(repr(value))}$")):
         call(value)
+
+
+def test_an_indicator_past_the_float_range_is_refused_naming_breaks(
+        monkeypatch):
+    # its breaks hold an int no float holds, so they are objects
+    refuse_to_work(monkeypatch)
+    with pytest.raises(ValueError, match="^breaks must hold real numbers"):
+        StepFunction.indicator(0.0, 0.5, 10 ** 400)
+
+
+# every array parameter of a public entry, and a call that passes x as
+# it: x is a step function's two breaks or values, a span's two terms, or
+# each row of a 2 x 2 matrix
+ARRAY_CALLS = {
+    "StepFunction-breaks": ("breaks", lambda x: StepFunction(x, [1.0])),
+    "StepFunction-values": ("values", lambda x: StepFunction(
+        [0.0, 0.5, 1.0], x)),
+    "ExpSpan-coef": ("coef", lambda x: ExpSpan(x, [0.0, 1.0],
+                                                [[0.5], [0.25]])),
+    "ExpSpan-breaks": ("breaks", lambda x: ExpSpan([1.0], x, [[0.5]])),
+    "ExpSpan-values": ("values", lambda x: ExpSpan([1.0], [0.0, 0.5, 1.0],
+                                                    [x])),
+    "value_at-t": ("t", WS_WEIGHT.value_at),
+    "local_minima-values": ("values", local_minima),
+    "WarrenPath-values": ("values", lambda x: WarrenPath(4, x)),
+    "chaos_eval_under_probe-signs": ("signs", lambda x: chaos_eval_under_probe(
+        half_interval_profile(), WarrenPath(4, np.zeros(5)), x,
+        constant_evaluator(1.0))),
+    "require_hermitian-a": ("a", lambda x: require_hermitian([x, x])),
+    "sgn_op-a": ("a", lambda x: sgn_op([x, x])),
+    "sgn_expectation-a": ("a", lambda x: sgn_expectation([x, x], [1.0, 0.0])),
+    "sgn_expectation-v": ("v", lambda x: sgn_expectation(np.eye(2), x)),
+}
+BAD_ARRAYS = {
+    "str": ["0", "1"],
+    "bool": [False, True],
+    "object": [1, 10 ** 400],
+    "nan": [0.0, math.nan],
+    "inf": [0.0, math.inf],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("entry", sorted(ARRAY_CALLS))
+def test_every_array_is_refused_by_the_one_rule_naming_it(monkeypatch, entry,
+                                                          kind):
+    # strings and bools used to build step functions and spans, a NaN
+    # walk gave minima, a NaN or infinite matrix a NaN sign, and
+    # sgn_expectation of a matrix v raised TypeError
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+    name, call = ARRAY_CALLS[entry]
+    refuse_to_work(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", no_work)
+    words = "be finite$" if kind in ("nan", "inf") else "hold .*numbers, got "
+    with pytest.raises(ValueError, match=f"^{name} must {words}"):
+        call(BAD_ARRAYS[kind])
+
+
+def test_a_real_array_refuses_complex_entries():
+    for call in (lambda: StepFunction([0.0, 1j], [1.0]),
+                 lambda: WS_WEIGHT.value_at(0.5 + 0j),
+                 lambda: local_minima([1.0, 0.0, 1j])):
+        with pytest.raises(ValueError, match="must hold real numbers, got "
+                                             "complex128$"):
+            call()
+
+
+def test_a_span_keeps_its_results_after_the_caller_writes_its_arrays():
+    # the span used to hold the caller's arrays: after c[0] = 2 its kept
+    # norm read 1.1331 where a fresh span gives 2.2663, and after
+    # b[1] = 2 its horizon read 2.0 while its kept widths stayed [1.]
+    coef, breaks = np.array([1.0 + 0j]), np.array([0.0, 1.0])
+    values = np.array([[0.5 + 0j]])
+    span = ExpSpan(coef, breaks, values)
+    norm, widths = span.norm(), span.widths.copy()
+    coef[0], breaks[1], values[0, 0] = 2.0, 2.0, 3.0
+    assert span.norm() == norm == ExpSpan([1.0], [0.0, 1.0], [[0.5]]).norm()
+    assert span.coef.tolist() == [1.0]
+    assert span.horizon == 1.0 and span.widths.tolist() == widths.tolist()
+    for array in (span.coef, span.breaks, span.values):
+        assert not array.flags.writeable
+
+
+def test_a_path_keeps_its_values_and_minima_after_the_caller_writes():
+    # the path used to hold the caller's walk: after w[2] = -3 its values
+    # read the new walk, whose one minimum is at 2, while its minima stayed
+    # [1, 3]; a list of values stayed a list
+    walk = np.array([0.0, -1.0, 0.0, -1.0, 0.0])
+    path = WarrenPath(4, walk)
+    walk[2] = -3.0
+    assert path.values.tolist() == [0.0, -1.0, 0.0, -1.0, 0.0]
+    assert path.minima.tolist() == [1, 3]
+    listed = WarrenPath(4, [0.0, -1.0, 0.0])
+    for values in (path.values, listed.values):
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and not values.flags.writeable

@@ -150,26 +150,60 @@ def public_functions(tree):
                         if public(n, ast.FunctionDef))
 
 
-def coerced_parameters(path):
-    """'function: parameter' for each parameter of a public function or
-    method whose first read, in source order, is float(p) or complex(p)."""
+def first_reads(path, fields=False):
+    """('function: parameter', parent node) of the first read, in source
+    order, of each parameter of a public function or method and, with
+    fields, of each field of a public class that its __post_init__ reads
+    as self.field ('Class.__post_init__: field')."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
-    found = []
+
+    def first(fn, is_read):
+        reads = [n for stmt in fn.body for n in ast.walk(stmt) if is_read(n)]
+        node = min(reads, key=lambda n: (n.lineno, n.col_offset), default=None)
+        return parents.get(node)
     for qualname, fn in public_functions(tree):
         a = fn.args
         for param in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
-            reads = [n for stmt in fn.body for n in ast.walk(stmt)
-                     if isinstance(n, ast.Name) and n.id == param
-                     and isinstance(n.ctx, ast.Load)]
-            if not reads:
-                continue
-            call = parents[min(reads, key=lambda n: (n.lineno, n.col_offset))]
-            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                    and call.func.id in ("float", "complex")):
-                found.append(f"{qualname}: {param}")
-    return found
+            yield f"{qualname}: {param}", first(fn, lambda n: (
+                isinstance(n, ast.Name) and n.id == param
+                and isinstance(n.ctx, ast.Load)))
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
+               and not n.name.startswith("_")] if fields else []
+    for cls in classes:
+        names = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                yield from ((f"{cls.name}.__post_init__: {name}", first(
+                    fn, lambda n: isinstance(n, ast.Attribute)
+                    and n.attr == name and isinstance(n.value, ast.Name)
+                    and n.value.id == "self" and isinstance(n.ctx, ast.Load)))
+                    for name in names)
+
+
+def coerced_parameters(path):
+    """'function: parameter' for each parameter of a public function or
+    method whose first read, in source order, is float(p) or complex(p)."""
+    return [read for read, call in first_reads(path)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in ("float", "complex")]
+
+
+ARRAY_CONVERSIONS = ("asarray", "array", "asanyarray", "ascontiguousarray")
+
+
+def converted_arrays(path):
+    """'function: parameter' for each parameter of a public function or
+    method, and 'Class.__post_init__: field' for each field, whose first
+    read, in source order, is an np.asarray, np.array, np.asanyarray or
+    np.ascontiguousarray of it."""
+    return [read for read, call in first_reads(path, fields=True)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "np"
+            and call.func.attr in ARRAY_CONVERSIONS]
 
 
 def test_no_public_entry_coerces_a_parameter_before_its_check():
@@ -178,3 +212,11 @@ def test_no_public_entry_coerces_a_parameter_before_its_check():
     # _finite_real or _finite_amplitude instead
     assert [f"{source.stem}.{read}" for source in SOURCES
             for read in coerced_parameters(source)] == []
+
+
+def test_no_public_entry_converts_an_array_before_its_check():
+    # np.asarray and np.array take strings, bools and NaN and may keep the
+    # caller's array, whose later writes leave a span's or a path's kept
+    # results stale; an array enters through _finite_array instead
+    assert [f"{source.stem}.{read}" for source in SOURCES
+            for read in converted_arrays(source)] == []
